@@ -1,8 +1,5 @@
-//! Prior-work comparators and exact oracles.
-//!
-//! These are the baselines Table 1 of the paper compares against, plus an
-//! exact branch-and-bound optimum used to certify approximation ratios on
-//! small instances:
+//! Prior-work comparators: the baselines Table 1 of the paper compares
+//! against. (Exact optima come from `bss-exact`.)
 //!
 //! * [`monma_potts`] — the batch wrap-around heuristic in the spirit of
 //!   Monma & Potts (1993), the previous best preemptive algorithm
@@ -13,11 +10,7 @@
 //!   batches (the folk baseline; non-preemptive feasible).
 //! * [`next_fit_batches`] — the next-fit strategy underlying Jansen & Land's
 //!   `O(n)` 3-approximation for the non-preemptive case.
-//! * [`exact_nonpreemptive`] — branch-and-bound over per-machine class sets,
-//!   exact for small instances; the ratio oracle of the test suite.
 
-mod exact;
 mod heuristics;
 
-pub use exact::{exact_nonpreemptive, ExactLimits};
 pub use heuristics::{lpt_batches, monma_potts, next_fit_batches};

@@ -2,8 +2,8 @@
 //!
 //! Groups:
 //! * `par_epsilon_search` — one ε-search-dominated solve at thread counts
-//!   {1, 2, 4, 8} through `solve_par_with`; bit-identical answers, so any
-//!   delta is pure wall-clock.
+//!   {1, 2, 4, 8} through `solve_problem` with `SolveOptions::threads`;
+//!   bit-identical answers, so any delta is pure wall-clock.
 //! * `par_batch` — `SolvePool::solve_batch` throughput over a 64-instance
 //!   batch at the same thread counts (warm per-worker workspaces).
 //! * `par_reduce` — the streamed `from_instance` embedding at `c = 2500`
@@ -12,17 +12,14 @@
 //! Wall-clock speedups require physical cores; on a single-core runner the
 //! numbers collapse to ≈1×. The *deterministic* critical-path model —
 //! committed bisection levels per speculative round, reported by
-//! `ParSearchStats` and printed by this binary — is machine-independent:
+//! `SearchStats` and printed by this binary — is machine-independent:
 //! `probes / rounds` is the parallel search's model speedup, which the
 //! multi-core section of `results/BASELINES.md` records alongside honest
 //! measured walls.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 
-use bss_budget::SolveBudget;
-use bss_core::{
-    epsilon_search_between_par_stats, solve_par_with, Algorithm, BssProblem, DualWorkspace, Problem,
-};
+use bss_core::{solve_problem, Algorithm, BssProblem, DualWorkspace, Problem, SolveOptions};
 use bss_instance::Variant;
 use bss_par::SolvePool;
 use bss_seqdep::reduce;
@@ -35,6 +32,7 @@ fn par_epsilon_search(c: &mut Criterion) {
     // these uniform instances at T_min outright — no ladder to parallelize).
     let inst = bss_gen::uniform(50_000, 2_500, 32, 1);
     let algo = Algorithm::EpsilonSearch { eps_log2: 10 };
+    let problem = BssProblem::new(&inst, Variant::NonPreemptive);
     let mut ws = DualWorkspace::new();
     let mut g = c.benchmark_group("par_epsilon_search");
     g.sample_size(10);
@@ -43,36 +41,26 @@ fn par_epsilon_search(c: &mut Criterion) {
             BenchmarkId::new("uniform_50k_eps10", threads),
             &threads,
             |b, &threads| {
-                b.iter(|| {
-                    black_box(solve_par_with(
-                        &mut ws,
-                        &inst,
-                        Variant::NonPreemptive,
-                        algo,
-                        threads,
-                    ))
-                })
+                let opts = SolveOptions {
+                    threads,
+                    ..SolveOptions::default()
+                };
+                b.iter(|| black_box(solve_problem(&mut ws, &problem, algo, &opts)))
             },
         );
     }
     g.finish();
 
-    // The machine-independent accounting: committed levels per round.
-    let problem = BssProblem::new(&inst, Variant::NonPreemptive);
-    let t_min = problem.t_min();
-    let gap = t_min / (1u64 << 10);
+    // The machine-independent accounting: committed levels per round, on
+    // Theorem 8's integer ladder (the problem's direct search).
     for threads in THREADS {
         let mut ws = DualWorkspace::new();
-        let (probe, stats) = epsilon_search_between_par_stats(
-            t_min,
-            problem.search_hi(),
-            gap,
+        let opts = SolveOptions {
             threads,
-            &SolveBudget::unlimited(),
-            &mut ws,
-            |w, t| problem.probe(w, t),
-        );
-        let probes = probe.outcome.probes;
+            ..SolveOptions::default()
+        };
+        let d = problem.direct_search(&mut ws, &opts);
+        let (probes, stats) = (d.probes, d.stats);
         // threads=1 is the sequential search (no rounds); its model speedup
         // is 1x by definition.
         let model = if threads <= 1 {
@@ -81,7 +69,7 @@ fn par_epsilon_search(c: &mut Criterion) {
             probes as f64 / stats.rounds.max(1) as f64
         };
         eprintln!(
-            "par_epsilon_search: threads={threads} probes={probes} rounds={} \
+            "par_direct_search: threads={threads} probes={probes} rounds={} \
              speculated={} inline={} model-speedup={model:.2}x",
             stats.rounds, stats.speculated, stats.inline,
         );

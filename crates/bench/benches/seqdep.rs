@@ -10,9 +10,11 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use bss_core::{solve_seqdep_with, Algorithm, DualWorkspace, Problem, SeqDepProblem};
+use bss_core::{
+    solve_problem, Algorithm, DualWorkspace, Problem, SeqDepProblem, Solution, SolveOptions,
+};
 use bss_gen::seqdep::{triangle_violating, tsp_path, uniform_setups};
-use bss_seqdep::reduce;
+use bss_seqdep::{reduce, SeqDepInstance};
 
 fn seqdep_probe(c: &mut Criterion) {
     let inst = triangle_violating(1_000, 16, 1);
@@ -28,6 +30,17 @@ fn seqdep_probe(c: &mut Criterion) {
         b.iter(|| black_box(problem.probe(&mut ws, black_box(tight))))
     });
     g.finish();
+}
+
+/// A full solve on a reusable workspace.
+fn solve_seqdep_with(ws: &mut DualWorkspace, inst: &SeqDepInstance, algo: Algorithm) -> Solution {
+    solve_problem(
+        ws,
+        &SeqDepProblem::new(inst),
+        algo,
+        &SolveOptions::default(),
+    )
+    .expect("no panics")
 }
 
 fn seqdep_solve(c: &mut Criterion) {

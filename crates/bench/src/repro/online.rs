@@ -105,11 +105,7 @@ fn run_policy(
                 assert_eq!(warm.makespan, cold.makespan, "warm/cold divergence");
                 assert_eq!(warm.accepted, cold.accepted, "warm/cold divergence");
                 assert_eq!(warm.certificate, cold.certificate, "warm/cold divergence");
-                acc.warm_probes += if stats.warmed {
-                    stats.probes
-                } else {
-                    cold.probes
-                };
+                acc.warm_probes += stats.probes;
                 acc.cold_probes += cold.probes;
                 warm
             }

@@ -13,12 +13,12 @@
 //! All values are exact-rational ratios of single solves — fully
 //! deterministic; this study has no timing part.
 
-use bss_baselines::{exact_nonpreemptive, monma_potts, ExactLimits};
+use bss_baselines::monma_potts;
 use bss_core::{solve, Algorithm};
+use bss_exact::{solve_bss, ExactConfig};
 use bss_gen::FamilySpec;
 use bss_instance::{LowerBounds, Variant};
 use bss_json::Value;
-use bss_rational::Rational;
 use bss_report::Table;
 
 use super::{fmt_f64, fmt_ratio, int, int_list, Artifact, ArtifactFile, Grid, ReproConfig};
@@ -44,6 +44,9 @@ fn r3_seeds(grid: Grid) -> u64 {
     }
 }
 
+/// The exact oracle's job cap for the tiny-instance certification.
+const EXACT_MAX_JOBS: usize = 14;
+
 /// Runs the study at `cfg`.
 #[must_use]
 pub fn run(cfg: &ReproConfig) -> Artifact {
@@ -51,8 +54,13 @@ pub fn run(cfg: &ReproConfig) -> Artifact {
     let seeds: Vec<u64> = (0..tiny_seeds(cfg.grid)).collect();
     let cells = super::sweep(cfg, "ratios/r12", seeds.clone(), |seed| {
         let inst = FamilySpec::Tiny { seed }.build();
-        let opt = exact_nonpreemptive(&inst, ExactLimits::default())?;
-        let opt = Rational::from(opt);
+        let exact = ExactConfig {
+            max_jobs: EXACT_MAX_JOBS,
+            ..ExactConfig::default()
+        };
+        let opt = solve_bss(&inst, Variant::NonPreemptive, &exact)
+            .ok()?
+            .opt()?;
         let mut rows = Vec::new();
         for variant in Variant::ALL {
             for (name, algo) in [
@@ -156,10 +164,7 @@ pub fn run(cfg: &ReproConfig) -> Artifact {
             ),
             ("r3_seeds".into(), int_list(0..r3_reps)),
             ("r3_shape".into(), Value::Str("uniform: n=60m, c=6m".into())),
-            (
-                "exact_limit_jobs".into(),
-                int(ExactLimits::default().max_jobs),
-            ),
+            ("exact_limit_jobs".into(), int(EXACT_MAX_JOBS)),
         ]),
     }
 }

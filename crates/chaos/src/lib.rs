@@ -24,7 +24,9 @@
 #![warn(missing_docs)]
 
 use bss_budget::SolveBudget;
-use bss_core::{Completion, DualWorkspace, Solution};
+use bss_core::{
+    solve_problem, BssProblem, Completion, DualWorkspace, SeqDepProblem, Solution, SolveOptions,
+};
 use bss_instance::{Instance, Variant};
 use bss_rational::Rational;
 use bss_seqdep::SeqDepInstance;
@@ -85,8 +87,16 @@ pub fn gate_seqdep_instances(seed: u64) -> Vec<(String, SeqDepInstance)> {
 #[must_use]
 pub fn bss_checkpoints(inst: &Instance, variant: Variant, algo: Algorithm) -> u64 {
     let budget = SolveBudget::unlimited();
-    let sol = bss_core::solve_budgeted(inst, variant, algo, &budget)
-        .expect("unlimited dry run cannot fail");
+    let sol = solve_problem(
+        &mut DualWorkspace::new(),
+        &BssProblem::new(inst, variant),
+        algo,
+        &SolveOptions {
+            budget: Some(&budget),
+            ..SolveOptions::default()
+        },
+    )
+    .expect("unlimited dry run cannot fail");
     assert_eq!(sol.completion, Completion::Full);
     budget.checkpoints()
 }
@@ -98,8 +108,16 @@ pub fn bss_checkpoints(inst: &Instance, variant: Variant, algo: Algorithm) -> u6
 #[must_use]
 pub fn seqdep_checkpoints(sd: &SeqDepInstance, algo: Algorithm) -> u64 {
     let budget = SolveBudget::unlimited();
-    let sol =
-        bss_core::solve_seqdep_budgeted(sd, algo, &budget).expect("unlimited dry run cannot fail");
+    let sol = solve_problem(
+        &mut DualWorkspace::new(),
+        &SeqDepProblem::new(sd),
+        algo,
+        &SolveOptions {
+            budget: Some(&budget),
+            ..SolveOptions::default()
+        },
+    )
+    .expect("unlimited dry run cannot fail");
     assert_eq!(sol.completion, Completion::Full);
     budget.checkpoints()
 }

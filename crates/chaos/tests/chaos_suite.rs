@@ -15,10 +15,54 @@ use bss_chaos::{
     sweep_indices, ALGORITHMS,
 };
 use bss_core::{
-    solve, solve_budgeted, solve_budgeted_with, solve_seqdep, solve_seqdep_budgeted, solve_with,
-    CancelToken, Completion, DualWorkspace, SolveError,
+    solve, solve_problem, solve_seqdep, solve_with, Algorithm, BssProblem, CancelToken, Completion,
+    DualWorkspace, SeqDepProblem, Solution, SolveError, SolveOptions,
 };
-use bss_instance::Variant;
+use bss_instance::{Instance, Variant};
+use bss_seqdep::SeqDepInstance;
+
+/// A batch-setup solve under `budget` on `ws`.
+fn budgeted_with(
+    ws: &mut DualWorkspace,
+    inst: &Instance,
+    variant: Variant,
+    algo: Algorithm,
+    budget: &SolveBudget,
+) -> Result<Solution, SolveError> {
+    let opts = SolveOptions {
+        budget: Some(budget),
+        ..SolveOptions::default()
+    };
+    solve_problem(ws, &BssProblem::new(inst, variant), algo, &opts)
+}
+
+/// [`budgeted_with`] on a fresh workspace.
+fn budgeted(
+    inst: &Instance,
+    variant: Variant,
+    algo: Algorithm,
+    budget: &SolveBudget,
+) -> Result<Solution, SolveError> {
+    budgeted_with(&mut DualWorkspace::new(), inst, variant, algo, budget)
+}
+
+/// A sequence-dependent solve under `budget`.
+fn seqdep_budgeted(
+    sd: &SeqDepInstance,
+    algo: Algorithm,
+    budget: &SolveBudget,
+) -> Result<Solution, SolveError> {
+    let opts = SolveOptions {
+        budget: Some(budget),
+        ..SolveOptions::default()
+    };
+    solve_problem(
+        &mut DualWorkspace::new(),
+        &SeqDepProblem::new(sd),
+        algo,
+        &opts,
+    )
+}
 
 /// Runs `f` with panic messages silenced (the panic-injection sweeps would
 /// otherwise spray hundreds of expected backtraces into the test log), then
@@ -43,7 +87,7 @@ fn unlimited_budget_is_bit_identical_to_plain_solve() {
                 for algo in ALGORITHMS {
                     let label = format!("{name}/{variant}/{algo:?}");
                     let plain = solve(&inst, variant, algo);
-                    let budgeted = solve_budgeted(&inst, variant, algo, &SolveBudget::unlimited())
+                    let budgeted = budgeted(&inst, variant, algo, &SolveBudget::unlimited())
                         .expect("unlimited budget cannot fail");
                     assert_eq!(budgeted.completion, Completion::Full, "{label}");
                     assert_bit_identical(&label, &budgeted, &plain);
@@ -54,7 +98,7 @@ fn unlimited_budget_is_bit_identical_to_plain_solve() {
             for algo in ALGORITHMS {
                 let label = format!("{name}/{algo:?}");
                 let plain = solve_seqdep(&sd, algo);
-                let budgeted = solve_seqdep_budgeted(&sd, algo, &SolveBudget::unlimited())
+                let budgeted = seqdep_budgeted(&sd, algo, &SolveBudget::unlimited())
                     .expect("unlimited budget cannot fail");
                 assert_eq!(budgeted.completion, Completion::Full, "{label}");
                 assert_bit_identical(&label, &budgeted, &plain);
@@ -77,7 +121,7 @@ fn injected_cancel_at_swept_checkpoints_degrades_gracefully() {
                             at: k,
                             fault: Fault::Cancel,
                         });
-                        let sol = solve_budgeted(&inst, variant, algo, &budget)
+                        let sol = budgeted(&inst, variant, algo, &budget)
                             .expect("cancellation is not an error");
                         assert_eq!(sol.completion, Completion::Cancelled, "{label}");
                         assert_anytime_bss(&label, &inst, variant, &sol, opt);
@@ -102,7 +146,7 @@ fn injected_deadline_at_swept_checkpoints_degrades_gracefully() {
                             at: k,
                             fault: Fault::DeadlineExpiry,
                         });
-                        let sol = solve_budgeted(&inst, variant, algo, &budget)
+                        let sol = budgeted(&inst, variant, algo, &budget)
                             .expect("deadline expiry is not an error");
                         assert_eq!(
                             sol.completion,
@@ -131,7 +175,7 @@ fn work_starvation_at_every_level_degrades_gracefully() {
                     for w in levels {
                         let label = format!("{name}/{variant}/{algo:?}/work={w}");
                         let budget = SolveBudget::unlimited().with_work_limit(w);
-                        let sol = solve_budgeted(&inst, variant, algo, &budget)
+                        let sol = budgeted(&inst, variant, algo, &budget)
                             .expect("starvation is not an error");
                         if w > total {
                             // Budget to spare: completes fully and matches
@@ -185,7 +229,7 @@ fn injected_panic_is_isolated_and_workspace_heals() {
                                 at: k,
                                 fault: Fault::Panic,
                             });
-                            let err = solve_budgeted_with(&mut ws, &inst, variant, algo, &budget)
+                            let err = budgeted_with(&mut ws, &inst, variant, algo, &budget)
                                 .expect_err("injected panic must surface as an error");
                             match &err {
                                 SolveError::Panicked { message } => assert!(
@@ -225,7 +269,7 @@ fn seqdep_faults_at_swept_checkpoints_degrade_gracefully() {
                         let label = format!("{name}/{algo:?}/{fault:?}@{k}");
                         let budget =
                             SolveBudget::unlimited().with_fault(FaultPlan { at: k, fault });
-                        let sol = solve_seqdep_budgeted(&sd, algo, &budget)
+                        let sol = seqdep_budgeted(&sd, algo, &budget)
                             .expect("interruption is not an error");
                         assert_eq!(sol.completion, expect, "{label}");
                         assert_anytime_seqdep(&label, &sd, &sol, opt);
@@ -235,8 +279,8 @@ fn seqdep_faults_at_swept_checkpoints_degrade_gracefully() {
                 for w in [0, 1, total / 2] {
                     let label = format!("{name}/{algo:?}/work={w}");
                     let budget = SolveBudget::unlimited().with_work_limit(w);
-                    let sol = solve_seqdep_budgeted(&sd, algo, &budget)
-                        .expect("starvation is not an error");
+                    let sol =
+                        seqdep_budgeted(&sd, algo, &budget).expect("starvation is not an error");
                     assert_anytime_seqdep(&label, &sd, &sol, opt);
                 }
             }
@@ -256,7 +300,7 @@ fn seqdep_injected_panic_is_isolated() {
                         at: k,
                         fault: Fault::Panic,
                     });
-                    let err = solve_seqdep_budgeted(&sd, algo, &budget)
+                    let err = seqdep_budgeted(&sd, algo, &budget)
                         .expect_err("injected panic must surface as an error");
                     assert!(
                         matches!(&err, SolveError::Panicked { message } if message.contains("injected panic")),
@@ -278,8 +322,8 @@ fn pre_cancelled_token_still_returns_a_valid_fallback() {
             for algo in ALGORITHMS {
                 let label = format!("{name}/{variant}/{algo:?}/pre-cancelled");
                 let budget = SolveBudget::unlimited().with_cancel(&token);
-                let sol = solve_budgeted(&inst, variant, algo, &budget)
-                    .expect("cancellation is not an error");
+                let sol =
+                    budgeted(&inst, variant, algo, &budget).expect("cancellation is not an error");
                 assert_eq!(sol.completion, Completion::Cancelled, "{label}");
                 assert_anytime_bss(&label, &inst, variant, &sol, opt);
             }

@@ -1,11 +1,11 @@
 //! The high-level solver API.
 //!
-//! Since the unified-surface refactor the entry points here are thin: the
-//! [`solve`] family wraps the instance in a [`BssProblem`](crate::BssProblem)
-//! and hands it to the variant-generic driver
-//! [`solve_problem`](crate::solve_problem). [`Algorithm`], [`ScheduleRepr`]
-//! and [`Solution`] are shared by *every* problem on that surface
-//! (sequence-dependent instances included) rather than duplicated per model.
+//! The entry points here are thin: [`solve`] and its siblings wrap the
+//! instance in a [`BssProblem`] and hand it to the variant-generic driver
+//! [`solve_problem`](crate::solve_problem), which takes every per-solve knob
+//! in one [`SolveOptions`]. [`Algorithm`], [`ScheduleRepr`] and [`Solution`]
+//! are shared by *every* problem on that surface (sequence-dependent
+//! instances included) rather than duplicated per model.
 
 use core::fmt;
 use std::sync::OnceLock;
@@ -15,13 +15,9 @@ use bss_instance::{Instance, Variant};
 use bss_rational::Rational;
 use bss_schedule::{CompactSchedule, Schedule};
 
-use crate::problem::{
-    solve_problem, solve_problem_budgeted, solve_problem_par, solve_problem_par_budgeted,
-    BssProblem, Problem,
-};
-use crate::search::{epsilon_search_between_warm, WarmStats};
+use crate::problem::{solve_problem, solve_with_stats, BssProblem};
+use crate::search::SearchStats;
 use crate::workspace::DualWorkspace;
-use crate::Trace;
 
 /// Algorithm selector for [`solve`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,9 +101,10 @@ impl fmt::Display for Completion {
     }
 }
 
-/// A solver failure isolated at the API boundary — the budgeted entry
-/// points catch panics (`catch_unwind`), reset the workspace, and return
-/// this typed error instead of unwinding into the caller.
+/// A solver failure isolated at the API boundary —
+/// [`solve_problem`](crate::solve_problem) catches panics (`catch_unwind`),
+/// resets the workspace, and returns this typed error instead of unwinding
+/// into the caller.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolveError {
     /// Exact rational arithmetic left `i128` headroom (astronomically
@@ -239,20 +236,50 @@ impl Solution {
     }
 }
 
+/// How [`solve_problem`](crate::solve_problem) runs one solve. The default
+/// is an unlimited, sequential, cold solve; every setting leaves the answer
+/// unchanged under an unlimited budget.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SolveOptions<'a> {
+    /// The cooperative budget (deadline, work limit, cancel token) every
+    /// committed probe is charged to; `None` is unlimited. An expired budget
+    /// degrades the solve instead of failing it: the result is the best
+    /// certified solution held at the interrupt, with an honestly widened
+    /// [`Solution::ratio_bound`] and a [`Completion`] saying what happened.
+    pub budget: Option<&'a SolveBudget>,
+    /// Worker threads for speculative probing on the bisection ladders (see
+    /// [`crate::par`]); `0` and `1` are sequential. The committed probes,
+    /// and hence the answer and the budget's interruption points, are the
+    /// same at every count.
+    pub threads: usize,
+    /// A previous solve's bracket, seeding the ladders' monotonicity memo
+    /// (see [`WarmStart`]): the answer is the cold one, with fewer dual tests
+    /// evaluated. Ladders over heuristic duals, which are not known to be
+    /// monotone, run cold.
+    pub warm: Option<WarmStart>,
+}
+
 /// Solves `inst` under `variant` with the chosen algorithm.
 ///
 /// Every returned schedule is feasible for `variant` (the test suite
 /// validates this exhaustively) and satisfies
 /// `makespan <= ratio_bound · OPT`.
+///
+/// # Panics
+/// When the solver panics (see [`SolveError`]); use
+/// [`solve_problem`](crate::solve_problem) to get the typed error instead.
 #[must_use]
 pub fn solve(inst: &Instance, variant: Variant, algo: Algorithm) -> Solution {
-    solve_traced(inst, variant, algo, &mut Trace::disabled())
+    solve_with(&mut DualWorkspace::new(), inst, variant, algo)
 }
 
 /// [`solve`] on a reusable [`DualWorkspace`]: all probe and builder buffers
 /// are borrowed from `ws`, so repeated solves (or the many probes inside one
 /// search) share a single allocation footprint. The result is identical to
 /// [`solve`], which merely allocates a fresh workspace per call.
+///
+/// # Panics
+/// As [`solve`]; the workspace is reset first, so it stays safe to reuse.
 #[must_use]
 pub fn solve_with(
     ws: &mut DualWorkspace,
@@ -260,34 +287,17 @@ pub fn solve_with(
     variant: Variant,
     algo: Algorithm,
 ) -> Solution {
-    solve_traced_with(ws, inst, variant, algo, &mut Trace::disabled())
-}
-
-/// [`solve`] with step tracing (used by the figure-regeneration harness).
-#[must_use]
-pub fn solve_traced(
-    inst: &Instance,
-    variant: Variant,
-    algo: Algorithm,
-    trace: &mut Trace,
-) -> Solution {
-    solve_traced_with(&mut DualWorkspace::new(), inst, variant, algo, trace)
-}
-
-/// [`solve_traced`] on a reusable [`DualWorkspace`].
-#[must_use]
-pub fn solve_traced_with(
-    ws: &mut DualWorkspace,
-    inst: &Instance,
-    variant: Variant,
-    algo: Algorithm,
-    trace: &mut Trace,
-) -> Solution {
-    solve_problem(ws, &BssProblem::new(inst, variant), algo, trace)
+    solve_problem(
+        ws,
+        &BssProblem::new(inst, variant),
+        algo,
+        &SolveOptions::default(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// A previous solve's accepted dual bracket, seeding a warm-start re-solve
-/// after an instance delta (see [`solve_warm`]).
+/// after an instance delta (see [`solve_warm`] and [`SolveOptions::warm`]).
 ///
 /// Built from the previous [`Solution`] via [`WarmStart::of`] and widened by
 /// the delta's per-machine load shift via [`WarmStart::widen_by_load_shift`].
@@ -336,7 +346,7 @@ impl WarmStart {
     }
 
     /// The hint interval `[certificate - widen, accepted + widen]` handed to
-    /// the warm search (clamped into the search window there).
+    /// the warm ladders (clamped into each search window there).
     #[must_use]
     pub fn hint(&self) -> (Rational, Rational) {
         (self.certificate - self.widen, self.accepted + self.widen)
@@ -346,196 +356,35 @@ impl WarmStart {
 /// [`solve`] seeded with a previous solve's dual bracket: the warm-start
 /// re-solve for incremental workloads.
 ///
-/// For [`Algorithm::EpsilonSearch`] the epsilon search replays its exact
-/// cold bisection through a monotonicity memo seeded at the hint points
-/// (see [`crate::search::epsilon_search_between_warm`]), so the returned
-/// [`Solution`] is **bit-identical** to [`solve`] on the same instance in
-/// every field except [`Solution::probes`], which counts only the dual
-/// tests genuinely evaluated — the probe savings are the point, and the
-/// returned [`WarmStats`] itemizes them. Algorithms without a warm form
-/// ([`Algorithm::TwoApprox`], [`Algorithm::ThreeHalves`],
-/// [`Algorithm::Portfolio`]) delegate to the cold solve unchanged and
-/// report `WarmStats { warmed: false, .. }`.
+/// Every bisection ladder (the ε-search, Theorem 8's integer search)
+/// replays its exact cold bisection through a monotonicity memo seeded at
+/// the hint points, so the returned [`Solution`] is **bit-identical** to
+/// [`solve`] on the same instance, [`Solution::probes`] included (it counts
+/// committed ladder queries). The returned [`SearchStats`] itemize the
+/// savings: dual tests genuinely evaluated, queries the memo answered, and
+/// seed probes. Class Jumping and the 2-approximation have no ladder to warm
+/// and run cold.
+///
+/// # Panics
+/// As [`solve`].
 #[must_use]
 pub fn solve_warm(
     inst: &Instance,
     variant: Variant,
     algo: Algorithm,
     warm: &WarmStart,
-) -> (Solution, WarmStats) {
-    solve_warm_with(&mut DualWorkspace::new(), inst, variant, algo, warm)
-}
-
-/// [`solve_warm`] on a reusable [`DualWorkspace`].
-#[must_use]
-pub fn solve_warm_with(
-    ws: &mut DualWorkspace,
-    inst: &Instance,
-    variant: Variant,
-    algo: Algorithm,
-    warm: &WarmStart,
-) -> (Solution, WarmStats) {
-    let Algorithm::EpsilonSearch { eps_log2 } = algo else {
-        return (solve_with(ws, inst, variant, algo), WarmStats::default());
+) -> (Solution, SearchStats) {
+    let opts = SolveOptions {
+        warm: Some(*warm),
+        ..SolveOptions::default()
     };
-    let problem = BssProblem::new(inst, variant);
-    let t_min = problem.t_min();
-    let eps = Rational::new(1, 1 << eps_log2.min(60));
-    let (hint_lo, hint_hi) = warm.hint();
-    let (out, stats) = epsilon_search_between_warm(
-        t_min,
-        problem.search_hi(),
-        eps * t_min,
-        hint_lo,
-        hint_hi,
-        |t| problem.probe(ws, t),
-    );
-    // Mirror the cold driver's build-at-accepted flow, defensive-rejection
-    // fallback included, so warm and cold schedules cannot diverge.
-    let trace = &mut Trace::disabled();
-    let (accepted, repr) = match problem.build(ws, out.accepted, trace) {
-        Some(r) => (out.accepted, r),
-        None => {
-            let hi = problem.t_safe();
-            (
-                hi,
-                problem
-                    .build(ws, hi, trace)
-                    .expect("t_safe is accepted and builds"),
-            )
-        }
-    };
-    let cert = out.rejected.unwrap_or(t_min).max(t_min);
-    let sol = finish(
-        repr,
-        accepted,
-        problem.dual_ratio() * (eps + 1u64),
-        cert,
-        out.probes,
-    );
-    (sol, stats)
-}
-
-/// [`solve`] under a cooperative [`SolveBudget`]: the anytime entry point.
-///
-/// On deadline expiry, work-budget exhaustion or cancellation the solve
-/// *degrades instead of failing* — the returned [`Solution`] carries the
-/// best certified schedule held at the interrupt (tagged by
-/// [`Solution::completion`]) with an honestly widened
-/// [`Solution::ratio_bound`]. Solver panics are isolated at this boundary
-/// into a typed [`SolveError`]; the transient workspace is discarded either
-/// way.
-///
-/// Under [`SolveBudget::unlimited`] the result is bit-identical to
-/// [`solve`].
-///
-/// # Errors
-/// [`SolveError`] when the solver panicked (a bug or an injected chaos
-/// fault) — never because a budget expired.
-pub fn solve_budgeted(
-    inst: &Instance,
-    variant: Variant,
-    algo: Algorithm,
-    budget: &SolveBudget,
-) -> Result<Solution, SolveError> {
-    solve_budgeted_with(&mut DualWorkspace::new(), inst, variant, algo, budget)
-}
-
-/// [`solve_budgeted`] on a reusable [`DualWorkspace`]. After an error the
-/// workspace has been epoch-reset and is safe to reuse (guarded by the
-/// poisoning regression suite).
-///
-/// # Errors
-/// See [`solve_budgeted`].
-pub fn solve_budgeted_with(
-    ws: &mut DualWorkspace,
-    inst: &Instance,
-    variant: Variant,
-    algo: Algorithm,
-    budget: &SolveBudget,
-) -> Result<Solution, SolveError> {
-    solve_problem_budgeted(
-        ws,
-        &BssProblem::new(inst, variant),
-        algo,
-        budget,
-        &mut Trace::disabled(),
-    )
-}
-
-/// [`solve`] with `threads` threads of speculative parallelism on the probe
-/// ladders (see [`crate::par`]). Bit-identical to [`solve`] at every thread
-/// count — parallelism buys wall-clock, never different answers — so
-/// `threads` is a pure performance knob: `1` is the sequential solver,
-/// values above the instance's probe-ladder depth saturate.
-#[must_use]
-pub fn solve_par(inst: &Instance, variant: Variant, algo: Algorithm, threads: usize) -> Solution {
-    solve_par_with(&mut DualWorkspace::new(), inst, variant, algo, threads)
-}
-
-/// [`solve_par`] on a reusable [`DualWorkspace`] (the committed search path
-/// probes on `ws`; each speculative worker owns a transient workspace).
-#[must_use]
-pub fn solve_par_with(
-    ws: &mut DualWorkspace,
-    inst: &Instance,
-    variant: Variant,
-    algo: Algorithm,
-    threads: usize,
-) -> Solution {
-    solve_problem_par(
-        ws,
-        &BssProblem::new(inst, variant),
-        algo,
-        threads,
-        &mut Trace::disabled(),
-    )
-}
-
-/// [`solve_budgeted`] with speculative parallel probing: the committed
-/// search charges the budget in exactly the sequential order (worker
-/// threads poll without charging), so work-limit interruption points are
-/// deterministic and identical to the sequential solve.
-///
-/// # Errors
-/// See [`solve_budgeted`].
-pub fn solve_par_budgeted(
-    inst: &Instance,
-    variant: Variant,
-    algo: Algorithm,
-    threads: usize,
-    budget: &SolveBudget,
-) -> Result<Solution, SolveError> {
-    solve_par_budgeted_with(
+    solve_with_stats(
         &mut DualWorkspace::new(),
-        inst,
-        variant,
-        algo,
-        threads,
-        budget,
-    )
-}
-
-/// [`solve_par_budgeted`] on a reusable [`DualWorkspace`].
-///
-/// # Errors
-/// See [`solve_budgeted`].
-pub fn solve_par_budgeted_with(
-    ws: &mut DualWorkspace,
-    inst: &Instance,
-    variant: Variant,
-    algo: Algorithm,
-    threads: usize,
-    budget: &SolveBudget,
-) -> Result<Solution, SolveError> {
-    solve_problem_par_budgeted(
-        ws,
         &BssProblem::new(inst, variant),
         algo,
-        threads,
-        budget,
-        &mut Trace::disabled(),
+        &opts,
     )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 pub(crate) fn finish(
@@ -655,14 +504,15 @@ mod tests {
     }
 
     /// Warm-start re-solve after a one-job delta is bit-identical to the
-    /// cold solve on the same materialized instance in every field but
-    /// `probes` — and genuinely cheaper in probes across the matrix.
+    /// cold solve on the same materialized instance in every field,
+    /// `probes` included — and evaluates genuinely fewer dual tests across
+    /// the matrix.
     #[test]
     fn warm_resolve_is_bit_identical_to_cold_with_fewer_probes() {
         use bss_instance::{Delta, IncrementalInstance};
 
         let algo = Algorithm::EpsilonSearch { eps_log2: 10 };
-        // (warm, cold) probe counts of the pairs where the cold search
+        // (evaluated, cold) probe counts of the pairs where the cold search
         // genuinely bisected — immediate-accept solves cost 1 probe cold
         // and can never be beaten by a 2-seed warm start.
         let mut searched_pairs = Vec::new();
@@ -681,14 +531,18 @@ mod tests {
                 );
                 let cold = solve(&inst, variant, algo);
                 let (warm, stats) = solve_warm(&inst, variant, algo, &hint);
-                assert!(stats.warmed);
                 assert_eq!(warm.makespan, cold.makespan, "{variant}");
                 assert_eq!(warm.accepted, cold.accepted, "{variant}");
                 assert_eq!(warm.ratio_bound, cold.ratio_bound, "{variant}");
                 assert_eq!(warm.certificate, cold.certificate, "{variant}");
                 assert_eq!(warm.completion, cold.completion, "{variant}");
                 assert_eq!(warm.schedule(), cold.schedule(), "{variant}");
-                assert_eq!(warm.probes, stats.probes, "{variant}");
+                assert_eq!(warm.probes, cold.probes, "{variant}");
+                assert_eq!(
+                    stats.probes + stats.skipped,
+                    cold.probes + stats.seed_probes,
+                    "{variant}: every committed query is a probe or a memo answer"
+                );
                 assert!(
                     stats.probes <= cold.probes + 2,
                     "{variant}: warm ran {} probes, cold {}",
@@ -713,9 +567,11 @@ mod tests {
         );
     }
 
-    /// Algorithms without a warm form delegate to the cold solve unchanged.
+    /// Algorithms without a bisection ladder (the 2-approximation, Class
+    /// Jumping) run cold, whatever the hint; Theorem 8's integer ladder
+    /// warms like the ε-search.
     #[test]
-    fn warm_solve_delegates_cold_for_direct_algorithms() {
+    fn warm_solve_matches_cold_for_direct_algorithms() {
         let inst = bss_gen::uniform(40, 6, 3, 4);
         let hint = WarmStart {
             accepted: Rational::from(1_000_000u64),
@@ -726,8 +582,11 @@ mod tests {
             for variant in Variant::ALL {
                 let cold = solve(&inst, variant, algo);
                 let (warm, stats) = solve_warm(&inst, variant, algo, &hint);
-                assert!(!stats.warmed);
-                assert_eq!(stats, WarmStats::default());
+                let ladder = algo == Algorithm::ThreeHalves && variant == Variant::NonPreemptive;
+                if !ladder {
+                    assert_eq!(stats.probes, cold.probes);
+                    assert_eq!((stats.skipped, stats.seed_probes), (0, 0));
+                }
                 assert_eq!(warm.makespan, cold.makespan);
                 assert_eq!(warm.probes, cold.probes);
                 assert_eq!(warm.schedule(), cold.schedule());

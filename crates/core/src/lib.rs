@@ -7,7 +7,7 @@
 //! | result | algorithm | entry point |
 //! |---|---|---|
 //! | Theorem 1 | 2-approximation, `O(n)` | [`two_approx`] |
-//! | Theorem 2 | `(3/2+ε)`-approx, `O(n log 1/ε)` | [`search::epsilon_search`] over the duals |
+//! | Theorem 2 | `(3/2+ε)`-approx, `O(n log 1/ε)` | [`Algorithm::EpsilonSearch`] over the duals ([`search`]) |
 //! | Theorem 7 | splittable 3/2-dual, `O(n)` | [`splittable::dual`] |
 //! | Theorem 3 | splittable 3/2, `O(n + c log(c+m))` | [`splittable::class_jumping`] |
 //! | Theorems 4–5 | preemptive 3/2-dual, `O(n)` | [`preemptive::dual`] |
@@ -15,7 +15,9 @@
 //! | Theorem 9 | non-preemptive 3/2-dual, `O(n)` | [`nonpreemptive::dual`] |
 //! | Theorem 8 | non-preemptive 3/2, `O(n log(n+Δ))` | [`nonpreemptive::three_halves`] |
 //!
-//! The one-stop entry point is [`solve`] with an [`Algorithm`] selector.
+//! The one-stop entry point is [`solve`] with an [`Algorithm`] selector;
+//! [`solve_problem`] runs any [`Problem`] under one [`SolveOptions`]
+//! (budget, threads, warm start).
 //!
 //! All internal arithmetic is exact ([`bss_rational::Rational`]); every
 //! algorithm's output is checked against the strict validators of
@@ -24,15 +26,14 @@
 //! # Anytime solving
 //!
 //! Every solve can run under a [`SolveBudget`] — a wall-clock deadline, a
-//! probe budget, and/or a cooperative [`CancelToken`] — through
-//! [`solve_budgeted`] (and the `_budgeted` variants of the other entry
-//! points). An interrupted solve degrades gracefully: it returns the best
-//! certified solution reachable at wind-down (the search's current accepted
-//! bracket, or the `O(n)` Theorem-1 fallback) with an honestly widened
-//! [`Solution::ratio_bound`] and a [`Completion`] saying what happened.
-//! Solver panics are caught at the `_budgeted` boundaries and surface as
-//! typed [`SolveError`]s; an unlimited budget is bit-identical to the plain
-//! entry points.
+//! probe budget, and/or a cooperative [`CancelToken`] — set as
+//! [`SolveOptions::budget`] for [`solve_problem`]. An interrupted solve
+//! degrades gracefully: it returns the best certified solution reachable at
+//! wind-down (the search's current accepted bracket, or the `O(n)`
+//! Theorem-1 fallback) with an honestly widened [`Solution::ratio_bound`]
+//! and a [`Completion`] saying what happened. Solver panics are caught at
+//! [`solve_problem`] and surface as typed [`SolveError`]s; an unlimited
+//! budget is bit-identical to [`solve`].
 //!
 //! # Error contract
 //!
@@ -42,14 +43,13 @@
 //! * **Input-dependent failures** are typed, never panics. The only such
 //!   family in this crate is [`bss_rational::Rational`] overflow on
 //!   astronomically scaled inputs; its panic messages all contain
-//!   `overflow`, which the `_budgeted` boundaries map to
-//!   [`SolveError::Overflow`].
+//!   `overflow`, which [`solve_problem`] maps to [`SolveError::Overflow`].
 //! * **Proof-backed invariants** (an `expect` citing the theorem that makes
 //!   the case impossible, e.g. *"Theorem 7: expensive template capacity
 //!   suffices"* or *"2·T_min is accepted (Theorem 1)"*) stay as panics: a
-//!   violation is a solver bug, not a caller error. The `_budgeted` entry
-//!   points isolate them via `catch_unwind`, reset the workspace so no
-//!   poisoned state leaks into the next solve, and report
+//!   violation is a solver bug, not a caller error. [`solve_problem`]
+//!   isolates them via `catch_unwind`, resets the workspace so no
+//!   poisoned state leaks into the next solve, and reports
 //!   [`SolveError::Panicked`] — the fault-injection suite in `bss-chaos`
 //!   checks both the isolation and the workspace reset.
 
@@ -68,25 +68,12 @@ mod trace;
 mod workspace;
 
 pub use api::{
-    solve, solve_budgeted, solve_budgeted_with, solve_par, solve_par_budgeted,
-    solve_par_budgeted_with, solve_par_with, solve_traced, solve_traced_with, solve_warm,
-    solve_warm_with, solve_with, Algorithm, Completion, ScheduleRepr, Solution, SolveError,
-    WarmStart,
+    solve, solve_warm, solve_with, Algorithm, Completion, ScheduleRepr, Solution, SolveError,
+    SolveOptions, WarmStart,
 };
 pub use bss_budget::{CancelToken, Interrupt, SolveBudget};
-pub use par::{
-    epsilon_search_between_par, epsilon_search_between_par_budgeted,
-    epsilon_search_between_par_stats, epsilon_search_par, integer_search_par,
-    integer_search_par_budgeted, ParSearchStats,
-};
-pub use problem::{
-    solve_problem, solve_problem_budgeted, solve_problem_par, solve_problem_par_budgeted,
-    solve_problem_par_with_budget, solve_problem_with_budget, BssProblem, DirectSolve, Problem,
-};
-pub use search::{epsilon_search_between_warm, WarmStats};
-pub use seqdep_bridge::{
-    solve_seqdep, solve_seqdep_budgeted, solve_seqdep_budgeted_with, solve_seqdep_par,
-    solve_seqdep_par_budgeted, solve_seqdep_with, SeqDepProblem,
-};
+pub use problem::{solve_problem, BssProblem, DirectSolve, Problem};
+pub use search::SearchStats;
+pub use seqdep_bridge::{solve_seqdep, SeqDepProblem};
 pub use trace::Trace;
 pub use workspace::DualWorkspace;

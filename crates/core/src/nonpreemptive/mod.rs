@@ -10,6 +10,5 @@ mod dual;
 mod search;
 
 pub use dual::{accepts, dual, dual_in, dual_into};
-pub use search::{
-    three_halves, three_halves_budgeted_in, three_halves_in, three_halves_par_budgeted_in,
-};
+pub(crate) use search::three_halves_search;
+pub use search::{three_halves, three_halves_in};

@@ -1,13 +1,13 @@
 //! Theorem 8: the non-preemptive 3/2-approximation in `O(n log(n + Δ))`.
 
-use bss_budget::{Interrupt, SolveBudget};
+use bss_budget::Interrupt;
 use bss_instance::{Instance, LowerBounds, Variant};
 use bss_rational::Rational;
 use bss_schedule::Schedule;
 
-use crate::search::{integer_search_budgeted, SearchOutcome};
+use crate::search::{IntBracket, Search, SearchOutcome};
 use crate::workspace::DualWorkspace;
-use crate::Trace;
+use crate::{SolveOptions, Trace};
 
 use super::{accepts, dual_in};
 
@@ -30,18 +30,19 @@ pub fn three_halves(inst: &Instance) -> SearchOutcome<Schedule> {
 /// the workspace's repair buffers.
 #[must_use]
 pub fn three_halves_in(ws: &mut DualWorkspace, inst: &Instance) -> SearchOutcome<Schedule> {
-    three_halves_budgeted_in(ws, inst, &SolveBudget::unlimited()).0
+    let search = &mut Search::new(&SolveOptions::default(), true);
+    three_halves_search(ws, inst, search).0
 }
 
-/// [`three_halves_in`] under a cooperative [`SolveBudget`]: bit-identical
-/// when the budget never trips; on interruption the integer search stops at
-/// its current (still accepted) right bracket — `2·⌈T_min⌉` at worst, which
-/// Theorem 1 guarantees builds — and the interrupt is reported alongside.
-#[must_use]
-pub fn three_halves_budgeted_in(
+/// [`three_halves_in`] on `search`'s ladder settings (budget, threads, warm
+/// hint): bit-identical whichever they are, as long as the budget never
+/// trips. On interruption the integer search stops at its current (still
+/// accepted) right bracket — `2·⌈T_min⌉` at worst, which Theorem 1
+/// guarantees builds — and the interrupt is reported alongside.
+pub(crate) fn three_halves_search(
     ws: &mut DualWorkspace,
     inst: &Instance,
-    budget: &SolveBudget,
+    search: &mut Search<'_>,
 ) -> (SearchOutcome<Schedule>, Option<Interrupt>) {
     if inst.machines() >= inst.num_jobs() {
         return (trivial_one_job_per_machine(inst), None);
@@ -54,8 +55,13 @@ pub fn three_halves_budgeted_in(
     // bracket's top would silently forfeit the 3/2-vs-OPT guarantee
     // whenever OPT lies below it. The climb terminates: 2·T_min is
     // accepted and builds (Theorem 1).
-    let budgeted = integer_search_budgeted(t_min, 2 * t_min, budget, |t| accepts(inst, t));
-    let out = budgeted.outcome;
+    let out = search.run(
+        ws,
+        t_min,
+        2 * t_min,
+        || Some(IntBracket::new(t_min, 2 * t_min)),
+        &|_, t| accepts(inst, t),
+    );
     let mut accepted = out.accepted;
     let schedule = loop {
         if let Some(s) = dual_in(ws, inst, accepted, &mut Trace::disabled()) {
@@ -74,54 +80,7 @@ pub fn three_halves_budgeted_in(
             rejected: out.rejected.map(Rational::from),
             probes: out.probes,
         },
-        budgeted.interrupt,
-    )
-}
-
-/// [`three_halves_budgeted_in`] with speculative parallel probing: the
-/// integer bisection runs as wavefronts on `threads` worker threads (see
-/// [`crate::par`]), with bit-identical bracket, probe accounting and
-/// interruption points at every thread count (`threads <= 1` *is* the
-/// sequential search). The trivial `m >= n` path and the climb-one-guess
-/// builder loop are untouched — only the probe ladder goes wide.
-#[must_use]
-pub fn three_halves_par_budgeted_in(
-    ws: &mut DualWorkspace,
-    inst: &Instance,
-    threads: usize,
-    budget: &SolveBudget,
-) -> (SearchOutcome<Schedule>, Option<Interrupt>) {
-    if threads <= 1 {
-        return three_halves_budgeted_in(ws, inst, budget);
-    }
-    if inst.machines() >= inst.num_jobs() {
-        return (trivial_one_job_per_machine(inst), None);
-    }
-    let t_min = LowerBounds::of(inst).tmin(Variant::NonPreemptive).ceil() as u64;
-    let budgeted =
-        crate::par::integer_search_par_budgeted(t_min, 2 * t_min, threads, budget, ws, |_, t| {
-            accepts(inst, t)
-        });
-    let out = budgeted.outcome;
-    let mut accepted = out.accepted;
-    let schedule = loop {
-        if let Some(s) = dual_in(ws, inst, accepted, &mut Trace::disabled()) {
-            break s;
-        }
-        assert!(
-            accepted < 2 * t_min,
-            "2*T_min is accepted and builds (Theorem 1)"
-        );
-        accepted += 1;
-    };
-    (
-        SearchOutcome {
-            accepted: Rational::from(accepted),
-            schedule,
-            rejected: out.rejected.map(Rational::from),
-            probes: out.probes,
-        },
-        budgeted.interrupt,
+        out.interrupt,
     )
 }
 

@@ -1,7 +1,7 @@
-//! Speculative parallel search drivers: the sequential bisections of
-//! [`crate::search`], executed as wavefronts of speculative probes on worker
-//! threads — **bit-identical** outcome and probe accounting to the
-//! sequential searches at every thread count.
+//! The speculative verdict source: the sequential probe ladder of
+//! [`crate::search`], its queries answered by wavefronts of speculative
+//! probes on worker threads — **bit-identical** outcome and probe accounting
+//! to the sequential ladder at every thread count.
 //!
 //! # How determinism survives parallelism
 //!
@@ -20,21 +20,20 @@
 //!    path is dead (the sequential search can never reach it) and is
 //!    skipped at claim time; when the committed walk retires a wavefront
 //!    early, its [`CancelToken`] kills the remaining losers the same way.
-//! 3. **Commit.** The coordinator replays the *sequential* search verbatim
-//!    against the published results: it charges the [`SolveBudget`] in
-//!    exactly the sequential probe order, consumes each needed result (or
-//!    recomputes it inline on the caller's workspace when a worker had to
-//!    skip), and steps the master bracket. Only committed probes are
-//!    charged or counted — speculative work is free by construction, so
+//! 3. **Commit.** The ladder itself runs unchanged on the calling thread: it
+//!    charges the [`SolveBudget`] per committed query, and each query
+//!    consumes its published result (or recomputes it inline on the
+//!    caller's workspace when a worker had to skip). Only committed probes
+//!    are charged or counted — speculative work is free by construction, so
 //!    brackets, probe counts, interrupt points and even panic behaviour
 //!    match the sequential search bit for bit.
 //!
 //! The win is wall-clock: with `k` threads a full wavefront resolves
 //! `⌊log₂(k+1)⌋` committed bisection levels per probe round (plus one more
 //! whenever the committed path stays on the wavefront's deepest planned
-//! node), so an ε-search-dominated solve contracts from `L` sequential
-//! probe times to roughly `L / log₂(k+1)` rounds. [`ParSearchStats`]
-//! reports that critical path, machine-independently.
+//! node), so a ladder of `L` sequential probe times contracts to roughly
+//! `L / log₂(k+1)` rounds. [`crate::SearchStats::rounds`] reports that
+//! critical path, machine-independently.
 //!
 //! Worker probe panics are *not* propagated eagerly: a speculative loser is
 //! a probe the sequential search never runs, so its panic must not surface.
@@ -48,104 +47,9 @@ use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use bss_budget::{CancelToken, SolveBudget};
-use bss_rational::Rational;
 
-use crate::search::{Bracket, BudgetedProbe, ProbeOutcome};
+use crate::search::{Bisect, SearchStats, Verdicts};
 use crate::workspace::DualWorkspace;
-
-/// Wavefront accounting of one parallel search — the deterministic
-/// critical-path metric the benches report (independent of how many cores
-/// the host actually has).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParSearchStats {
-    /// Speculative wavefronts published (each costs one probe wall-time
-    /// when every worker has a core).
-    pub rounds: usize,
-    /// Speculative probe slots issued across all wavefronts (committed +
-    /// losers).
-    pub speculated: usize,
-    /// Probes the coordinator recomputed inline because a worker had to
-    /// skip the node (budget trip observed worker-side, or a caught panic).
-    pub inline: usize,
-}
-
-/// The sequential bisection state a wavefront is planned from — implemented
-/// by the rational ε-bracket and the Theorem-8 integer bracket, so one
-/// driver serves both searches.
-trait Bisect: Clone {
-    type Guess: Copy + PartialEq + Send + Sync + core::fmt::Debug;
-    fn is_wide(&self) -> bool;
-    /// The committed split: panics on overflow exactly as the sequential
-    /// search does.
-    fn split(&mut self) -> Self::Guess;
-    /// The planning split: `None` instead of a panic (a speculative path
-    /// must not fail where the committed path might never go).
-    fn try_split(&mut self) -> Option<Self::Guess>;
-    fn accept_mid(&mut self);
-    fn reject_mid(&mut self);
-    fn lo_guess(&self) -> Self::Guess;
-    fn hi_guess(&self) -> Self::Guess;
-}
-
-impl Bisect for Bracket {
-    type Guess = Rational;
-    fn is_wide(&self) -> bool {
-        Bracket::is_wide(self)
-    }
-    fn split(&mut self) -> Rational {
-        Bracket::split(self)
-    }
-    fn try_split(&mut self) -> Option<Rational> {
-        Bracket::try_split(self)
-    }
-    fn accept_mid(&mut self) {
-        Bracket::accept_mid(self);
-    }
-    fn reject_mid(&mut self) {
-        Bracket::reject_mid(self);
-    }
-    fn lo_guess(&self) -> Rational {
-        self.lo_rational()
-    }
-    fn hi_guess(&self) -> Rational {
-        self.hi_rational()
-    }
-}
-
-/// The integer bracket of [`crate::search::integer_search_budgeted`]:
-/// `lo` rejected, `hi` accepted, loop while `hi - lo > 1`.
-#[derive(Clone)]
-struct IntBracket {
-    lo: u64,
-    hi: u64,
-    mid: u64,
-}
-
-impl Bisect for IntBracket {
-    type Guess = u64;
-    fn is_wide(&self) -> bool {
-        self.hi - self.lo > 1
-    }
-    fn split(&mut self) -> u64 {
-        self.mid = self.lo + (self.hi - self.lo) / 2;
-        self.mid
-    }
-    fn try_split(&mut self) -> Option<u64> {
-        Some(self.split())
-    }
-    fn accept_mid(&mut self) {
-        self.hi = self.mid;
-    }
-    fn reject_mid(&mut self) {
-        self.lo = self.mid;
-    }
-    fn lo_guess(&self) -> u64 {
-        self.lo
-    }
-    fn hi_guess(&self) -> u64 {
-        self.hi
-    }
-}
 
 const NONE: usize = usize::MAX;
 
@@ -167,6 +71,17 @@ struct SpecNode<G> {
     /// (`NONE` when unplanned) — lets the committed walk stay on the
     /// wavefront without searching.
     children: [usize; 2],
+}
+
+impl<G> SpecNode<G> {
+    fn new(guess: G, parent: usize, expect_accept: bool) -> Self {
+        SpecNode {
+            guess,
+            parent,
+            expect_accept,
+            children: [NONE, NONE],
+        }
+    }
 }
 
 /// One published wavefront.
@@ -247,26 +162,6 @@ where
         }
     }
 
-    /// Consumes node `i`'s result for the committed walk; a skipped node is
-    /// recomputed inline on the caller's workspace (re-raising any panic
-    /// exactly where the sequential search would).
-    fn consume(
-        &self,
-        round: &Round<G>,
-        i: usize,
-        ws: &mut DualWorkspace,
-        stats: &mut ParSearchStats,
-    ) -> bool {
-        match self.await_result(round, i) {
-            ACCEPT => true,
-            REJECT => false,
-            _ => {
-                stats.inline += 1;
-                (self.probe)(ws, round.nodes[i].guess)
-            }
-        }
-    }
-
     fn worker(&self) {
         let mut ws = DualWorkspace::new();
         let mut seen = 0u64;
@@ -339,10 +234,8 @@ fn viable<G>(round: &Round<G>, mut i: usize) -> bool {
         };
         // PENDING and SKIP leave the direction open; only a contradicting
         // probed outcome kills the path.
-        if published == ACCEPT || published == REJECT {
-            if published != expect {
-                return false;
-            }
+        if (published == ACCEPT || published == REJECT) && published != expect {
+            return false;
         }
         i = parent;
     }
@@ -371,12 +264,7 @@ fn push_tree<B: Bisect>(
             continue;
         };
         let idx = nodes.len();
-        nodes.push(SpecNode {
-            guess,
-            parent,
-            expect_accept: expect,
-            children: [NONE, NONE],
-        });
+        nodes.push(SpecNode::new(guess, parent, expect));
         if parent != NONE {
             nodes[parent].children[usize::from(!expect)] = idx;
         }
@@ -406,367 +294,227 @@ impl<G, F> Drop for ShutdownGuard<'_, '_, G, F> {
     }
 }
 
-/// The shared driver: seeds (`t_lo`, then `t_hi`) and the bisection loop,
-/// replayed in the exact sequential order against speculative results.
-///
-/// `planned` is the bracket used for wavefront planning (`None` when its
-/// construction would overflow — the committed path then recreates it with
-/// the sequential panic behaviour, *after* the `t_lo` probe, exactly as the
-/// sequential search does). `make_master` builds the committed bracket.
-#[allow(clippy::too_many_arguments)]
-fn search_par<B, F>(
-    t_lo: B::Guess,
-    t_hi: B::Guess,
+/// The verdict source over published wavefronts. It follows the committed
+/// walk through the planned tree; a query whose guess is not the planned
+/// one (the ladder walked off the wavefront, or a warm memo answered the
+/// planned queries itself) retires the round and plans a fresh tree rooted
+/// at the query's bracket — or, for a seed with no bracket, probes inline.
+struct Wavefront<'s, 'a, G, F> {
+    engine: &'s Engine<'a, G, F>,
+    ws: &'s mut DualWorkspace,
     threads: usize,
-    budget: &SolveBudget,
-    ws: &mut DualWorkspace,
-    probe: &F,
-    planned: Option<B>,
-    make_master: impl FnOnce() -> B,
-    seed_msg: &'static str,
-    stats: &mut ParSearchStats,
-) -> BudgetedProbe<B::Guess>
+    round: Arc<Round<G>>,
+    /// The planned node the next committed query should be.
+    cur: Option<usize>,
+    stats: SearchStats,
+}
+
+impl<B, F> Verdicts<B> for Wavefront<'_, '_, B::Guess, F>
 where
     B: Bisect,
     F: Fn(&mut DualWorkspace, B::Guess) -> bool + Sync,
 {
-    debug_assert!(threads > 1);
+    fn verdict(&mut self, t: B::Guess, bracket: Option<&B>) -> bool {
+        let node = match self.cur {
+            Some(i) if self.round.nodes[i].guess == t => Some(i),
+            _ => bracket.and_then(|b| self.replan(b)),
+        };
+        // Planning overflow (or an unplanned seed) continues inline, with
+        // the sequential panic behaviour.
+        let Some(i) = node else {
+            return (self.engine.probe)(self.ws, t);
+        };
+        let accepted = match self.engine.await_result(&self.round, i) {
+            ACCEPT => true,
+            REJECT => false,
+            _ => {
+                self.stats.inline += 1;
+                (self.engine.probe)(self.ws, t)
+            }
+        };
+        let child = self.round.nodes[i].children[usize::from(!accepted)];
+        self.cur = (child != NONE).then_some(child);
+        accepted
+    }
+}
+
+impl<G, F> Wavefront<'_, '_, G, F>
+where
+    G: Copy + Send + Sync,
+    F: Fn(&mut DualWorkspace, G) -> bool + Sync,
+{
+    /// Retires the current round (killing its unclaimed losers) and
+    /// publishes a tree rooted at `bracket`'s midpoint; `None` when
+    /// planning overflowed.
+    fn replan<B: Bisect<Guess = G>>(&mut self, bracket: &B) -> Option<usize> {
+        self.round.abort.cancel();
+        let mut nodes = Vec::new();
+        push_tree(&mut nodes, bracket, NONE, false, self.threads);
+        if nodes.is_empty() {
+            return None;
+        }
+        self.stats.rounds += 1;
+        self.stats.speculated += nodes.len();
+        self.round = self.engine.publish(nodes);
+        Some(0)
+    }
+}
+
+/// Runs `ladder` against a speculative source on `threads` workers for the
+/// ladder over `[t_lo, t_hi]`: round 0 holds both seeds plus the first tree
+/// levels of `plan` (the ladder's bracket, `None` when its construction
+/// overflows — the ladder then rebuilds it with the panic after `t_lo`
+/// rejected, exactly as the sequential search does). Returns the ladder's
+/// result and the wavefront's counters.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn speculate<B, F, R>(
+    threads: usize,
+    budget: &SolveBudget,
+    ws: &mut DualWorkspace,
+    probe: &F,
+    t_lo: B::Guess,
+    t_hi: B::Guess,
+    plan: Option<B>,
+    ladder: impl FnOnce(&mut dyn Verdicts<B>) -> R,
+) -> (R, SearchStats)
+where
+    B: Bisect,
+    F: Fn(&mut DualWorkspace, B::Guess) -> bool + Sync,
+{
     let engine = Engine::new(probe, budget);
-    let mut result = None;
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| engine.worker());
         }
         let _guard = ShutdownGuard(&engine);
-
-        // Round 0: both seed probes plus the first speculative tree. The
-        // tree hangs off the `t_hi` node (committed only after `t_lo`
-        // rejected and `t_hi` accepted — the same order the sequential
-        // search discovers them in).
+        // The `t_hi` node hangs off `t_lo`'s rejection and the tree off
+        // `t_hi`'s acceptance — the order the ladder discovers them in.
         let mut nodes = vec![
-            SpecNode {
-                guess: t_lo,
-                parent: NONE,
-                expect_accept: false,
-                children: [NONE, NONE],
-            },
-            SpecNode {
-                guess: t_hi,
-                parent: 0,
-                expect_accept: false,
-                children: [NONE, NONE],
-            },
+            SpecNode::new(t_lo, NONE, false),
+            SpecNode::new(t_hi, 0, false),
         ];
-        if let Some(state) = &planned {
+        nodes[0].children[1] = 1;
+        if let Some(state) = &plan {
             // Seeds resolve in the same wavefront as the first tree levels,
             // so round 0 gets the full `threads` of tree capacity on top.
             push_tree(&mut nodes, state, 1, true, threads + 2);
         }
-        stats.rounds += 1;
-        stats.speculated += nodes.len();
-        let mut round = engine.publish(nodes);
-
-        // --- Sequential replay begins: identical charge/probe order. ---
-        let mut probes = 0usize;
-        if let Err(i) = budget.charge_probe() {
-            result = Some(BudgetedProbe {
-                outcome: ProbeOutcome {
-                    accepted: t_hi,
-                    rejected: None,
-                    probes,
-                },
-                interrupt: Some(i),
-            });
-            return;
-        }
-        probes = 1;
-        if engine.consume(&round, 0, ws, stats) {
-            result = Some(BudgetedProbe {
-                outcome: ProbeOutcome {
-                    accepted: t_lo,
-                    rejected: None,
-                    probes,
-                },
-                interrupt: None,
-            });
-            return;
-        }
-        // lo rejected; hi accepted by precondition.
-        let mut state = make_master();
-        if let Err(i) = budget.charge_probe() {
-            result = Some(BudgetedProbe {
-                outcome: ProbeOutcome {
-                    accepted: t_hi,
-                    rejected: Some(t_lo),
-                    probes,
-                },
-                interrupt: Some(i),
-            });
-            return;
-        }
-        probes += 1;
-        assert!(engine.consume(&round, 1, ws, stats), "{}", seed_msg);
-        let mut cur = follow(&round, 1, true);
-        let mut interrupt = None;
-        while state.is_wide() {
-            if cur.is_none() {
-                // Walked off the planned wavefront: retire it (killing its
-                // unclaimed losers) and speculate a fresh tree rooted at the
-                // current bracket's next midpoint.
-                round.abort.cancel();
-                let mut nodes = Vec::new();
-                push_tree(&mut nodes, &state, NONE, false, threads);
-                if !nodes.is_empty() {
-                    stats.rounds += 1;
-                    stats.speculated += nodes.len();
-                    round = engine.publish(nodes);
-                    cur = Some(0);
-                }
-                // Planning overflow leaves `cur` unset: the walk continues
-                // inline, with the sequential panic behaviour.
-            }
-            let mid = state.split();
-            if let Err(i) = budget.charge_probe() {
-                interrupt = Some(i);
-                break;
-            }
-            probes += 1;
-            let accepted = match cur {
-                Some(i) => {
-                    debug_assert!(round.nodes[i].guess == mid, "planned guess diverged");
-                    engine.consume(&round, i, ws, stats)
-                }
-                None => (engine.probe)(ws, mid),
-            };
-            if accepted {
-                state.accept_mid();
-            } else {
-                state.reject_mid();
-            }
-            cur = cur.and_then(|i| follow(&round, i, accepted));
-        }
-        round.abort.cancel();
-        result = Some(BudgetedProbe {
-            outcome: ProbeOutcome {
-                accepted: state.hi_guess(),
-                rejected: Some(state.lo_guess()),
-                probes,
-            },
-            interrupt,
-        });
-    });
-    result.expect("coordinator always sets the result")
-}
-
-/// The planned successor of node `i` after outcome `accepted`, if any.
-fn follow<G>(round: &Round<G>, i: usize, accepted: bool) -> Option<usize> {
-    let child = round.nodes[i].children[usize::from(!accepted)];
-    (child != NONE).then_some(child)
-}
-
-/// Parallel [`crate::search::epsilon_search`]: binary search on
-/// `[t_min, 2·t_min]` to gap `ε·t_min` (Theorem 2), with speculative
-/// wavefronts on `threads` workers. Bit-identical outcome and probe count
-/// to the sequential search at every thread count; `threads <= 1` *is* the
-/// sequential search.
-///
-/// `probe` receives the workspace of whichever thread runs it — workers own
-/// one each, the committed path uses `ws`.
-pub fn epsilon_search_par<F>(
-    t_min: Rational,
-    eps: Rational,
-    threads: usize,
-    ws: &mut DualWorkspace,
-    probe: F,
-) -> ProbeOutcome<Rational>
-where
-    F: Fn(&mut DualWorkspace, Rational) -> bool + Sync,
-{
-    assert!(t_min.is_positive() && eps.is_positive());
-    epsilon_search_between_par_budgeted(
-        t_min,
-        t_min * 2u64,
-        eps * t_min,
-        threads,
-        &SolveBudget::unlimited(),
-        ws,
-        probe,
-    )
-    .outcome
-}
-
-/// Parallel [`crate::search::epsilon_search_between`] (explicit bracket and
-/// absolute gap).
-pub fn epsilon_search_between_par<F>(
-    t_lo: Rational,
-    t_hi: Rational,
-    gap: Rational,
-    threads: usize,
-    ws: &mut DualWorkspace,
-    probe: F,
-) -> ProbeOutcome<Rational>
-where
-    F: Fn(&mut DualWorkspace, Rational) -> bool + Sync,
-{
-    epsilon_search_between_par_budgeted(
-        t_lo,
-        t_hi,
-        gap,
-        threads,
-        &SolveBudget::unlimited(),
-        ws,
-        probe,
-    )
-    .outcome
-}
-
-/// Parallel [`crate::search::epsilon_search_between_budgeted`]: the full
-/// budget-aware driver. Only committed probes are charged, in exactly the
-/// sequential order, so work-limit interruption points are deterministic
-/// and identical to the sequential search; workers poll (without charging)
-/// so deadlines and cancellation stop speculation promptly.
-pub fn epsilon_search_between_par_budgeted<F>(
-    t_lo: Rational,
-    t_hi: Rational,
-    gap: Rational,
-    threads: usize,
-    budget: &SolveBudget,
-    ws: &mut DualWorkspace,
-    probe: F,
-) -> BudgetedProbe<Rational>
-where
-    F: Fn(&mut DualWorkspace, Rational) -> bool + Sync,
-{
-    epsilon_search_between_par_stats(t_lo, t_hi, gap, threads, budget, ws, probe).0
-}
-
-/// [`epsilon_search_between_par_budgeted`] that also reports the wavefront
-/// accounting — the deterministic critical-path metric of `benches/par.rs`.
-pub fn epsilon_search_between_par_stats<F>(
-    t_lo: Rational,
-    t_hi: Rational,
-    gap: Rational,
-    threads: usize,
-    budget: &SolveBudget,
-    ws: &mut DualWorkspace,
-    probe: F,
-) -> (BudgetedProbe<Rational>, ParSearchStats)
-where
-    F: Fn(&mut DualWorkspace, Rational) -> bool + Sync,
-{
-    assert!(t_lo.is_positive() && gap.is_positive() && t_lo <= t_hi);
-    let mut stats = ParSearchStats::default();
-    if threads <= 1 {
-        let ws = &mut *ws;
-        let out = crate::search::epsilon_search_between_budgeted(t_lo, t_hi, gap, budget, |t| {
-            probe(ws, t)
-        });
-        return (out, stats);
-    }
-    let out = search_par(
-        t_lo,
-        t_hi,
-        threads,
-        budget,
-        ws,
-        &probe,
-        Bracket::try_new(t_lo, t_hi, gap),
-        || Bracket::new(t_lo, t_hi, gap),
-        "the search's upper seed must be accepted",
-        &mut stats,
-    );
-    (out, stats)
-}
-
-/// Parallel [`crate::search::integer_search`] (Theorem 8's exact integral
-/// search). Same determinism contract as [`epsilon_search_par`].
-pub fn integer_search_par<F>(
-    t_lo: u64,
-    t_hi: u64,
-    threads: usize,
-    ws: &mut DualWorkspace,
-    probe: F,
-) -> ProbeOutcome<u64>
-where
-    F: Fn(&mut DualWorkspace, u64) -> bool + Sync,
-{
-    integer_search_par_budgeted(t_lo, t_hi, threads, &SolveBudget::unlimited(), ws, probe).outcome
-}
-
-/// Parallel [`crate::search::integer_search_budgeted`].
-pub fn integer_search_par_budgeted<F>(
-    t_lo: u64,
-    t_hi: u64,
-    threads: usize,
-    budget: &SolveBudget,
-    ws: &mut DualWorkspace,
-    probe: F,
-) -> BudgetedProbe<u64>
-where
-    F: Fn(&mut DualWorkspace, u64) -> bool + Sync,
-{
-    assert!(t_lo <= t_hi);
-    if threads <= 1 {
-        let ws = &mut *ws;
-        return crate::search::integer_search_budgeted(t_lo, t_hi, budget, |t| probe(ws, t));
-    }
-    let mut stats = ParSearchStats::default();
-    search_par(
-        t_lo,
-        t_hi,
-        threads,
-        budget,
-        ws,
-        &probe,
-        Some(IntBracket {
-            lo: t_lo,
-            hi: t_hi,
-            mid: 0,
-        }),
-        || IntBracket {
-            lo: t_lo,
-            hi: t_hi,
-            mid: 0,
-        },
-        "upper bound must be accepted",
-        &mut stats,
-    )
+        let stats = SearchStats {
+            rounds: 1,
+            speculated: nodes.len(),
+            ..SearchStats::default()
+        };
+        let mut src = Wavefront {
+            engine: &engine,
+            ws,
+            threads,
+            round: engine.publish(nodes),
+            cur: Some(0),
+            stats,
+        };
+        let out = ladder(&mut src);
+        src.round.abort.cancel();
+        (out, src.stats)
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use std::panic::AssertUnwindSafe;
+
+    use bss_instance::{LowerBounds, Variant};
+    use bss_rational::Rational;
+    use proptest::prelude::*;
+
     use super::*;
-    use crate::search::{epsilon_search_between_budgeted, integer_search_budgeted};
+    use crate::search::{climb, Bracket, IntBracket, Ladder};
+    use crate::{BssProblem, Problem};
 
     fn r(v: i128) -> Rational {
         Rational::from_int(v)
     }
 
-    const THREADS: [usize; 4] = [1, 2, 4, 8];
+    /// The thread counts every check sweeps (`1` is the sequential ladder).
+    /// `BSS_PAR_THREADS=N` pins the sweep to `{N}`.
+    fn thread_counts() -> Vec<usize> {
+        match std::env::var("BSS_PAR_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+        {
+            Some(n) if n > 0 => vec![n],
+            _ => vec![1, 2, 4, 8],
+        }
+    }
+
+    /// The ladder over `[lo, hi]` at `threads`, its bracket from `make`.
+    fn ladder<B, F>(
+        lo: B::Guess,
+        hi: B::Guess,
+        make: impl Fn() -> Option<B>,
+        threads: usize,
+        budget: &SolveBudget,
+        probe: F,
+    ) -> (Ladder<B::Guess>, SearchStats)
+    where
+        B: Bisect,
+        F: Fn(&mut DualWorkspace, B::Guess) -> bool + Sync,
+    {
+        let mut ws = DualWorkspace::new();
+        if threads <= 1 {
+            let out = climb(lo, hi, &make, budget, &mut |t: B::Guess| probe(&mut ws, t));
+            return (out, SearchStats::default());
+        }
+        speculate(threads, budget, &mut ws, &probe, lo, hi, make(), |src| {
+            climb(lo, hi, &make, budget, src)
+        })
+    }
+
+    fn eps<F>(
+        lo: Rational,
+        hi: Rational,
+        gap: Rational,
+        threads: usize,
+        budget: &SolveBudget,
+        probe: F,
+    ) -> (Ladder<Rational>, SearchStats)
+    where
+        F: Fn(&mut DualWorkspace, Rational) -> bool + Sync,
+    {
+        ladder(
+            lo,
+            hi,
+            || Bracket::try_new(lo, hi, gap),
+            threads,
+            budget,
+            probe,
+        )
+    }
+
+    fn int<F>(lo: u64, hi: u64, threads: usize, budget: &SolveBudget, probe: F) -> Ladder<u64>
+    where
+        F: Fn(&mut DualWorkspace, u64) -> bool + Sync,
+    {
+        ladder(
+            lo,
+            hi,
+            || Some(IntBracket::new(lo, hi)),
+            threads,
+            budget,
+            probe,
+        )
+        .0
+    }
 
     #[test]
     fn epsilon_par_matches_sequential_bitwise() {
         for denom in [3i128, 7, 64, 1000] {
             for num in [301i128, 399, 555, 599] {
                 let threshold = Rational::new(num, denom);
-                let seq = epsilon_search_between_budgeted(
-                    r(100),
-                    r(200),
-                    Rational::new(1, 128),
-                    &SolveBudget::unlimited(),
-                    |t| t >= threshold,
-                );
-                for threads in THREADS {
-                    let mut ws = DualWorkspace::new();
-                    let par = epsilon_search_between_par_budgeted(
-                        r(100),
-                        r(200),
-                        Rational::new(1, 128),
-                        threads,
-                        &SolveBudget::unlimited(),
-                        &mut ws,
-                        |_, t| t >= threshold,
-                    );
+                let u = SolveBudget::unlimited();
+                let gap = Rational::new(1, 128);
+                let seq = eps(r(100), r(200), gap, 1, &u, |_, t| t >= threshold).0;
+                for threads in [2, 4, 8] {
+                    let par = eps(r(100), r(200), gap, threads, &u, |_, t| t >= threshold).0;
                     assert_eq!(par, seq, "threads={threads} threshold={threshold}");
                 }
             }
@@ -775,11 +523,9 @@ mod tests {
 
     #[test]
     fn epsilon_par_immediate_accept() {
-        for threads in THREADS {
-            let mut ws = DualWorkspace::new();
-            let out = epsilon_search_par(r(100), Rational::new(1, 10), threads, &mut ws, |_, t| {
-                t >= r(50)
-            });
+        for threads in [1, 2, 4, 8] {
+            let u = SolveBudget::unlimited();
+            let out = eps(r(100), r(200), r(10), threads, &u, |_, t| t >= r(50)).0;
             assert_eq!(out.accepted, r(100));
             assert_eq!(out.rejected, None);
             assert_eq!(out.probes, 1);
@@ -789,18 +535,10 @@ mod tests {
     #[test]
     fn integer_par_matches_sequential_bitwise() {
         for threshold in [101u64, 137, 199, 200, 777, 1000] {
-            let seq =
-                integer_search_budgeted(100, 1000, &SolveBudget::unlimited(), |t| t >= threshold);
-            for threads in THREADS {
-                let mut ws = DualWorkspace::new();
-                let par = integer_search_par_budgeted(
-                    100,
-                    1000,
-                    threads,
-                    &SolveBudget::unlimited(),
-                    &mut ws,
-                    |_, t| t >= threshold,
-                );
+            let u = SolveBudget::unlimited();
+            let seq = int(100, 1000, 1, &u, |_, t| t >= threshold);
+            for threads in [2, 4, 8] {
+                let par = int(100, 1000, threads, &u, |_, t| t >= threshold);
                 assert_eq!(par, seq, "threads={threads} threshold={threshold}");
             }
         }
@@ -810,21 +548,12 @@ mod tests {
     fn work_limit_interruption_points_are_deterministic() {
         // Sweep every work-limit: the interrupted bracket must match the
         // sequential search's at the same limit, at every thread count.
-        let threshold = 137u64;
         for limit in 0..12 {
             let seq_budget = SolveBudget::unlimited().with_work_limit(limit);
-            let seq = integer_search_budgeted(100, 1000, &seq_budget, |t| t >= threshold);
-            for threads in THREADS {
+            let seq = int(100, 1000, 1, &seq_budget, |_, t| t >= 137);
+            for threads in [2, 4, 8] {
                 let par_budget = SolveBudget::unlimited().with_work_limit(limit);
-                let mut ws = DualWorkspace::new();
-                let par = integer_search_par_budgeted(
-                    100,
-                    1000,
-                    threads,
-                    &par_budget,
-                    &mut ws,
-                    |_, t| t >= threshold,
-                );
+                let par = int(100, 1000, threads, &par_budget, |_, t| t >= 137);
                 assert_eq!(par, seq, "threads={threads} limit={limit}");
                 assert_eq!(seq_budget.work_used(), par_budget.work_used());
             }
@@ -835,30 +564,21 @@ mod tests {
     fn committed_panic_propagates_loser_panic_does_not() {
         // Probe panics at one loser guess the committed path never visits:
         // the parallel search must still match the sequential one.
-        let threshold = 137u64;
-        let seq = integer_search_budgeted(100, 1000, &SolveBudget::unlimited(), |t| t >= threshold);
-        let mut ws = DualWorkspace::new();
-        let par = integer_search_par_budgeted(
-            100,
-            1000,
-            8,
-            &SolveBudget::unlimited(),
-            &mut ws,
-            |_, t| {
-                // 775 = mid of (550, 1000], a reject-side path the committed
-                // walk (which accepts at 550's level) never takes.
-                assert!(t != 775, "loser probe");
-                t >= threshold
-            },
-        );
+        let u = SolveBudget::unlimited();
+        let seq = int(100, 1000, 1, &u, |_, t| t >= 137);
+        let par = int(100, 1000, 8, &u, |_, t| {
+            // 775 = mid of (550, 1000], a reject-side path the committed
+            // walk (which accepts at 550's level) never takes.
+            assert!(t != 775, "loser probe");
+            t >= 137
+        });
         assert_eq!(par, seq);
 
         // A panic at a guess the committed path *does* probe propagates.
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut ws = DualWorkspace::new();
-            integer_search_par_budgeted(100, 1000, 8, &SolveBudget::unlimited(), &mut ws, |_, t| {
+            int(100, 1000, 8, &u, |_, t| {
                 assert!(t != 550, "committed probe");
-                t >= threshold
+                t >= 137
             })
         }));
         assert!(caught.is_err(), "committed-path panic must propagate");
@@ -869,11 +589,10 @@ mod tests {
         let token = CancelToken::new();
         let budget = SolveBudget::unlimited().with_cancel(&token);
         token.cancel();
-        let mut ws = DualWorkspace::new();
-        let par = integer_search_par_budgeted(100, 1000, 4, &budget, &mut ws, |_, t| t >= 137);
+        let par = int(100, 1000, 4, &budget, |_, t| t >= 137);
         // Identical to the sequential search under a pre-cancelled budget:
         // nothing probed, bracket untouched.
-        let seq = integer_search_budgeted(100, 1000, &budget, |t| t >= 137);
+        let seq = int(100, 1000, 1, &budget, |_, t| t >= 137);
         assert_eq!(par, seq);
         assert!(par.interrupt.is_some());
     }
@@ -881,27 +600,68 @@ mod tests {
     #[test]
     fn stats_report_the_wavefront_critical_path() {
         let threshold = Rational::new(555, 4);
-        let mut ws = DualWorkspace::new();
-        let (par, stats) = epsilon_search_between_par_stats(
-            r(100),
-            r(200),
-            Rational::new(1, 1 << 16),
-            8,
-            &SolveBudget::unlimited(),
-            &mut ws,
-            |_, t| t >= threshold,
-        );
+        let u = SolveBudget::unlimited();
+        let gap = Rational::new(1, 1 << 16);
+        let (par, stats) = eps(r(100), r(200), gap, 8, &u, |_, t| t >= threshold);
         assert!(par.interrupt.is_none());
         assert!(stats.rounds >= 1);
-        assert!(stats.speculated >= par.outcome.probes);
+        assert!(stats.speculated >= par.probes);
         // The whole point: the wavefront critical path is much shorter than
         // the sequential probe ladder. 8 threads commit >= 3 levels/round.
         assert!(
-            stats.rounds <= 1 + par.outcome.probes.div_ceil(3),
+            stats.rounds <= 1 + par.probes.div_ceil(3),
             "rounds {} vs probes {}",
             stats.rounds,
-            par.outcome.probes
+            par.probes
         );
         assert_eq!(stats.inline, 0, "no skips under an unlimited budget");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Raw ε-ladder equivalence on real dual probes: accepted bracket,
+        /// rejection certificate and probe count all match, per thread
+        /// count.
+        #[test]
+        fn epsilon_search_par_matches_on_real_duals(
+            n in 20usize..60,
+            c in 2usize..7,
+            m in 2usize..5,
+            seed in 0u64..10_000,
+            eps_log2 in 2u32..9,
+            variant_idx in 0usize..3,
+        ) {
+            let inst = bss_gen::uniform(n, c, m, seed);
+            let problem = BssProblem::new(&inst, Variant::ALL[variant_idx]);
+            let t_min = problem.t_min();
+            prop_assume!(t_min.is_positive());
+            let (t_hi, gap) = (problem.search_hi(), t_min / (1u64 << eps_log2));
+            let u = SolveBudget::unlimited();
+            let want = eps(t_min, t_hi, gap, 1, &u, |w, t| problem.probe(w, t)).0;
+            for threads in thread_counts() {
+                let got = eps(t_min, t_hi, gap, threads, &u, |w, t| problem.probe(w, t)).0;
+                prop_assert_eq!(got, want, "t={} seed={}", threads, seed);
+            }
+        }
+
+        /// Raw integer-ladder equivalence on the non-preemptive 3/2-dual.
+        #[test]
+        fn integer_search_par_matches_on_real_duals(
+            n in 20usize..60,
+            c in 2usize..7,
+            m in 2usize..5,
+            seed in 0u64..10_000,
+        ) {
+            let inst = bss_gen::uniform(n, c, m, seed);
+            prop_assume!(inst.machines() < inst.num_jobs());
+            let t_min = LowerBounds::of(&inst).tmin(Variant::NonPreemptive).ceil() as u64;
+            let accepts = |_: &mut DualWorkspace, t: u64| crate::nonpreemptive::accepts(&inst, t);
+            let u = SolveBudget::unlimited();
+            let want = int(t_min, 2 * t_min, 1, &u, accepts);
+            for threads in thread_counts() {
+                prop_assert_eq!(int(t_min, 2 * t_min, threads, &u, accepts), want, "t={} seed={}", threads, seed);
+            }
+        }
     }
 }

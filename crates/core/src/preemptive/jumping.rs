@@ -25,7 +25,7 @@ use bss_rational::Rational;
 use bss_schedule::Schedule;
 
 use crate::classify::{classify_into, gamma};
-use crate::search::{refine_right_interval_opt, SearchOutcome};
+use crate::search::{refine_right_interval, SearchOutcome};
 use crate::workspace::DualWorkspace;
 use crate::Trace;
 
@@ -143,7 +143,7 @@ pub fn class_jumping_budgeted_in(
     }
     thresholds.sort_unstable();
     thresholds.dedup();
-    let (l2, h2) = refine_right_interval_opt(lo, hi, &thresholds, |t| {
+    let (l2, h2) = refine_right_interval(lo, hi, &thresholds, |t| {
         probe(ws, inst, &probes, &stop, budget, t)
     });
     ws.thresholds = thresholds;
@@ -183,7 +183,7 @@ pub fn class_jumping_budgeted_in(
                 let mut jumps = core::mem::take(&mut ws.jumps);
                 jumps.clear();
                 jumps.extend((w_lo..=w_hi).rev().map(|w| sp2 / w));
-                let (l3, h3) = refine_right_interval_opt(lo, hi, &jumps, |t| {
+                let (l3, h3) = refine_right_interval(lo, hi, &jumps, |t| {
                     probe(ws, inst, &probes, &stop, budget, t)
                 });
                 ws.jumps = jumps;
@@ -238,7 +238,7 @@ pub fn class_jumping_budgeted_in(
             }
             jumps.sort_unstable();
             jumps.dedup();
-            let (l4, h4) = refine_right_interval_opt(lo, hi, &jumps, |t| {
+            let (l4, h4) = refine_right_interval(lo, hi, &jumps, |t| {
                 probe(ws, inst, &probes, &stop, budget, t)
             });
             ws.jumps = jumps;
@@ -438,13 +438,13 @@ mod tests {
     /// The accepted guess should essentially match the ε-search's.
     #[test]
     fn agrees_with_epsilon_search() {
-        use crate::search::epsilon_search;
         for seed in 0..10 {
             let inst = bss_gen::uniform(50, 7, 4, seed);
-            let tmin = LowerBounds::of(&inst).tmin(Variant::Preemptive);
-            let eps = epsilon_search(tmin, Rational::new(1, 1 << 12), |t| {
-                crate::preemptive::accepts(&inst, t, MODE)
-            });
+            let eps = crate::solve(
+                &inst,
+                Variant::Preemptive,
+                crate::Algorithm::EpsilonSearch { eps_log2: 12 },
+            );
             let jump = class_jumping(&inst);
             let slack = Rational::new(4097, 4096);
             assert!(

@@ -39,9 +39,9 @@ use bss_instance::{Instance, LowerBounds, Variant};
 use bss_rational::Rational;
 
 use crate::api::{finish, Algorithm, Completion, ScheduleRepr, Solution, SolveError};
-use crate::search::epsilon_search_between_budgeted;
+use crate::search::{Bracket, Search, SearchStats};
 use crate::workspace::DualWorkspace;
-use crate::{nonpreemptive, preemptive, splittable, two_approx, Trace};
+use crate::{nonpreemptive, preemptive, splittable, two_approx, SolveOptions, Trace};
 
 /// Outcome of a problem's best direct search ([`Algorithm::ThreeHalves`]).
 #[derive(Debug)]
@@ -53,10 +53,17 @@ pub struct DirectSolve {
     /// A certified lower bound on `OPT` established by the search (at least
     /// the problem's `T_min`; stronger when rejections certify).
     pub certificate: Rational,
-    /// Dual-test probes performed.
+    /// Committed dual-test probes.
     pub probes: usize,
     /// The proven factor of this run relative to `accepted`.
     pub ratio: Rational,
+    /// Why the search stopped early, if it did. The result must still be
+    /// *valid*: `repr` realized at an accepted `accepted`, `certificate`
+    /// restricted to genuinely certified rejections.
+    pub interrupt: Option<Interrupt>,
+    /// The ladders' warm and speculative counters (the driver fills in
+    /// [`SearchStats::probes`]).
+    pub stats: SearchStats,
 }
 
 /// A scheduling problem solvable through the unified dual-approximation
@@ -84,7 +91,7 @@ pub trait Problem {
 
     /// Whether a probe rejection certifies `T < OPT`. `true` for the
     /// paper's duals; `false` for heuristic duals, whose rejections must not
-    /// tighten the certificate.
+    /// tighten the certificate (and which ignore warm hints).
     fn probe_certifies(&self) -> bool;
 
     /// The builder's dual ratio `ρ`: `build(T)` schedules within `ρ·T`.
@@ -101,206 +108,98 @@ pub trait Problem {
     /// The `O(n)` direct fallback ([`Algorithm::TwoApprox`]): a schedule
     /// plus the proven (possibly a-posteriori) factor of its makespan
     /// relative to `T_min`.
-    fn fallback(&self, ws: &mut DualWorkspace, trace: &mut Trace) -> (ScheduleRepr, Rational);
+    fn fallback(&self, ws: &mut DualWorkspace) -> (ScheduleRepr, Rational);
 
     /// The problem's best direct algorithm ([`Algorithm::ThreeHalves`]):
     /// Class Jumping, the exact integer search, or — for problems without a
-    /// specialized search — a fine ε-search over the dual.
-    fn direct_search(&self, ws: &mut DualWorkspace, trace: &mut Trace) -> DirectSolve;
-
-    /// [`Problem::direct_search`] under a cooperative [`SolveBudget`]. The
-    /// default ignores the budget and always completes — correct, if not
-    /// deadline-respecting; interruptible problems override it with their
-    /// budgeted searches (bit-identical under an unlimited budget). On
-    /// interruption the returned [`DirectSolve`] must still be *valid*:
-    /// `repr` realized at an accepted `accepted`, `certificate` restricted
-    /// to genuinely certified rejections.
-    fn direct_search_budgeted(
-        &self,
-        ws: &mut DualWorkspace,
-        budget: &SolveBudget,
-        trace: &mut Trace,
-    ) -> (DirectSolve, Option<Interrupt>) {
-        let _ = budget;
-        (self.direct_search(ws, trace), None)
-    }
-
-    /// [`Problem::direct_search_budgeted`] with `threads` worker threads
-    /// available for speculative probing (see [`crate::par`]). Must be
-    /// bit-identical to the sequential search at every thread count. The
-    /// default ignores the threads — correct for searches with no parallel
-    /// form (Class Jumping's probe ladder is sequentially dependent);
-    /// problems whose direct search is a bisection override it.
-    fn direct_search_par_budgeted(
-        &self,
-        ws: &mut DualWorkspace,
-        threads: usize,
-        budget: &SolveBudget,
-        trace: &mut Trace,
-    ) -> (DirectSolve, Option<Interrupt>)
-    where
-        Self: Sync,
-    {
-        let _ = threads;
-        self.direct_search_budgeted(ws, budget, trace)
-    }
-
-    /// [`Problem::exact_oracle`] under a shared [`SolveBudget`]: the
-    /// portfolio's exact arm draws its nodes from the *same* budget as the
-    /// probe ladders (no double-accounting of wall-clock or work). The
-    /// default ignores the budget; problems backing onto `bss-exact`
-    /// override it.
-    fn exact_oracle_budgeted(&self, budget: &SolveBudget) -> Option<bss_exact::ExactSolve> {
-        let _ = budget;
-        self.exact_oracle()
-    }
+    /// specialized search — a fine ε-search over the dual. It runs under
+    /// `opts`'s budget, and its bisection ladders under `opts`'s threads and
+    /// warm hint, bit-identically to the unlimited sequential cold search
+    /// whenever the budget never trips.
+    fn direct_search(&self, ws: &mut DualWorkspace, opts: &SolveOptions<'_>) -> DirectSolve;
 
     /// The exact branch-and-bound oracle, for problems small enough that it
-    /// is worth running ([`Algorithm::Portfolio`] only). `None` — the
-    /// default — skips the oracle entirely; a [`bss_exact::ExactStatus::
-    /// Closed`] result certifies `OPT` exactly (guarantee 1), and a
-    /// non-closed result still donates its certified lower bound and
-    /// anytime incumbent.
-    fn exact_oracle(&self) -> Option<bss_exact::ExactSolve> {
+    /// is worth running ([`Algorithm::Portfolio`] only). It draws its nodes
+    /// from the *same* budget as the probe ladders (no double-accounting of
+    /// wall-clock or work). `None` — the default — skips the oracle
+    /// entirely; a [`bss_exact::ExactStatus::Closed`] result certifies `OPT`
+    /// exactly (guarantee 1), and a non-closed result still donates its
+    /// certified lower bound and anytime incumbent.
+    fn exact_oracle(&self, budget: &SolveBudget) -> Option<bss_exact::ExactSolve> {
+        let _ = budget;
         None
     }
 }
 
 /// Drives any [`Problem`] through the chosen [`Algorithm`] on a reusable
-/// workspace. All four modes share the guarantee accounting documented on
-/// the module; the result is a standard [`Solution`].
+/// workspace, under `opts`'s budget, threads and warm hint. All four modes
+/// share the guarantee accounting documented on the module; the result is a
+/// standard [`Solution`], bit-identical for every `opts` whose budget never
+/// trips.
 ///
-/// (`P: Sync` because the same driver backs the parallel entry points,
-/// where probes run on worker threads; both implementors in this workspace
-/// are plain borrows of immutable instances.)
-#[must_use]
-pub fn solve_problem<P: Problem + Sync + ?Sized>(
-    ws: &mut DualWorkspace,
-    problem: &P,
-    algo: Algorithm,
-    trace: &mut Trace,
-) -> Solution {
-    solve_problem_with_budget(ws, problem, algo, &SolveBudget::unlimited(), trace)
-}
-
-/// [`solve_problem`] with `threads` threads of speculative parallelism on
-/// the probe ladders (see [`crate::par`]): bit-identical results and probe
-/// accounting at every thread count, `threads <= 1` *is* the sequential
-/// driver.
-#[must_use]
-pub fn solve_problem_par<P: Problem + Sync + ?Sized>(
-    ws: &mut DualWorkspace,
-    problem: &P,
-    algo: Algorithm,
-    threads: usize,
-    trace: &mut Trace,
-) -> Solution {
-    solve_problem_par_with_budget(ws, problem, algo, threads, &SolveBudget::unlimited(), trace)
-}
-
-/// [`solve_problem`] at the safe API boundary: the solve runs under `budget`
-/// and behind [`catch_unwind`], so a solver panic (arithmetic overflow on an
-/// adversarial instance, a violated internal invariant, injected chaos)
-/// surfaces as a typed [`SolveError`] instead of unwinding through the
-/// caller. On panic the workspace is [reset](DualWorkspace::reset) — buffers
-/// abandoned mid-probe may hold arbitrary partial state — so the same
-/// workspace is safe (and bit-identical to fresh) for the next solve.
-/// Ordinary interrupts (deadline, budget, cancel) are *not* errors: they
-/// return `Ok` with a degraded [`Completion`] and honest accounting.
-pub fn solve_problem_budgeted<P: Problem + Sync + ?Sized>(
-    ws: &mut DualWorkspace,
-    problem: &P,
-    algo: Algorithm,
-    budget: &SolveBudget,
-    trace: &mut Trace,
-) -> Result<Solution, SolveError> {
-    solve_problem_par_budgeted(ws, problem, algo, 1, budget, trace)
-}
-
-/// [`solve_problem_budgeted`] with `threads` threads of speculative
-/// parallelism — the safe boundary of the parallel driver. Panics caught
-/// here include those re-raised from speculative workers along the
-/// committed path (losers' panics never surface; see [`crate::par`]).
+/// This is the safe API boundary: the solve runs behind [`catch_unwind`],
+/// so a solver panic (arithmetic overflow on an adversarial instance, a
+/// violated internal invariant, a panic re-raised from a speculative worker
+/// along the committed path, injected chaos) surfaces as a typed
+/// [`SolveError`] instead of unwinding through the caller. On panic the
+/// workspace is [reset](DualWorkspace::reset) — buffers abandoned mid-probe
+/// may hold arbitrary partial state — so the same workspace is safe (and
+/// bit-identical to fresh) for the next solve.
 ///
-/// # Errors
-/// [`SolveError`] when the solver panicked; interruption is **not** an
-/// error.
-pub fn solve_problem_par_budgeted<P: Problem + Sync + ?Sized>(
-    ws: &mut DualWorkspace,
-    problem: &P,
-    algo: Algorithm,
-    threads: usize,
-    budget: &SolveBudget,
-    trace: &mut Trace,
-) -> Result<Solution, SolveError> {
-    let result = {
-        let ws = &mut *ws;
-        let trace = &mut *trace;
-        catch_unwind(AssertUnwindSafe(move || {
-            solve_problem_par_with_budget(ws, problem, algo, threads, budget, trace)
-        }))
-    };
-    match result {
-        Ok(sol) => Ok(sol),
-        Err(payload) => {
-            ws.reset();
-            Err(SolveError::from_panic(payload.as_ref()))
-        }
-    }
-}
-
-/// The budgeted driver core: panics propagate (prefer
-/// [`solve_problem_budgeted`] at API boundaries). Bit-identical to
-/// [`solve_problem`] under [`SolveBudget::unlimited`]; under a limited
-/// budget, an interruption degrades gracefully — the search's current right
+/// An interrupted budget is **not** an error: the search's current right
 /// bracket (always a genuinely accepted guess) is built, the `O(n)` fallback
 /// is merged in as a safety net, the `ratio_bound` is honestly widened
 /// against the certified lower bound, and [`Solution::completion`] reports
 /// what happened.
-#[must_use]
-pub fn solve_problem_with_budget<P: Problem + Sync + ?Sized>(
+///
+/// (`P: Sync` because probes may run on worker threads; both implementors
+/// in this workspace are plain borrows of immutable instances.)
+///
+/// # Errors
+/// [`SolveError`] when the solver panicked.
+pub fn solve_problem<P: Problem + Sync + ?Sized>(
     ws: &mut DualWorkspace,
     problem: &P,
     algo: Algorithm,
-    budget: &SolveBudget,
-    trace: &mut Trace,
-) -> Solution {
-    solve_problem_par_with_budget(ws, problem, algo, 1, budget, trace)
+    opts: &SolveOptions<'_>,
+) -> Result<Solution, SolveError> {
+    solve_with_stats(ws, problem, algo, opts).map(|(sol, _)| sol)
 }
 
-/// The parallel driver core — [`solve_problem_with_budget`] is this with
-/// `threads = 1`. Panics propagate (prefer [`solve_problem_par_budgeted`]
-/// at API boundaries). The search arms dispatch to the speculative drivers
-/// of [`crate::par`] when `threads > 1`; results are bit-identical to the
-/// sequential driver either way (guarded by the `par_determinism` suite).
-#[must_use]
-pub fn solve_problem_par_with_budget<P: Problem + Sync + ?Sized>(
+/// [`solve_problem`] plus the solve's [`SearchStats`].
+pub(crate) fn solve_with_stats<P: Problem + Sync + ?Sized>(
     ws: &mut DualWorkspace,
     problem: &P,
     algo: Algorithm,
-    threads: usize,
-    budget: &SolveBudget,
-    trace: &mut Trace,
+    opts: &SolveOptions<'_>,
+) -> Result<(Solution, SearchStats), SolveError> {
+    let result = {
+        let ws = &mut *ws;
+        catch_unwind(AssertUnwindSafe(move || {
+            let mut stats = SearchStats::default();
+            let sol = drive(ws, problem, algo, opts, &mut stats);
+            stats.probes = sol.probes + stats.seed_probes - stats.skipped;
+            (sol, stats)
+        }))
+    };
+    result.map_err(|payload| {
+        ws.reset();
+        SolveError::from_panic(payload.as_ref())
+    })
+}
+
+fn drive<P: Problem + Sync + ?Sized>(
+    ws: &mut DualWorkspace,
+    problem: &P,
+    algo: Algorithm,
+    opts: &SolveOptions<'_>,
+    stats: &mut SearchStats,
 ) -> Solution {
     let t_min = problem.t_min();
     let mut sol = match algo {
         Algorithm::Portfolio => {
-            let a = solve_problem_par_with_budget(
-                ws,
-                problem,
-                Algorithm::ThreeHalves,
-                threads,
-                budget,
-                trace,
-            );
-            let b = solve_problem_par_with_budget(
-                ws,
-                problem,
-                Algorithm::TwoApprox,
-                threads,
-                budget,
-                trace,
-            );
+            let a = drive(ws, problem, Algorithm::ThreeHalves, opts, stats);
+            let b = drive(ws, problem, Algorithm::TwoApprox, opts, stats);
             // The primary member's guarantee carries over: even when the
             // fallback's schedule wins on makespan, it is bounded by the
             // primary's makespan, so `a.ratio_bound * a.accepted` still
@@ -328,11 +227,13 @@ pub fn solve_problem_par_with_budget<P: Problem + Sync + ?Sized>(
             // caller, not to branch-and-bound — and the skip (or an oracle
             // cut short mid-search) is reported as degradation: `Full` must
             // keep meaning "bit-identical to the unbudgeted solve".
+            let unlimited = SolveBudget::unlimited();
+            let budget = opts.budget.unwrap_or(&unlimited);
             let mut oracle_interrupt = None;
             let oracle = if completion.is_full() {
                 match budget.poll() {
                     Ok(()) => {
-                        let ex = problem.exact_oracle_budgeted(budget);
+                        let ex = problem.exact_oracle(budget);
                         if let Err(i) = budget.poll() {
                             oracle_interrupt = Some(i);
                         }
@@ -393,74 +294,16 @@ pub fn solve_problem_par_with_budget<P: Problem + Sync + ?Sized>(
         Algorithm::TwoApprox => {
             // The `O(n)` fallback is the floor everything else degrades to;
             // it runs to completion regardless of the budget.
-            let (repr, ratio) = problem.fallback(ws, trace);
+            let (repr, ratio) = problem.fallback(ws);
             finish(repr, t_min, ratio, t_min, 0)
         }
         Algorithm::EpsilonSearch { eps_log2 } => {
-            let eps = Rational::new(1, 1 << eps_log2.min(60));
-            let budgeted = if threads > 1 {
-                crate::par::epsilon_search_between_par_budgeted(
-                    t_min,
-                    problem.search_hi(),
-                    eps * t_min,
-                    threads,
-                    budget,
-                    ws,
-                    |w, t| problem.probe(w, t),
-                )
-            } else {
-                epsilon_search_between_budgeted(
-                    t_min,
-                    problem.search_hi(),
-                    eps * t_min,
-                    budget,
-                    |t| problem.probe(ws, t),
-                )
-            };
-            let out = budgeted.outcome;
-            // The builders keep defensive rejection branches beyond the
-            // accept test; if one fires at the accepted guess, fall back to
-            // the problem's safe guess instead of panicking.
-            let (accepted, repr) = match problem.build(ws, out.accepted, trace) {
-                Some(r) => (out.accepted, r),
-                None => {
-                    let hi = problem.t_safe();
-                    (
-                        hi,
-                        problem
-                            .build(ws, hi, trace)
-                            .expect("t_safe is accepted and builds"),
-                    )
-                }
-            };
-            let cert = if problem.probe_certifies() {
-                out.rejected.unwrap_or(t_min).max(t_min)
-            } else {
-                t_min
-            };
-            let sol = finish(
-                repr,
-                accepted,
-                problem.dual_ratio() * (eps + 1u64),
-                cert,
-                out.probes,
-            );
-            degraded(ws, problem, sol, budgeted.interrupt, trace)
+            let d = epsilon_direct(ws, problem, eps_log2, opts);
+            settle(ws, problem, d, stats)
         }
         Algorithm::ThreeHalves => {
-            let (d, interrupt) = if threads > 1 {
-                problem.direct_search_par_budgeted(ws, threads, budget, trace)
-            } else {
-                problem.direct_search_budgeted(ws, budget, trace)
-            };
-            let sol = finish(
-                d.repr,
-                d.accepted,
-                d.ratio,
-                d.certificate.max(t_min),
-                d.probes,
-            );
-            degraded(ws, problem, sol, interrupt, trace)
+            let d = problem.direct_search(ws, opts);
+            settle(ws, problem, d, stats)
         }
     };
     // Heuristic problems may floor their `t_min` above the true optimum of
@@ -471,6 +314,68 @@ pub fn solve_problem_par_with_budget<P: Problem + Sync + ?Sized>(
         sol.certificate = sol.certificate.min(sol.makespan);
     }
     sol
+}
+
+/// Theorem 2's ε-search over `problem`'s dual: the ladder on `[T_min,
+/// search_hi]` to gap `ε·T_min`, then the single build at the accepted
+/// guess. The builders keep defensive rejection branches beyond the accept
+/// test; if one fires at the accepted guess, the build falls back to the
+/// problem's safe guess instead of panicking.
+pub(crate) fn epsilon_direct<P: Problem + Sync + ?Sized>(
+    ws: &mut DualWorkspace,
+    problem: &P,
+    eps_log2: u32,
+    opts: &SolveOptions<'_>,
+) -> DirectSolve {
+    let t_min = problem.t_min();
+    let t_hi = problem.search_hi();
+    let eps = Rational::new(1, 1 << eps_log2.min(60));
+    let gap = eps * t_min;
+    assert!(t_min.is_positive() && t_min <= t_hi);
+    let certifies = problem.probe_certifies();
+    let mut search = Search::new(opts, certifies);
+    let out = search.run(
+        ws,
+        t_min,
+        t_hi,
+        || Bracket::try_new(t_min, t_hi, gap),
+        &|w, t| problem.probe(w, t),
+    );
+    let trace = &mut Trace::disabled();
+    let (accepted, repr) = match problem.build(ws, out.accepted, trace) {
+        Some(r) => (out.accepted, r),
+        None => {
+            let hi = problem.t_safe();
+            let r = problem.build(ws, hi, trace);
+            (hi, r.expect("t_safe is accepted and builds"))
+        }
+    };
+    DirectSolve {
+        repr,
+        accepted,
+        certificate: match out.rejected {
+            Some(rejected) if certifies => rejected.max(t_min),
+            _ => t_min,
+        },
+        probes: out.probes,
+        ratio: problem.dual_ratio() * (eps + 1u64),
+        interrupt: out.interrupt,
+        stats: search.stats,
+    }
+}
+
+/// The shared tail of every search arm: the [`Solution`] of a direct search,
+/// degraded when it was interrupted.
+fn settle<P: Problem + ?Sized>(
+    ws: &mut DualWorkspace,
+    problem: &P,
+    d: DirectSolve,
+    stats: &mut SearchStats,
+) -> Solution {
+    *stats += d.stats;
+    let certificate = d.certificate.max(problem.t_min());
+    let sol = finish(d.repr, d.accepted, d.ratio, certificate, d.probes);
+    degraded(ws, problem, sol, d.interrupt)
 }
 
 /// Applies graceful degradation to an interrupted search result (no-op when
@@ -495,7 +400,6 @@ fn degraded<P: Problem + ?Sized>(
     problem: &P,
     mut sol: Solution,
     interrupt: Option<Interrupt>,
-    trace: &mut Trace,
 ) -> Solution {
     let Some(interrupt) = interrupt else {
         return sol;
@@ -505,7 +409,7 @@ fn degraded<P: Problem + ?Sized>(
         sol.ratio_bound = sol.ratio_bound * sol.accepted / sol.certificate;
     }
     let t_min = problem.t_min();
-    let (repr, ratio) = problem.fallback(ws, trace);
+    let (repr, ratio) = problem.fallback(ws);
     let net = finish(repr, t_min, ratio, t_min, 0);
     let cert = sol.certificate.max(net.certificate);
     if net.makespan < sol.makespan {
@@ -520,7 +424,7 @@ fn degraded<P: Problem + ?Sized>(
 
 /// The batch-setup problem of the paper, for one of its three variants.
 ///
-/// This is the [`Problem`] the historical `solve` family is implemented on:
+/// This is the [`Problem`] [`crate::solve`] and its siblings run on:
 /// probes and builders are the theorems' duals (rejections certify), the
 /// direct search is Class Jumping (splittable, preemptive; Theorems 3 and 6)
 /// or the exact integer search (non-preemptive; Theorem 8), and the fallback
@@ -611,109 +515,76 @@ impl Problem for BssProblem<'_> {
         }
     }
 
-    fn fallback(&self, ws: &mut DualWorkspace, trace: &mut Trace) -> (ScheduleRepr, Rational) {
+    fn fallback(&self, ws: &mut DualWorkspace) -> (ScheduleRepr, Rational) {
         let repr = match self.variant {
             Variant::Splittable => {
                 ScheduleRepr::Compact(two_approx::splittable_two_approx_in(ws, self.inst))
             }
-            _ => ScheduleRepr::Explicit(two_approx::greedy_two_approx(self.inst, trace)),
+            _ => ScheduleRepr::Explicit(two_approx::greedy_two_approx(
+                self.inst,
+                &mut Trace::disabled(),
+            )),
         };
         (repr, Rational::from(2u64))
     }
 
-    fn direct_search(&self, ws: &mut DualWorkspace, trace: &mut Trace) -> DirectSolve {
-        self.direct_search_budgeted(ws, &SolveBudget::unlimited(), trace)
-            .0
-    }
-
-    fn direct_search_budgeted(
-        &self,
-        ws: &mut DualWorkspace,
-        budget: &SolveBudget,
-        _trace: &mut Trace,
-    ) -> (DirectSolve, Option<Interrupt>) {
-        let t_min = self.t_min();
-        let three_halves = Rational::new(3, 2);
-        match self.variant {
+    fn direct_search(&self, ws: &mut DualWorkspace, opts: &SolveOptions<'_>) -> DirectSolve {
+        let mut search = Search::new(opts, true);
+        let budget = search.budget();
+        let ((repr, accepted, rejected, probes), interrupt) = match self.variant {
+            // Class Jumping walks a jump structure whose next probe depends
+            // on the previous outcome in a way the wavefront planner cannot
+            // enumerate, and has no bisection to warm: it runs as is.
             Variant::Splittable => {
-                let (out, interrupt) = splittable::class_jumping_budgeted_in(ws, self.inst, budget);
+                let (o, i) = splittable::class_jumping_budgeted_in(ws, self.inst, budget);
                 (
-                    DirectSolve {
-                        repr: ScheduleRepr::Compact(out.schedule),
-                        accepted: out.accepted,
-                        certificate: out.rejected.unwrap_or(t_min).max(t_min),
-                        probes: out.probes,
-                        ratio: three_halves,
-                    },
-                    interrupt,
+                    (
+                        ScheduleRepr::Compact(o.schedule),
+                        o.accepted,
+                        o.rejected,
+                        o.probes,
+                    ),
+                    i,
                 )
             }
             Variant::Preemptive => {
-                let (out, interrupt) = preemptive::class_jumping_budgeted_in(ws, self.inst, budget);
+                let (o, i) = preemptive::class_jumping_budgeted_in(ws, self.inst, budget);
                 (
-                    DirectSolve {
-                        repr: ScheduleRepr::Explicit(out.schedule),
-                        accepted: out.accepted,
-                        certificate: out.rejected.unwrap_or(t_min).max(t_min),
-                        probes: out.probes,
-                        ratio: three_halves,
-                    },
-                    interrupt,
+                    (
+                        ScheduleRepr::Explicit(o.schedule),
+                        o.accepted,
+                        o.rejected,
+                        o.probes,
+                    ),
+                    i,
                 )
             }
             Variant::NonPreemptive => {
-                let (out, interrupt) =
-                    nonpreemptive::three_halves_budgeted_in(ws, self.inst, budget);
+                let (o, i) = nonpreemptive::three_halves_search(ws, self.inst, &mut search);
                 (
-                    DirectSolve {
-                        repr: ScheduleRepr::Explicit(out.schedule),
-                        accepted: out.accepted,
-                        certificate: out.rejected.unwrap_or(t_min).max(t_min),
-                        probes: out.probes,
-                        ratio: three_halves,
-                    },
-                    interrupt,
+                    (
+                        ScheduleRepr::Explicit(o.schedule),
+                        o.accepted,
+                        o.rejected,
+                        o.probes,
+                    ),
+                    i,
                 )
             }
+        };
+        let t_min = self.t_min();
+        DirectSolve {
+            repr,
+            accepted,
+            certificate: rejected.unwrap_or(t_min).max(t_min),
+            probes,
+            ratio: Rational::new(3, 2),
+            interrupt,
+            stats: search.stats,
         }
     }
 
-    fn direct_search_par_budgeted(
-        &self,
-        ws: &mut DualWorkspace,
-        threads: usize,
-        budget: &SolveBudget,
-        trace: &mut Trace,
-    ) -> (DirectSolve, Option<Interrupt>) {
-        match self.variant {
-            // Theorem 8's integer bisection parallelizes speculatively.
-            Variant::NonPreemptive if threads > 1 => {
-                let t_min = self.t_min();
-                let (out, interrupt) =
-                    nonpreemptive::three_halves_par_budgeted_in(ws, self.inst, threads, budget);
-                (
-                    DirectSolve {
-                        repr: ScheduleRepr::Explicit(out.schedule),
-                        accepted: out.accepted,
-                        certificate: out.rejected.unwrap_or(t_min).max(t_min),
-                        probes: out.probes,
-                        ratio: Rational::new(3, 2),
-                    },
-                    interrupt,
-                )
-            }
-            // Class Jumping (splittable, preemptive) walks a jump structure
-            // whose next probe depends on the previous outcome in a way the
-            // wavefront planner cannot enumerate; it stays sequential.
-            _ => self.direct_search_budgeted(ws, budget, trace),
-        }
-    }
-
-    fn exact_oracle(&self) -> Option<bss_exact::ExactSolve> {
-        self.exact_oracle_budgeted(&SolveBudget::unlimited())
-    }
-
-    fn exact_oracle_budgeted(&self, budget: &SolveBudget) -> Option<bss_exact::ExactSolve> {
+    fn exact_oracle(&self, budget: &SolveBudget) -> Option<bss_exact::ExactSolve> {
         // Gate well inside the oracle's comfort zone so the portfolio's
         // asymptotics are untouched on real workloads.
         if self.inst.num_jobs() > 12 || self.inst.machines() > 4 || self.inst.num_classes() > 6 {
@@ -732,11 +603,11 @@ impl Problem for BssProblem<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve, solve_problem};
+    use crate::solve;
     use bss_schedule::validate;
 
-    /// The trait-driven path must be bit-identical to the historical `solve`
-    /// facade (which now delegates to it — this guards the delegation).
+    /// The trait-driven path must be bit-identical to the `solve` facade
+    /// (which delegates to it — this guards the delegation).
     #[test]
     fn bss_problem_matches_solve_facade() {
         for seed in 0..8 {
@@ -750,7 +621,8 @@ mod tests {
                     Algorithm::Portfolio,
                 ] {
                     let mut ws = DualWorkspace::new();
-                    let a = solve_problem(&mut ws, &problem, algo, &mut Trace::disabled());
+                    let a = solve_problem(&mut ws, &problem, algo, &SolveOptions::default())
+                        .expect("no panics");
                     let b = solve(&inst, variant, algo);
                     assert_eq!(a.makespan, b.makespan, "{variant} {algo:?}");
                     assert_eq!(a.accepted, b.accepted, "{variant} {algo:?}");

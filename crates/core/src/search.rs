@@ -1,20 +1,33 @@
-//! Generic search drivers over dual approximation tests.
+//! The probe ladder: one dual-approximation bisection behind every search.
 //!
 //! A ρ-dual approximation algorithm (Hochbaum–Shmoys) takes a guess `T` and
 //! either *rejects* it — certifying `T < OPT` — or builds a schedule of
 //! makespan at most `ρT`. The paper turns its 3/2-dual algorithms into full
 //! approximations three ways:
 //!
-//! * [`epsilon_search`]: plain binary search on `[T_min, 2·T_min]` down to a
-//!   relative gap `ε` — Theorem 2's `(3/2+ε)`-approximation in `O(n log 1/ε)`;
-//! * [`integer_search`]: for the non-preemptive variant `OPT` is integral, so
-//!   an exact integer binary search yields a true 3/2-approximation in
-//!   `⌈log(T_min)⌉` probes — Theorem 8;
+//! * Theorem 2's `(3/2+ε)`-approximation: plain binary search on
+//!   `[T_min, 2·T_min]` down to a relative gap `ε`, `O(n log 1/ε)`
+//!   ([`crate::Algorithm::EpsilonSearch`]);
+//! * Theorem 8: for the non-preemptive variant `OPT` is integral, so an exact
+//!   integer binary search yields a true 3/2-approximation in
+//!   `⌈log(T_min)⌉` probes ([`crate::nonpreemptive::three_halves`]);
 //! * Class Jumping (in the per-variant modules) replaces the geometric search
 //!   with a jump-structure search for the splittable and preemptive variants.
+//!
+//! The first two are the same bisection over different brackets, and the
+//! loop that runs it (the *ladder*) exists once. It charges the budget one
+//! unit per committed query and takes its verdicts from a *verdict source*:
+//! a direct probe, the warm-start monotonicity memo
+//! ([`crate::SolveOptions::warm`]), or the speculative wavefront of
+//! [`crate::par`]. Every source answers each
+//! committed query exactly as the probe would, so the bracket, the committed
+//! probe count and the interruption points are the same whichever one runs.
 
 use bss_budget::{Interrupt, SolveBudget};
 use bss_rational::{gcd, Rational};
+
+use crate::api::SolveOptions;
+use crate::workspace::DualWorkspace;
 
 /// Outcome of a dual-approximation search.
 #[derive(Debug, Clone)]
@@ -31,7 +44,64 @@ pub struct SearchOutcome<S> {
     pub probes: usize,
 }
 
-/// The search bracket `[lo, hi]` plus the termination gap, held as plain
+/// Counters of one solve's probe ladders beyond the committed probe count
+/// ([`crate::Solution::probes`]): what a warm start saved and what the
+/// speculative wavefront cost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchStats {
+    /// Dual tests the committed path genuinely evaluated: memo misses plus
+    /// [`SearchStats::seed_probes`]. Equal to the solution's `probes` for a
+    /// cold solve.
+    pub probes: usize,
+    /// Committed queries the warm memo answered without a probe — the cold
+    /// search would have probed each of these.
+    pub skipped: usize,
+    /// Of `probes`, how many seeded the warm memo at the hint points.
+    pub seed_probes: usize,
+    /// Speculative wavefronts published (each costs one probe wall-time
+    /// when every worker has a core).
+    pub rounds: usize,
+    /// Speculative probe slots issued across all wavefronts (committed +
+    /// losers).
+    pub speculated: usize,
+    /// Committed probes recomputed inline because a worker had to skip the
+    /// node (budget trip observed worker-side, or a caught panic).
+    pub inline: usize,
+}
+
+impl core::ops::AddAssign for SearchStats {
+    fn add_assign(&mut self, o: SearchStats) {
+        self.probes += o.probes;
+        self.skipped += o.skipped;
+        self.seed_probes += o.seed_probes;
+        self.rounds += o.rounds;
+        self.speculated += o.speculated;
+        self.inline += o.inline;
+    }
+}
+
+/// A bisection state: `lo` rejected, `hi` accepted, narrowing while wide —
+/// implemented by the rational ε-bracket and the Theorem-8 integer bracket,
+/// so one ladder (and one wavefront planner) serves both searches.
+pub(crate) trait Bisect: Clone {
+    type Guess: Copy + Ord + Send + Sync;
+    fn is_wide(&self) -> bool;
+    /// The committed split: panics on overflow exactly as [`Rational`]
+    /// arithmetic does.
+    fn split(&mut self) -> Self::Guess;
+    /// The planning split: `None` instead of a panic (a speculative path
+    /// must not fail where the committed path might never go).
+    fn try_split(&mut self) -> Option<Self::Guess>;
+    fn accept_mid(&mut self);
+    fn reject_mid(&mut self);
+    fn lo_guess(&self) -> Self::Guess;
+    fn hi_guess(&self) -> Self::Guess;
+    /// A warm hint `[lo, hi]` on this bracket's guess scale, rounded
+    /// outwards.
+    fn hint(lo: Rational, hi: Rational) -> (Self::Guess, Self::Guess);
+}
+
+/// The ε-search bracket `[lo, hi]` plus the termination gap, held as plain
 /// integers over one shared denominator (a `Guess`-style representation).
 ///
 /// The binary-search loop then needs only integer comparisons and shifts:
@@ -51,12 +121,8 @@ pub(crate) struct Bracket {
 }
 
 impl Bracket {
-    pub(crate) fn new(lo: Rational, hi: Rational, gap: Rational) -> Bracket {
-        Self::try_new(lo, hi, gap).expect("Rational overflow in search bracket")
-    }
-
-    /// [`Bracket::new`] without the overflow panic — the speculative planner
-    /// must not fail on brackets the committed search might never construct.
+    /// `None` when the common denominator leaves `i128` (the committed
+    /// ladder turns that into the overflow panic, the planner into a stop).
     pub(crate) fn try_new(lo: Rational, hi: Rational, gap: Rational) -> Option<Bracket> {
         let den = lcm(lo.denom(), hi.denom()).and_then(|d| lcm(d, gap.denom()))?;
         let scale = |r: Rational| r.numer().checked_mul(den / r.denom());
@@ -69,22 +135,36 @@ impl Bracket {
         })
     }
 
-    /// `hi - lo > gap` — the loop condition, a pure integer comparison.
-    pub(crate) fn is_wide(&self) -> bool {
+    /// Divides every component by their common gcd to regain headroom;
+    /// `false` when the components share no factor — the exact value
+    /// genuinely leaves `i128`, exactly as plain [`Rational`] arithmetic
+    /// would (callers turn that into the panic or a planning stop).
+    fn renormalize(&mut self) -> bool {
+        let g = gcd(gcd(self.lo, self.hi), gcd(self.gap, self.den));
+        if g <= 1 {
+            return false;
+        }
+        self.lo /= g;
+        self.hi /= g;
+        self.gap /= g;
+        self.den /= g;
+        true
+    }
+}
+
+impl Bisect for Bracket {
+    type Guess = Rational;
+
+    /// `hi - lo > gap` — a pure integer comparison.
+    fn is_wide(&self) -> bool {
         self.hi - self.lo > self.gap
     }
 
-    /// Computes the midpoint, remembers it for [`Bracket::accept_mid`] /
-    /// [`Bracket::reject_mid`], and exposes it as a reduced [`Rational`].
-    pub(crate) fn split(&mut self) -> Rational {
-        self.try_split()
-            .expect("Rational overflow in search bracket")
+    fn split(&mut self) -> Rational {
+        self.try_split().expect(OVERFLOW)
     }
 
-    /// [`Bracket::split`] without the overflow panic (again for the
-    /// speculative planner; the committed walk keeps the panicking form so
-    /// its behaviour matches the sequential search exactly).
-    pub(crate) fn try_split(&mut self) -> Option<Rational> {
+    fn try_split(&mut self) -> Option<Rational> {
         loop {
             if let Some(sum) = self.lo.checked_add(self.hi) {
                 if sum % 2 == 0 {
@@ -112,422 +192,332 @@ impl Bracket {
         }
     }
 
-    pub(crate) fn accept_mid(&mut self) {
+    fn accept_mid(&mut self) {
         self.hi = self.mid;
     }
 
-    pub(crate) fn reject_mid(&mut self) {
+    fn reject_mid(&mut self) {
         self.lo = self.mid;
     }
 
-    pub(crate) fn lo_rational(&self) -> Rational {
+    fn lo_guess(&self) -> Rational {
         Rational::new(self.lo, self.den)
     }
 
-    pub(crate) fn hi_rational(&self) -> Rational {
+    fn hi_guess(&self) -> Rational {
         Rational::new(self.hi, self.den)
     }
 
-    /// Divides every component by their common gcd to regain headroom;
-    /// `false` when the components share no factor — the exact value
-    /// genuinely leaves `i128`, exactly as plain [`Rational`] arithmetic
-    /// would (callers turn that into the panic or a planning stop).
-    fn renormalize(&mut self) -> bool {
-        let g = gcd(gcd(self.lo, self.hi), gcd(self.gap, self.den));
-        if g <= 1 {
-            return false;
-        }
-        self.lo /= g;
-        self.hi /= g;
-        self.gap /= g;
-        self.den /= g;
-        true
+    fn hint(lo: Rational, hi: Rational) -> (Rational, Rational) {
+        (lo, hi)
     }
 }
+
+const OVERFLOW: &str = "Rational overflow in search bracket";
 
 /// `lcm(a, b)` for positive denominators; `None` on overflow.
 fn lcm(a: i128, b: i128) -> Option<i128> {
     (a / gcd(a, b)).checked_mul(b)
 }
 
-/// Outcome of a probe-only search: the guess bracket, without a schedule.
-///
-/// The searches probe with the `O(n)`-or-better dual *test* and leave
-/// schedule construction to the caller, who builds **exactly once**, at
-/// `accepted` — the compact-first pipeline never constructs per-probe
-/// schedules that are immediately thrown away.
+/// Theorem 8's integer bracket: loop while `hi - lo > 1`, so the accepted
+/// end is the smallest accepted integer and `lo` certifies `OPT >= lo + 1`.
+#[derive(Clone)]
+pub(crate) struct IntBracket {
+    lo: u64,
+    hi: u64,
+    mid: u64,
+}
+
+impl IntBracket {
+    pub(crate) fn new(lo: u64, hi: u64) -> Self {
+        IntBracket { lo, hi, mid: 0 }
+    }
+}
+
+impl Bisect for IntBracket {
+    type Guess = u64;
+
+    fn is_wide(&self) -> bool {
+        self.hi - self.lo > 1
+    }
+
+    fn split(&mut self) -> u64 {
+        self.mid = self.lo + (self.hi - self.lo) / 2;
+        self.mid
+    }
+
+    fn try_split(&mut self) -> Option<u64> {
+        Some(self.split())
+    }
+
+    fn accept_mid(&mut self) {
+        self.hi = self.mid;
+    }
+
+    fn reject_mid(&mut self) {
+        self.lo = self.mid;
+    }
+
+    fn lo_guess(&self) -> u64 {
+        self.lo
+    }
+
+    fn hi_guess(&self) -> u64 {
+        self.hi
+    }
+
+    fn hint(lo: Rational, hi: Rational) -> (u64, u64) {
+        let clamp = |v: i128| u64::try_from(v.max(0)).unwrap_or(u64::MAX);
+        (clamp(lo.floor()), clamp(hi.ceil()))
+    }
+}
+
+/// Where a ladder's verdicts come from. `bracket` is the state the query
+/// bisects (`None` for the `t_lo`/`t_hi` seeds); speculative sources plan
+/// from it.
+pub(crate) trait Verdicts<B: Bisect> {
+    fn verdict(&mut self, t: B::Guess, bracket: Option<&B>) -> bool;
+}
+
+/// A direct probe is a verdict source.
+impl<B: Bisect, F: FnMut(B::Guess) -> bool> Verdicts<B> for F {
+    fn verdict(&mut self, t: B::Guess, _: Option<&B>) -> bool {
+        self(t)
+    }
+}
+
+/// The bracket a ladder finished (or was interrupted) with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProbeOutcome<T> {
-    /// The smallest guess the search certified acceptable; a builder run at
-    /// this guess must succeed (the dual algorithms are deterministic in
-    /// `T`).
-    pub accepted: T,
-    /// The largest rejected guess, if any — a certificate that
-    /// `OPT > rejected`.
-    pub rejected: Option<T>,
-    /// Number of dual-test probes performed.
+pub(crate) struct Ladder<G> {
+    /// The smallest guess certified acceptable — a builder run here must
+    /// succeed (the duals are deterministic in `T`). On interruption the
+    /// current right bracket, `t_hi` when nothing was learned yet.
+    pub accepted: G,
+    /// The largest rejected guess: only genuinely probed (or
+    /// bisection-certified) rejections, never extrapolated.
+    pub rejected: Option<G>,
+    /// Committed queries, each charged one budget unit.
     pub probes: usize,
-}
-
-/// Binary search on `[t_min, 2 t_min]` until the bracket is narrower than
-/// `eps * t_min` (Theorem 2).
-///
-/// `accepts` is the dual test (`false` certifies `T < OPT`). Preconditions:
-/// `t_min <= OPT` and `accepts(2 t_min)` holds (both follow from Theorem 1).
-///
-/// The returned `accepted` satisfies `accepted < (1 + eps) · OPT`, so a
-/// ρ-dual schedule built there is a `ρ(1+ε)`-approximation.
-pub fn epsilon_search(
-    t_min: Rational,
-    eps: Rational,
-    accepts: impl FnMut(Rational) -> bool,
-) -> ProbeOutcome<Rational> {
-    assert!(t_min.is_positive() && eps.is_positive());
-    epsilon_search_between(t_min, t_min * 2u64, eps * t_min, accepts)
-}
-
-/// Outcome of a budgeted probe search: the (possibly early-stopped) bracket
-/// plus the interrupt that stopped it, if any.
-///
-/// When `interrupt` is `Some`, the search wound down early; `accepted` is
-/// still a guess the builder is guaranteed to realize (the current right
-/// bracket, maintained accepted throughout), and `rejected` carries only
-/// *genuinely certified* rejections — an interrupted search never
-/// extrapolates its certificate from unprobed guesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetedProbe<T> {
-    /// The search bracket as of completion or interruption.
-    pub outcome: ProbeOutcome<T>,
-    /// Why the search stopped early, if it did.
+    /// Why the ladder stopped early, if it did.
     pub interrupt: Option<Interrupt>,
 }
 
-/// [`epsilon_search`] over an explicit bracket `[t_lo, t_hi]` with absolute
-/// termination gap `gap` — the generic driver for problems whose guaranteed
-/// upper seed is not `2·T_min` (heuristic duals seed with their own safe
-/// guess; see `Problem::search_hi`).
+/// The ladder: probe `t_lo` (an accept ends it — a build there is a clean
+/// ρ-approximation), then `t_hi` (which must accept), then bisect the
+/// bracket `make` builds until it is narrow. One budget unit is charged
+/// before every committed query; a trip stops the ladder at its current,
+/// still accepted, right bracket.
 ///
-/// Preconditions: `t_lo <= t_hi` and `accepts(t_hi)` holds (asserted on the
-/// paths that reach it).
-pub fn epsilon_search_between(
-    t_lo: Rational,
-    t_hi: Rational,
-    gap: Rational,
-    accepts: impl FnMut(Rational) -> bool,
-) -> ProbeOutcome<Rational> {
-    epsilon_search_between_budgeted(t_lo, t_hi, gap, &SolveBudget::unlimited(), accepts).outcome
-}
-
-/// [`epsilon_search_between`] under a cooperative [`SolveBudget`]: one work
-/// unit is charged *before* each probe, and an exceeded budget stops the
-/// search at its current bracket instead of narrowing further.
-///
-/// Under an unlimited budget the probe sequence (and thus the outcome) is
-/// bit-identical to [`epsilon_search_between`] — the plain driver is this
-/// function. On interruption the returned `accepted` is the current right
-/// bracket (the precondition seed `t_hi` when nothing was probed yet), which
-/// the caller's builder is guaranteed to realize.
-pub fn epsilon_search_between_budgeted(
-    t_lo: Rational,
-    t_hi: Rational,
-    gap: Rational,
+/// `make` returns `None` on overflow; the bracket is built only after `t_lo`
+/// rejected, so an immediate accept never pays (or panics on) it.
+pub(crate) fn climb<B: Bisect, S: Verdicts<B> + ?Sized>(
+    t_lo: B::Guess,
+    t_hi: B::Guess,
+    make: impl Fn() -> Option<B>,
     budget: &SolveBudget,
-    mut accepts: impl FnMut(Rational) -> bool,
-) -> BudgetedProbe<Rational> {
-    assert!(t_lo.is_positive() && gap.is_positive() && t_lo <= t_hi);
-    let mut probes = 0;
+    src: &mut S,
+) -> Ladder<B::Guess> {
+    assert!(t_lo <= t_hi);
+    let mut out = Ladder {
+        accepted: t_hi,
+        rejected: None,
+        probes: 0,
+        interrupt: None,
+    };
     if let Err(i) = budget.charge_probe() {
-        return BudgetedProbe {
-            outcome: ProbeOutcome {
-                accepted: t_hi,
-                rejected: None,
-                probes,
-            },
-            interrupt: Some(i),
-        };
+        out.interrupt = Some(i);
+        return out;
     }
-    probes = 1;
-    if accepts(t_lo) {
-        // t_lo <= OPT, so a build here is even a clean ρ-approximation.
-        return BudgetedProbe {
-            outcome: ProbeOutcome {
-                accepted: t_lo,
-                rejected: None,
-                probes,
-            },
-            interrupt: None,
-        };
+    out.probes = 1;
+    if src.verdict(t_lo, None) {
+        out.accepted = t_lo;
+        return out;
     }
-    // lo rejected; hi accepted by precondition.
-    let mut bracket = Bracket::new(t_lo, t_hi, gap);
+    out.rejected = Some(t_lo);
+    let mut bracket = make().expect(OVERFLOW);
     if let Err(i) = budget.charge_probe() {
-        return BudgetedProbe {
-            outcome: ProbeOutcome {
-                accepted: t_hi,
-                rejected: Some(t_lo),
-                probes,
-            },
-            interrupt: Some(i),
-        };
+        out.interrupt = Some(i);
+        return out;
     }
-    probes += 1;
+    out.probes += 1;
     assert!(
-        accepts(bracket.hi_rational()),
+        src.verdict(t_hi, None),
         "the search's upper seed must be accepted"
     );
-    let mut interrupt = None;
     while bracket.is_wide() {
         let mid = bracket.split();
         if let Err(i) = budget.charge_probe() {
-            interrupt = Some(i);
+            out.interrupt = Some(i);
             break;
         }
-        probes += 1;
-        if accepts(mid) {
+        out.probes += 1;
+        if src.verdict(mid, Some(&bracket)) {
             bracket.accept_mid();
         } else {
             bracket.reject_mid();
         }
     }
-    BudgetedProbe {
-        outcome: ProbeOutcome {
-            accepted: bracket.hi_rational(),
-            rejected: Some(bracket.lo_rational()),
-            probes,
-        },
-        interrupt,
-    }
+    out.accepted = bracket.hi_guess();
+    out.rejected = Some(bracket.lo_guess());
+    out
 }
 
-/// Counters of a warm-started search, in the style of
-/// [`crate::ParSearchStats`]: how much probing the previous solve's bracket
-/// saved. The solution's `probes` field carries `probes` (dual tests
-/// genuinely run); `skipped` is the savings.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WarmStats {
-    /// Dual probes genuinely evaluated (hint seeding plus memo misses).
-    pub probes: usize,
-    /// Bisection queries answered from the monotonicity memo for free — the
-    /// cold search would have probed each of these.
-    pub skipped: usize,
-    /// Of `probes`, how many seeded the memo at the hint points.
-    pub seed_probes: usize,
-    /// Whether the warm path ran at all (`false` when the algorithm has no
-    /// warm form and the solve delegated to the cold path).
-    pub warmed: bool,
-}
-
-/// The monotonicity memo of a warm search: a probed acceptance at `t`
-/// proves acceptance for every `t' >= t`, a probed rejection for every
-/// `t' <= t` — the same monotonicity of the dual tests in `T` that makes
-/// bisection meaningful in the first place. Memo answers are therefore
-/// implied by *actual probe outcomes on this instance*: a wrong hint costs
+/// The warm-start verdict source: the previous solve's bracket as a
+/// monotonicity memo in front of another source.
+///
+/// A probed acceptance at `t` proves acceptance for every `t' >= t`, a
+/// probed rejection for every `t' <= t` — the monotonicity of the dual
+/// tests in `T` that makes bisection meaningful in the first place. Memo
+/// answers are therefore implied by *actual probe outcomes on this
+/// instance*, and the ladder replays the cold bisection query for query:
+/// the bracket is bit-identical to the cold one, and a wrong hint costs
 /// extra probes, never a wrong answer.
-#[derive(Default)]
-struct WarmMemo {
-    proven_accept: Option<Rational>,
-    proven_reject: Option<Rational>,
-    probes: usize,
-    skipped: usize,
+///
+/// The memo is seeded by probing the hint points (top first: a stale hint
+/// above the new optimum then skips the bottom seed) only once `t_lo` has
+/// rejected, so an immediate-accept solve stays exactly one probe, hint or
+/// no hint. Seeds are not committed queries and charge no budget.
+pub(crate) struct Warm<'s, G, S: ?Sized> {
+    inner: &'s mut S,
+    hint: (G, G),
+    seeded: bool,
+    /// The smallest probed acceptance.
+    accept: Option<G>,
+    /// The largest probed rejection.
+    reject: Option<G>,
+    pub(crate) skipped: usize,
+    pub(crate) seeds: usize,
 }
 
-impl WarmMemo {
-    fn resolve(&mut self, t: Rational, accepts: &mut impl FnMut(Rational) -> bool) -> bool {
-        if self.proven_accept.is_some_and(|pa| t >= pa) {
-            self.skipped += 1;
-            return true;
+impl<'s, G: Copy + Ord, S: ?Sized> Warm<'s, G, S> {
+    /// Clamps the hint `[lo, hi]` into the window `[t_lo, t_hi]` and orders
+    /// it.
+    pub(crate) fn new(inner: &'s mut S, t_lo: G, t_hi: G, (lo, hi): (G, G)) -> Self {
+        let hi = hi.min(t_hi).max(t_lo);
+        let lo = lo.max(t_lo).min(hi);
+        Warm {
+            inner,
+            hint: (lo, hi),
+            seeded: false,
+            accept: None,
+            reject: None,
+            skipped: 0,
+            seeds: 0,
         }
-        if self.proven_reject.is_some_and(|pr| t <= pr) {
-            self.skipped += 1;
-            return false;
-        }
-        self.probes += 1;
-        let ok = accepts(t);
-        if ok {
-            self.proven_accept = Some(self.proven_accept.map_or(t, |pa| pa.min(t)));
+    }
+
+    fn known(&self, t: G) -> Option<bool> {
+        if self.accept.is_some_and(|a| t >= a) {
+            Some(true)
+        } else if self.reject.is_some_and(|r| t <= r) {
+            Some(false)
         } else {
-            self.proven_reject = Some(self.proven_reject.map_or(t, |pr| pr.max(t)));
+            None
+        }
+    }
+
+    fn record(&mut self, t: G, ok: bool) -> bool {
+        if ok {
+            self.accept = Some(self.accept.map_or(t, |a| a.min(t)));
+        } else {
+            self.reject = Some(self.reject.map_or(t, |r| r.max(t)));
         }
         ok
     }
 }
 
-/// [`epsilon_search_between`] seeded by a previous solve's accepted bracket:
-/// the warm-start re-solve driver for small instance deltas.
-///
-/// The search replays the **exact** cold bisection, answering each query
-/// from a monotonicity memo when its outcome is already proven and probing
-/// otherwise. The memo is seeded by probing the hint points `hint_hi` and
-/// `hint_lo` (the previous bracket widened by the delta's load change,
-/// clamped into `[t_lo, t_hi]`; a rejection at `hint_hi` certifies
-/// rejection at `hint_lo` for free) — but only once the cold flow's first
-/// query has certified a genuine bisection, so an immediate-accept solve
-/// stays exactly one probe, hint or no hint. Because the replayed control flow is the
-/// cold algorithm and memo answers equal what the probe would return (the
-/// memo exploits the dual test's monotonicity: a probed acceptance at `t`
-/// certifies every `t' >= t`, a rejection every `t' <= t`), the returned
-/// bracket — `accepted`, `rejected`, and hence
-/// the built schedule and certificate — is **bit-identical** to
-/// [`epsilon_search_between`] on the same inputs; only the number of probes
-/// actually evaluated differs. A hint that brackets the new optimum tightly
-/// answers most bisection queries from the two seed probes; a useless hint
-/// degrades to the cold probe count plus at most two seeds.
-///
-/// The returned outcome's `probes` field counts genuinely evaluated probes
-/// (equal to `stats.probes`); `stats.skipped` counts the memo's free
-/// answers — the cold search's probe count is `probes + skipped` whenever
-/// the seeds resolved every hint-side query, and at most that otherwise.
-pub fn epsilon_search_between_warm(
-    t_lo: Rational,
-    t_hi: Rational,
-    gap: Rational,
-    hint_lo: Rational,
-    hint_hi: Rational,
-    mut accepts: impl FnMut(Rational) -> bool,
-) -> (ProbeOutcome<Rational>, WarmStats) {
-    assert!(t_lo.is_positive() && gap.is_positive() && t_lo <= t_hi);
-    let mut memo = WarmMemo::default();
-    // Clamp the hints into the search window and order them.
-    let hint_hi = hint_hi.min(t_hi).max(t_lo);
-    let hint_lo = hint_lo.max(t_lo).min(hint_hi);
-    let mut seed_probes = 0;
-
-    // The cold `epsilon_search_between` control flow, query for query, with
-    // `memo.resolve` in place of the raw probe. The first query (`t_lo`)
-    // runs *before* any hint seeding: an immediate-accept solve must stay
-    // exactly one probe, hint or no hint.
-    let outcome = if memo.resolve(t_lo, &mut accepts) {
-        ProbeOutcome {
-            accepted: t_lo,
-            rejected: None,
-            probes: 0,
-        }
-    } else {
-        // A genuine bisection: seed the memo with real probe outcomes at
-        // the hint points. Probing the top first lets a stale hint (new
-        // OPT above the old bracket) skip the bottom seed entirely —
-        // rejection at `hint_hi` already covers it. Hints that clamp onto
-        // `t_lo` resolve from the memo and cost nothing.
-        let skipped_pre = memo.skipped;
-        let probes_pre = memo.probes;
-        if memo.resolve(hint_hi, &mut accepts) && hint_lo < hint_hi {
-            memo.resolve(hint_lo, &mut accepts);
-        }
-        seed_probes = memo.probes - probes_pre;
-        memo.skipped = skipped_pre; // seed dedup is not a bisection saving
-
-        let mut bracket = Bracket::new(t_lo, t_hi, gap);
-        assert!(
-            memo.resolve(bracket.hi_rational(), &mut accepts),
-            "the search's upper seed must be accepted"
-        );
-        while bracket.is_wide() {
-            let mid = bracket.split();
-            if memo.resolve(mid, &mut accepts) {
-                bracket.accept_mid();
-            } else {
-                bracket.reject_mid();
+impl<B: Bisect, S: Verdicts<B> + ?Sized> Verdicts<B> for Warm<'_, B::Guess, S> {
+    fn verdict(&mut self, t: B::Guess, bracket: Option<&B>) -> bool {
+        if !self.seeded && self.reject.is_some() {
+            self.seeded = true;
+            let (lo, hi) = self.hint;
+            let seed = |w: &mut Self, g: B::Guess| {
+                w.known(g).unwrap_or_else(|| {
+                    w.seeds += 1;
+                    let ok = w.inner.verdict(g, None);
+                    w.record(g, ok)
+                })
+            };
+            if seed(self, hi) && lo < hi {
+                seed(self, lo);
             }
         }
-        ProbeOutcome {
-            accepted: bracket.hi_rational(),
-            rejected: Some(bracket.lo_rational()),
-            probes: 0,
+        if let Some(ok) = self.known(t) {
+            self.skipped += 1;
+            return ok;
         }
-    };
-    let stats = WarmStats {
-        probes: memo.probes,
-        skipped: memo.skipped,
-        seed_probes,
-        warmed: true,
-    };
-    (
-        ProbeOutcome {
-            probes: memo.probes,
-            ..outcome
-        },
-        stats,
-    )
+        let ok = self.inner.verdict(t, bracket);
+        self.record(t, ok)
+    }
 }
 
-/// Exact binary search over integral makespans in `[t_lo, t_hi]` (Theorem 8).
-///
-/// Preconditions: `OPT` is an integer with `t_lo <= OPT` and `accepts(t_hi)`
-/// holds. Maintains the invariant "`lo` rejected ⇒ `OPT >= lo + 1`", so the
-/// returned `accepted` is `<= OPT` and a ρ-dual schedule built there a clean
-/// ρ-approximation.
-pub fn integer_search(t_lo: u64, t_hi: u64, accepts: impl FnMut(u64) -> bool) -> ProbeOutcome<u64> {
-    integer_search_budgeted(t_lo, t_hi, &SolveBudget::unlimited(), accepts).outcome
+/// How one solve runs its ladders: the budget, the speculative threads and
+/// the warm hint of its [`SolveOptions`], plus the stats they accumulate.
+pub(crate) struct Search<'a> {
+    budget: Option<&'a SolveBudget>,
+    unlimited: SolveBudget,
+    threads: usize,
+    hint: Option<(Rational, Rational)>,
+    pub(crate) stats: SearchStats,
 }
 
-/// [`integer_search`] under a cooperative [`SolveBudget`] — same contract as
-/// [`epsilon_search_between_budgeted`]: bit-identical when unlimited, stops
-/// at the current (still accepted) right bracket on interruption, and the
-/// certificate only ever reflects genuinely probed rejections.
-pub fn integer_search_budgeted(
-    t_lo: u64,
-    t_hi: u64,
-    budget: &SolveBudget,
-    mut accepts: impl FnMut(u64) -> bool,
-) -> BudgetedProbe<u64> {
-    assert!(t_lo <= t_hi);
-    let mut probes = 0;
-    if let Err(i) = budget.charge_probe() {
-        return BudgetedProbe {
-            outcome: ProbeOutcome {
-                accepted: t_hi,
-                rejected: None,
-                probes,
-            },
-            interrupt: Some(i),
-        };
-    }
-    probes = 1;
-    if accepts(t_lo) {
-        return BudgetedProbe {
-            outcome: ProbeOutcome {
-                accepted: t_lo,
-                rejected: None,
-                probes,
-            },
-            interrupt: None,
-        };
-    }
-    let mut lo = t_lo; // rejected
-    let mut hi = t_hi;
-    if let Err(i) = budget.charge_probe() {
-        return BudgetedProbe {
-            outcome: ProbeOutcome {
-                accepted: hi,
-                rejected: Some(lo),
-                probes,
-            },
-            interrupt: Some(i),
-        };
-    }
-    probes += 1;
-    assert!(accepts(hi), "upper bound must be accepted");
-    let mut interrupt = None;
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if let Err(i) = budget.charge_probe() {
-            interrupt = Some(i);
-            break;
-        }
-        probes += 1;
-        if accepts(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
+impl<'a> Search<'a> {
+    /// `monotone` says whether the probe is a proven dual; heuristic duals
+    /// are not known to be monotone in `T`, so they ignore the warm hint.
+    pub(crate) fn new(opts: &SolveOptions<'a>, monotone: bool) -> Self {
+        Search {
+            budget: opts.budget,
+            unlimited: SolveBudget::unlimited(),
+            threads: opts.threads,
+            hint: opts.warm.filter(|_| monotone).map(|w| w.hint()),
+            stats: SearchStats::default(),
         }
     }
-    BudgetedProbe {
-        outcome: ProbeOutcome {
-            accepted: hi,
-            rejected: Some(lo),
-            probes,
-        },
-        interrupt,
+
+    /// The budget every committed query is charged to.
+    pub(crate) fn budget(&self) -> &SolveBudget {
+        self.budget.unwrap_or(&self.unlimited)
+    }
+
+    /// Runs one ladder over `probe` on `[t_lo, t_hi]` (see [`climb`]):
+    /// speculative when more than one thread is available, warm when a hint
+    /// is.
+    pub(crate) fn run<B, P>(
+        &mut self,
+        ws: &mut DualWorkspace,
+        t_lo: B::Guess,
+        t_hi: B::Guess,
+        make: impl Fn() -> Option<B>,
+        probe: &P,
+    ) -> Ladder<B::Guess>
+    where
+        B: Bisect,
+        P: Fn(&mut DualWorkspace, B::Guess) -> bool + Sync,
+    {
+        let hint = self.hint.map(|(lo, hi)| B::hint(lo, hi));
+        let budget = self.budget.unwrap_or(&self.unlimited);
+        let stats = &mut self.stats;
+        let mut ladder = |src: &mut dyn Verdicts<B>| match hint {
+            Some(hint) => {
+                let mut warm = Warm::new(src, t_lo, t_hi, hint);
+                let out = climb(t_lo, t_hi, &make, budget, &mut warm);
+                stats.skipped += warm.skipped;
+                stats.seed_probes += warm.seeds;
+                out
+            }
+            None => climb(t_lo, t_hi, &make, budget, src),
+        };
+        if self.threads <= 1 {
+            return ladder(&mut |t: B::Guess| probe(ws, t));
+        }
+        let plan = make();
+        let (out, spec) =
+            crate::par::speculate(self.threads, budget, ws, probe, t_lo, t_hi, plan, |w| {
+                ladder(w)
+            });
+        self.stats += spec;
+        out
     }
 }
 
@@ -537,31 +527,16 @@ pub fn integer_search_budgeted(
 /// candidate strictly inside.
 ///
 /// Used by the Class-Jumping searches, where candidates are partition
-/// boundaries or class jumps. Probes are counted by the caller's `accepts`
-/// closure alone — this function deliberately returns no count of its own,
-/// so the two can never be added together again (the double-counting bug
-/// the repro goldens flushed out).
-pub fn refine_right_interval(
-    lo: Rational,
-    hi: Rational,
-    candidates: &[Rational],
-    mut accepts: impl FnMut(Rational) -> bool,
-) -> (Rational, Rational) {
-    refine_right_interval_opt(lo, hi, candidates, |t| Some(accepts(t)))
-}
-
-/// [`refine_right_interval`] with an *interruptible* probe: a `None` from
-/// `accepts` (the budgeted probes' "budget exceeded" signal) stops the
-/// refinement immediately. The bracket then reflects exactly the probes that
-/// genuinely ran — `lo` moves only past candidates whose rejection the
-/// binary-search invariant certifies (probed, or below a probed rejection),
-/// and `hi` only onto candidates probed accepted — so the right-bracket
-/// invariant (`lo` certified rejected, `hi` accepted) survives interruption.
-///
-/// When `accepts` never returns `None` the probe sequence and result are
-/// bit-identical to [`refine_right_interval`] (which is implemented on this
-/// driver).
-pub fn refine_right_interval_opt(
+/// boundaries or class jumps. A `None` from `accepts` (the budgeted probes'
+/// "budget exceeded" signal) stops the refinement immediately; the bracket
+/// then reflects exactly the probes that genuinely ran — `lo` moves only past
+/// candidates whose rejection the binary-search invariant certifies (probed,
+/// or below a probed rejection), and `hi` only onto candidates probed
+/// accepted — so the right-bracket invariant survives interruption. Probes
+/// are counted by the caller's `accepts` closure alone — this function
+/// deliberately returns no count of its own, so the two can never be added
+/// together again (the double-counting bug the repro goldens flushed out).
+pub(crate) fn refine_right_interval(
     mut lo: Rational,
     mut hi: Rational,
     candidates: &[Rational],
@@ -612,6 +587,20 @@ mod tests {
         Rational::from_int(v)
     }
 
+    fn unlimited() -> SolveBudget {
+        SolveBudget::unlimited()
+    }
+
+    /// The ε-ladder on `[lo, hi]` to absolute `gap`.
+    fn eps(
+        lo: Rational,
+        hi: Rational,
+        gap: Rational,
+        src: &mut impl Verdicts<Bracket>,
+    ) -> Ladder<Rational> {
+        climb(lo, hi, || Bracket::try_new(lo, hi, gap), &unlimited(), src)
+    }
+
     /// A fake dual test: accepts exactly T >= threshold.
     fn fake(threshold: Rational) -> impl FnMut(Rational) -> bool {
         move |t| t >= threshold
@@ -619,8 +608,8 @@ mod tests {
 
     #[test]
     fn epsilon_search_converges() {
-        // OPT = 137, T_min = 100.
-        let out = epsilon_search(r(100), Rational::new(1, 100), fake(r(137)));
+        // OPT = 137, T_min = 100, ε = 1/100.
+        let out = eps(r(100), r(200), r(1), &mut fake(r(137)));
         assert!(out.accepted >= r(137));
         assert!(out.accepted <= r(138)); // within eps * t_min = 1
         assert!(out.rejected.unwrap() < r(137));
@@ -629,7 +618,7 @@ mod tests {
 
     #[test]
     fn epsilon_search_immediate_accept() {
-        let out = epsilon_search(r(100), Rational::new(1, 10), fake(r(50)));
+        let out = eps(r(100), r(200), r(10), &mut fake(r(50)));
         assert_eq!(out.accepted, r(100));
         assert_eq!(out.rejected, None);
         assert_eq!(out.probes, 1);
@@ -637,63 +626,64 @@ mod tests {
 
     #[test]
     fn epsilon_probe_count_scales_with_log_inv_eps() {
-        let coarse = epsilon_search(r(1000), Rational::new(1, 4), fake(r(1999)));
-        let fine = epsilon_search(r(1000), Rational::new(1, 4096), fake(r(1999)));
+        let coarse = eps(r(1000), r(2000), r(250), &mut fake(r(1999)));
+        let fine = eps(
+            r(1000),
+            r(2000),
+            Rational::new(1000, 4096),
+            &mut fake(r(1999)),
+        );
         assert!(coarse.probes < fine.probes);
         assert!(fine.probes <= 16);
     }
 
-    /// A counting fake dual: accepts T >= threshold, tallying evaluations.
-    fn counting_fake(threshold: Rational, count: &mut usize) -> impl FnMut(Rational) -> bool + '_ {
-        move |t| {
-            *count += 1;
-            t >= threshold
-        }
+    /// The warm ladder over the cold one, returning the memo's counters.
+    fn warm(
+        lo: Rational,
+        hi: Rational,
+        gap: Rational,
+        hint: (Rational, Rational),
+        mut probe: impl FnMut(Rational) -> bool,
+    ) -> (Ladder<Rational>, usize, usize) {
+        let mut w = Warm::new(&mut probe, lo, hi, hint);
+        let out = eps(lo, hi, gap, &mut w);
+        (out, w.skipped, w.seeds)
     }
 
-    /// The warm search with any hint — tight, loose, stale, inverted —
-    /// returns the cold search's exact bracket.
+    /// The warm ladder with any hint — tight, loose, stale, inverted —
+    /// returns the cold ladder's exact bracket and committed probe count.
     #[test]
     fn warm_search_bracket_is_bit_identical_to_cold_for_any_hint() {
-        let (t_lo, t_hi, gap) = (r(100), r(200), r(1));
         for threshold in [101, 137, 150, 199] {
-            let cold = epsilon_search_between(t_lo, t_hi, gap, fake(r(threshold)));
-            for (hint_lo, hint_hi) in [
+            let cold = eps(r(100), r(200), r(1), &mut fake(r(threshold)));
+            for hint in [
                 (r(threshold - 1), r(threshold + 1)), // tight and correct
                 (r(100), r(200)),                     // the whole window
                 (r(1), r(5)),                         // stale, below the window
                 (r(500), r(900)),                     // stale, above the window
                 (r(190), r(110)),                     // inverted
             ] {
-                let (warm, stats) = epsilon_search_between_warm(
-                    t_lo,
-                    t_hi,
-                    gap,
-                    hint_lo,
-                    hint_hi,
-                    fake(r(threshold)),
-                );
-                assert_eq!(warm.accepted, cold.accepted);
-                assert_eq!(warm.rejected, cold.rejected);
-                assert!(stats.warmed);
-                assert_eq!(warm.probes, stats.probes);
+                let mut evals = 0;
+                let (out, skipped, seeds) = warm(r(100), r(200), r(1), hint, |t| {
+                    evals += 1;
+                    t >= r(threshold)
+                });
+                assert_eq!(out, cold);
+                assert_eq!(evals, out.probes - skipped + seeds);
                 // A warm solve never probes more than cold + the two seeds.
-                assert!(stats.probes <= cold.probes + 2);
+                assert!(evals <= cold.probes + 2);
             }
         }
     }
 
     /// Immediate-accept replays identically too (accepted = t_lo, no
-    /// rejection certificate).
+    /// rejection certificate, no seeds).
     #[test]
     fn warm_search_immediate_accept_matches_cold() {
-        let cold = epsilon_search_between(r(100), r(200), r(1), fake(r(50)));
-        let (warm, _) =
-            epsilon_search_between_warm(r(100), r(200), r(1), r(90), r(110), fake(r(50)));
-        assert_eq!(warm.accepted, cold.accepted);
-        assert_eq!(warm.rejected, cold.rejected);
-        assert_eq!(warm.accepted, r(100));
-        assert_eq!(warm.rejected, None);
+        let cold = eps(r(100), r(200), r(1), &mut fake(r(50)));
+        let (out, _, seeds) = warm(r(100), r(200), r(1), (r(90), r(110)), fake(r(50)));
+        assert_eq!(out, cold);
+        assert_eq!((out.accepted, out.rejected, seeds), (r(100), None, 0));
     }
 
     /// A tight hint answers most bisection queries from the two seed
@@ -702,98 +692,105 @@ mod tests {
     fn tight_hint_probes_a_fraction_of_cold() {
         let threshold = r(137);
         let gap = Rational::new(1, 1 << 20); // deep search: many cold probes
-        let mut cold_evals = 0;
-        let cold = epsilon_search_between(
-            r(100),
-            r(200),
-            gap,
-            counting_fake(threshold, &mut cold_evals),
-        );
-        let mut warm_evals = 0;
-        let (warm, stats) = epsilon_search_between_warm(
-            r(100),
-            r(200),
-            gap,
-            cold.rejected.unwrap(),
-            cold.accepted,
-            counting_fake(threshold, &mut warm_evals),
-        );
-        assert_eq!(warm.accepted, cold.accepted);
-        assert_eq!(warm.rejected, cold.rejected);
+        let cold = eps(r(100), r(200), gap, &mut fake(threshold));
+        let hint = (cold.rejected.unwrap(), cold.accepted);
+        let mut evals = 0;
+        let (out, skipped, seeds) = warm(r(100), r(200), gap, hint, |t| {
+            evals += 1;
+            t >= threshold
+        });
+        assert_eq!(out, cold);
         // The previous bracket is gap-narrow, so the replayed bisection
         // resolves every query from the memo until it re-enters the hint
         // interval: only the two seeds plus O(1) boundary probes run.
-        assert_eq!(warm_evals, stats.probes);
-        assert_eq!(stats.seed_probes, 2);
+        assert_eq!(seeds, 2);
         assert!(
-            stats.probes <= 4,
-            "expected nearly free replay, ran {} probes",
-            stats.probes
+            evals <= 4,
+            "expected nearly free replay, ran {evals} probes"
         );
-        assert!(stats.skipped >= cold.probes - stats.probes);
-        assert!(cold_evals == cold.probes);
+        assert_eq!(evals, cold.probes - skipped + seeds);
     }
 
-    /// A wrong hint degrades probe count, never the answer, and is bounded
-    /// by cold + seeds.
+    /// A wrong hint degrades probe count, never the answer.
     #[test]
-    fn useless_hint_costs_at_most_the_two_seeds() {
-        let threshold = r(137);
-        let cold = epsilon_search_between(r(100), r(200), r(1), fake(threshold));
-        let (warm, stats) =
-            epsilon_search_between_warm(r(100), r(200), r(1), r(1), r(2), fake(threshold));
-        assert_eq!(warm.accepted, cold.accepted);
-        assert_eq!(warm.rejected, cold.rejected);
+    fn useless_hint_costs_nothing_once_clamped() {
+        let cold = eps(r(100), r(200), r(1), &mut fake(r(137)));
+        let (out, skipped, seeds) = warm(r(100), r(200), r(1), (r(1), r(2)), fake(r(137)));
+        assert_eq!(out, cold);
         // Both hints clamp to t_lo = 100, whose rejection the replay's own
         // first query already proved: the seeds resolve from the memo for
         // free and the warm search degrades to exactly the cold one.
-        assert_eq!(stats.seed_probes, 0);
-        assert_eq!(stats.probes, cold.probes);
+        assert_eq!((skipped, seeds), (0, 0));
     }
 
     #[test]
     fn integer_search_is_exact() {
-        let threshold = 137u64;
-        let out = integer_search(100, 200, |t| t >= threshold);
+        let out = climb(
+            100,
+            200,
+            || Some(IntBracket::new(100, 200)),
+            &unlimited(),
+            &mut |t| t >= 137,
+        );
         assert_eq!(out.accepted, 137);
         assert_eq!(out.rejected, Some(136));
     }
 
     #[test]
     fn integer_search_immediate() {
-        let out = integer_search(100, 200, |_| true);
+        let out = climb(
+            100,
+            200,
+            || Some(IntBracket::new(100, 200)),
+            &unlimited(),
+            &mut |_| true,
+        );
         assert_eq!(out.accepted, 100);
         assert_eq!(out.rejected, None);
     }
 
     #[test]
+    fn ladder_charges_one_unit_per_committed_query() {
+        for limit in 0..12 {
+            let budget = SolveBudget::unlimited().with_work_limit(limit);
+            let out = climb(
+                100,
+                1000,
+                || Some(IntBracket::new(100, 1000)),
+                &budget,
+                &mut |t| t >= 137,
+            );
+            assert_eq!(out.probes as u64, limit.min(out.probes as u64));
+            assert_eq!(out.interrupt.is_some(), out.probes as u64 == limit);
+            // The interrupted bracket stays a genuine right bracket.
+            assert!(out.accepted >= 137);
+            assert!(out.rejected.is_none_or(|lo| lo < 137));
+        }
+    }
+
+    fn refine(lo: i128, hi: i128, cands: &[i128], threshold: i128) -> (Rational, Rational) {
+        let cands: Vec<Rational> = cands.iter().map(|&c| r(c)).collect();
+        refine_right_interval(r(lo), r(hi), &cands, |t| Some(t >= r(threshold)))
+    }
+
+    #[test]
     fn refine_narrows_to_candidate_free_bracket() {
-        let threshold = r(57);
-        let cands = vec![r(20), r(40), r(60), r(80)];
-        let accepts = |t: Rational| t >= threshold;
-        let (lo, hi) = refine_right_interval(r(10), r(100), &cands, accepts);
         // No candidate strictly inside (lo, hi); bracket still brackets 57.
-        assert_eq!((lo, hi), (r(40), r(60)));
+        assert_eq!(refine(10, 100, &[20, 40, 60, 80], 57), (r(40), r(60)));
     }
 
     #[test]
     fn refine_all_rejected() {
-        let cands = vec![r(20), r(40)];
-        let (lo, hi) = refine_right_interval(r(10), r(100), &cands, |t| t >= r(99));
-        assert_eq!((lo, hi), (r(40), r(100)));
+        assert_eq!(refine(10, 100, &[20, 40], 99), (r(40), r(100)));
     }
 
     #[test]
     fn refine_all_accepted() {
-        let cands = vec![r(20), r(40)];
-        let (lo, hi) = refine_right_interval(r(10), r(100), &cands, |t| t >= r(15));
-        assert_eq!((lo, hi), (r(10), r(20)));
+        assert_eq!(refine(10, 100, &[20, 40], 15), (r(10), r(20)));
     }
 
     #[test]
     fn refine_ignores_outside_candidates() {
-        let cands = vec![r(5), r(10), r(50), r(100), r(120)];
-        let (lo, hi) = refine_right_interval(r(10), r(100), &cands, |t| t >= r(60));
-        assert_eq!((lo, hi), (r(50), r(100)));
+        assert_eq!(refine(10, 100, &[5, 10, 50, 100, 120], 60), (r(50), r(100)));
     }
 }

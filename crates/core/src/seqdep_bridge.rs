@@ -1,9 +1,9 @@
 //! Sequence-dependent setups on the unified solve surface.
 //!
-//! [`SeqDepProblem`] implements [`Problem`] for [`SeqDepInstance`], closing
-//! the bridge ROADMAP asked for: seqdep instances are solved, validated and
-//! benchmarked through the same [`solve_problem`] driver (and the same
-//! [`Solution`] type) as the paper's batch-setup variants.
+//! [`SeqDepProblem`] implements [`Problem`] for [`SeqDepInstance`]: seqdep
+//! instances are solved, validated and benchmarked through the same
+//! [`solve_problem`] driver (and the same [`Solution`] type) as the paper's
+//! batch-setup variants — budgets, threads and warm starts included.
 //!
 //! Two regimes, chosen automatically at construction:
 //!
@@ -21,16 +21,19 @@
 //!   the instance-only `T_min` — `makespan / certificate` is the honest
 //!   a-posteriori quality statement.
 
-use bss_budget::{Interrupt, SolveBudget};
+use bss_budget::SolveBudget;
 use bss_instance::Instance;
 use bss_rational::Rational;
 use bss_schedule::Schedule;
 use bss_seqdep::{solver, SeqDepInstance};
 
-use crate::api::{Algorithm, ScheduleRepr, Solution, SolveError};
-use crate::problem::{solve_problem_budgeted, BssProblem, DirectSolve, Problem};
+use crate::api::{Algorithm, ScheduleRepr, Solution};
+use crate::problem::{epsilon_direct, solve_problem, BssProblem, DirectSolve, Problem};
 use crate::workspace::DualWorkspace;
-use crate::{solve_problem, Trace};
+use crate::{SolveOptions, Trace};
+
+/// The general regime's direct search: an ε-search at `ε = 2^-10`.
+const GENERAL_EPS_LOG2: u32 = 10;
 
 /// A sequence-dependent instance on the unified solve surface.
 #[derive(Debug)]
@@ -67,42 +70,6 @@ impl<'a> SeqDepProblem<'a> {
         let mut out = Schedule::new(self.inst.machines());
         solver::emit_orders(self.inst, orders, &mut out);
         ScheduleRepr::Explicit(out)
-    }
-
-    /// The shared tail of the general-regime direct search: build at the
-    /// accepted guess (falling back to `t_safe` on a defensive rejection)
-    /// and assemble the [`DirectSolve`] — identical for the sequential and
-    /// parallel probe ladders.
-    fn general_direct_finish(
-        &self,
-        ws: &mut DualWorkspace,
-        trace: &mut Trace,
-        eps: Rational,
-        budgeted: crate::search::BudgetedProbe<Rational>,
-    ) -> (DirectSolve, Option<Interrupt>) {
-        let t_min = self.t_min();
-        let out = budgeted.outcome;
-        let (accepted, repr) = match self.build(ws, out.accepted, trace) {
-            Some(r) => (out.accepted, r),
-            None => {
-                let hi = self.t_safe();
-                (
-                    hi,
-                    self.build(ws, hi, trace)
-                        .expect("t_safe is accepted and builds"),
-                )
-            }
-        };
-        (
-            DirectSolve {
-                repr,
-                accepted,
-                certificate: t_min,
-                probes: out.probes,
-                ratio: self.dual_ratio() * (eps + 1u64),
-            },
-            budgeted.interrupt,
-        )
     }
 }
 
@@ -154,7 +121,7 @@ impl Problem for SeqDepProblem<'_> {
             .then_some(ScheduleRepr::Explicit(out))
     }
 
-    fn fallback(&self, _ws: &mut DualWorkspace, _trace: &mut Trace) -> (ScheduleRepr, Rational) {
+    fn fallback(&self, _ws: &mut DualWorkspace) -> (ScheduleRepr, Rational) {
         // The nearest-neighbour + LPT list heuristic; no constant-factor
         // proof exists (APX-hardness), so the factor is certified
         // a-posteriori against T_min — exact rational arithmetic, the
@@ -167,73 +134,19 @@ impl Problem for SeqDepProblem<'_> {
         (repr, ratio.max(Rational::from(1u64)))
     }
 
-    fn direct_search(&self, ws: &mut DualWorkspace, trace: &mut Trace) -> DirectSolve {
-        self.direct_search_budgeted(ws, &SolveBudget::unlimited(), trace)
-            .0
-    }
-
-    fn direct_search_budgeted(
-        &self,
-        ws: &mut DualWorkspace,
-        budget: &SolveBudget,
-        trace: &mut Trace,
-    ) -> (DirectSolve, Option<Interrupt>) {
-        if let Some(reduced) = self.uniform {
+    fn direct_search(&self, ws: &mut DualWorkspace, opts: &SolveOptions<'_>) -> DirectSolve {
+        match self.uniform {
             // Uniform special case: the optima coincide, so Theorem 8's
             // search on the reduction is a genuine 3/2-approximation here,
             // rejection certificates included.
-            return BssProblem::new(reduced, bss_instance::Variant::NonPreemptive)
-                .direct_search_budgeted(ws, budget, trace);
+            Some(reduced) => BssProblem::new(reduced, bss_instance::Variant::NonPreemptive)
+                .direct_search(ws, opts),
+            // General case: a fine ε-search over the heuristic dual.
+            None => epsilon_direct(ws, self, GENERAL_EPS_LOG2, opts),
         }
-        // General case: a fine ε-search over the heuristic dual.
-        let t_min = self.t_min();
-        let eps = Rational::new(1, 1024);
-        let budgeted = crate::search::epsilon_search_between_budgeted(
-            t_min,
-            self.search_hi(),
-            eps * t_min,
-            budget,
-            |t| self.probe(ws, t),
-        );
-        self.general_direct_finish(ws, trace, eps, budgeted)
     }
 
-    fn direct_search_par_budgeted(
-        &self,
-        ws: &mut DualWorkspace,
-        threads: usize,
-        budget: &SolveBudget,
-        trace: &mut Trace,
-    ) -> (DirectSolve, Option<Interrupt>) {
-        if threads <= 1 {
-            return self.direct_search_budgeted(ws, budget, trace);
-        }
-        if let Some(reduced) = self.uniform {
-            // The reduction's Theorem-8 integer bisection goes wide.
-            return BssProblem::new(reduced, bss_instance::Variant::NonPreemptive)
-                .direct_search_par_budgeted(ws, threads, budget, trace);
-        }
-        // General case: the same fine ε-search, speculative wavefronts on
-        // the heuristic dual (each worker probes on its own workspace).
-        let t_min = self.t_min();
-        let eps = Rational::new(1, 1024);
-        let budgeted = crate::par::epsilon_search_between_par_budgeted(
-            t_min,
-            self.search_hi(),
-            eps * t_min,
-            threads,
-            budget,
-            ws,
-            |w, t| self.probe(w, t),
-        );
-        self.general_direct_finish(ws, trace, eps, budgeted)
-    }
-
-    fn exact_oracle(&self) -> Option<bss_exact::ExactSolve> {
-        self.exact_oracle_budgeted(&SolveBudget::unlimited())
-    }
-
-    fn exact_oracle_budgeted(&self, budget: &SolveBudget) -> Option<bss_exact::ExactSolve> {
+    fn exact_oracle(&self, budget: &SolveBudget) -> Option<bss_exact::ExactSolve> {
         // The seqdep oracle branches on classes, not jobs; keep it to
         // shapes the class-order search finishes comfortably.
         if self.inst.num_classes() > 8 || self.inst.machines() > 4 {
@@ -247,94 +160,21 @@ impl Problem for SeqDepProblem<'_> {
 ///
 /// Uniform instances route through the batch-setup reduction (proven
 /// guarantees); general instances run the heuristic dual — see
-/// [`SeqDepProblem`].
+/// [`SeqDepProblem`]. Budgets, threads, warm starts and a reusable workspace
+/// go through [`solve_problem`] with a [`SeqDepProblem`].
+///
+/// # Panics
+/// When the solver panics (see [`crate::SolveError`]).
 #[must_use]
 pub fn solve_seqdep(inst: &SeqDepInstance, algo: Algorithm) -> Solution {
-    solve_seqdep_with(&mut DualWorkspace::new(), inst, algo)
-}
-
-/// [`solve_seqdep`] on a reusable workspace: warm solves allocate nothing
-/// beyond the output schedule (proven by the `zero_alloc` suite).
-#[must_use]
-pub fn solve_seqdep_with(
-    ws: &mut DualWorkspace,
-    inst: &SeqDepInstance,
-    algo: Algorithm,
-) -> Solution {
-    solve_problem(ws, &SeqDepProblem::new(inst), algo, &mut Trace::disabled())
-}
-
-/// [`solve_seqdep`] under a [`SolveBudget`] at the safe API boundary:
-/// interrupts degrade gracefully (see [`crate::Completion`]), panics
-/// surface as typed [`SolveError`]s.
-///
-/// # Errors
-/// [`SolveError`] when the solver panicked; interruption is **not** an
-/// error.
-pub fn solve_seqdep_budgeted(
-    inst: &SeqDepInstance,
-    algo: Algorithm,
-    budget: &SolveBudget,
-) -> Result<Solution, SolveError> {
-    solve_seqdep_budgeted_with(&mut DualWorkspace::new(), inst, algo, budget)
-}
-
-/// [`solve_seqdep_budgeted`] on a reusable workspace (reset automatically
-/// if a panic is caught, so it stays safe to reuse).
-///
-/// # Errors
-/// [`SolveError`] when the solver panicked; interruption is **not** an
-/// error.
-pub fn solve_seqdep_budgeted_with(
-    ws: &mut DualWorkspace,
-    inst: &SeqDepInstance,
-    algo: Algorithm,
-    budget: &SolveBudget,
-) -> Result<Solution, SolveError> {
-    solve_problem_budgeted(
-        ws,
-        &SeqDepProblem::new(inst),
-        algo,
-        budget,
-        &mut Trace::disabled(),
-    )
-}
-
-/// [`solve_seqdep`] with `threads` threads of speculative parallelism on
-/// the probe ladders (bit-identical to [`solve_seqdep`] at every thread
-/// count; see [`crate::par`]). The uniform regime parallelizes the
-/// reduction's Theorem-8 integer search; the general regime the heuristic
-/// dual's ε-search.
-#[must_use]
-pub fn solve_seqdep_par(inst: &SeqDepInstance, algo: Algorithm, threads: usize) -> Solution {
-    crate::problem::solve_problem_par(
+    let problem = SeqDepProblem::new(inst);
+    solve_problem(
         &mut DualWorkspace::new(),
-        &SeqDepProblem::new(inst),
+        &problem,
         algo,
-        threads,
-        &mut Trace::disabled(),
+        &SolveOptions::default(),
     )
-}
-
-/// [`solve_seqdep_budgeted`] with speculative parallel probing.
-///
-/// # Errors
-/// [`SolveError`] when the solver panicked; interruption is **not** an
-/// error.
-pub fn solve_seqdep_par_budgeted(
-    inst: &SeqDepInstance,
-    algo: Algorithm,
-    threads: usize,
-    budget: &SolveBudget,
-) -> Result<Solution, SolveError> {
-    crate::problem::solve_problem_par_budgeted(
-        &mut DualWorkspace::new(),
-        &SeqDepProblem::new(inst),
-        algo,
-        threads,
-        budget,
-        &mut Trace::disabled(),
-    )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use bss_rational::Rational;
 use bss_schedule::CompactSchedule;
 
 use crate::classify::{beta, classify_into};
-use crate::search::{refine_right_interval_opt, SearchOutcome};
+use crate::search::{refine_right_interval, SearchOutcome};
 use crate::workspace::DualWorkspace;
 
 use super::{accepts_in, dual_in};
@@ -127,7 +127,7 @@ pub fn class_jumping_budgeted_in(
     boundaries.extend(inst.setups().iter().map(|&s| Rational::from(2 * s)));
     boundaries.sort_unstable();
     boundaries.dedup();
-    let (l2, h2) = refine_right_interval_opt(lo, hi, &boundaries, |t| {
+    let (l2, h2) = refine_right_interval(lo, hi, &boundaries, |t| {
         probe(ws, inst, &probes, &stop, budget, t)
     });
     ws.thresholds = boundaries;
@@ -213,7 +213,7 @@ pub fn class_jumping_budgeted_in(
                 }
             }
             if !jumps.is_empty() {
-                let (l3, h3) = refine_right_interval_opt(lo, hi, &jumps, |t| {
+                let (l3, h3) = refine_right_interval(lo, hi, &jumps, |t| {
                     probe(ws, inst, &probes, &stop, budget, t)
                 });
                 lo = l3;
@@ -238,7 +238,7 @@ pub fn class_jumping_budgeted_in(
             }
             other_jumps.sort_unstable();
             other_jumps.dedup();
-            let (l4, h4) = refine_right_interval_opt(lo, hi, &other_jumps, |t| {
+            let (l4, h4) = refine_right_interval(lo, hi, &other_jumps, |t| {
                 probe(ws, inst, &probes, &stop, budget, t)
             });
             ws.jumps = other_jumps;
@@ -410,13 +410,13 @@ mod tests {
     /// the ε-search finds.
     #[test]
     fn agrees_with_epsilon_search() {
-        use crate::search::epsilon_search;
         for seed in 0..15 {
             let inst = bss_gen::uniform(50, 7, 4, seed);
-            let tmin = LowerBounds::of(&inst).tmin(Variant::Splittable);
-            let eps = epsilon_search(tmin, Rational::new(1, 1 << 12), |t| {
-                crate::splittable::accepts(&inst, t)
-            });
+            let eps = crate::solve(
+                &inst,
+                Variant::Splittable,
+                crate::Algorithm::EpsilonSearch { eps_log2: 12 },
+            );
             let jump = class_jumping(&inst);
             // Jumping's accepted value is exact-optimal for the dual, the
             // ε-search's is within (1+ε); allow the ε slack.

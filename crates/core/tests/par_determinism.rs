@@ -1,25 +1,27 @@
-//! Property suite pinning the speculative parallel search to its
-//! sequential twin, bit for bit.
+//! Property suite pinning every way of running the probe ladder — warm,
+//! speculative, budgeted — to the plain cold solve, bit for bit.
 //!
-//! The contract of `crate::par` is *determinism*: at every thread count the
-//! parallel search commits exactly the probe sequence the sequential search
-//! would run — same accepted bracket, same rejection certificate, same
-//! probe count, same solution bytes, and (because only the committed path
-//! charges the budget, in sequential order) the same interruption point for
-//! every work limit. These properties sweep random instances, algorithms,
-//! thread counts and budget cut points to hold that line.
+//! The contract of `SolveOptions` is *determinism*: at every thread count,
+//! with or without a warm hint, the solve commits exactly the probe sequence
+//! the sequential cold search would run — same accepted bracket, same
+//! rejection certificate, same probe count, same solution bytes, and
+//! (because only committed queries charge the budget, in sequential order)
+//! the same interruption point for every work limit. These properties sweep
+//! random instances, algorithms, thread counts, hints and budget cut points
+//! to hold that line. (The raw ladder equivalences live in `bss-core`'s
+//! `par` unit tests.)
 //!
 //! Case count scales with `BSS_PROPTEST_CASES` (the nightly CI raises it);
 //! `BSS_PAR_THREADS=N` restricts the thread sweep to `{N}` so CI can pin
 //! specific counts per job.
 
 use bss_budget::SolveBudget;
-use bss_core::search::{epsilon_search_between_budgeted, integer_search_budgeted};
 use bss_core::{
-    epsilon_search_between_par_budgeted, integer_search_par_budgeted, solve_budgeted_with,
-    solve_par_budgeted_with, solve_with, Algorithm, BssProblem, DualWorkspace, Problem, Solution,
+    solve_problem, solve_with, Algorithm, BssProblem, DualWorkspace, Problem, SeqDepProblem,
+    Solution, SolveOptions, WarmStart,
 };
-use bss_instance::{LowerBounds, Variant};
+use bss_instance::Variant;
+use bss_rational::Rational;
 use proptest::prelude::*;
 
 /// The thread counts every property sweeps (each compared against the
@@ -42,6 +44,16 @@ fn algorithm(idx: u8, eps_log2: u32) -> Algorithm {
     }
 }
 
+/// The warm arms of every sweep: none, the cold solve's own bracket widened
+/// by a seeded shift, and a stale hint from an unrelated solve.
+fn hints(cold: &Solution, stale: &Solution, seed: u64) -> [Option<WarmStart>; 3] {
+    let shifted = WarmStart {
+        widen: Rational::new(i128::from(seed % 97), 8),
+        ..WarmStart::of(cold)
+    };
+    [None, Some(shifted), Some(WarmStart::of(stale))]
+}
+
 fn assert_solutions_identical(label: &str, a: &Solution, b: &Solution) {
     assert_eq!(a.makespan, b.makespan, "{label}: makespan");
     assert_eq!(a.accepted, b.accepted, "{label}: accepted");
@@ -56,11 +68,35 @@ fn assert_solutions_identical(label: &str, a: &Solution, b: &Solution) {
     );
 }
 
+/// Solves `problem` under every thread count and warm arm and checks each
+/// result against `want`.
+fn assert_options_agree<P: Problem + Sync>(
+    label: &str,
+    problem: &P,
+    algo: Algorithm,
+    want: &Solution,
+    warm: &[Option<WarmStart>],
+) {
+    let mut ws = DualWorkspace::new();
+    for threads in thread_counts() {
+        for (arm, &warm) in warm.iter().enumerate() {
+            let opts = SolveOptions {
+                threads,
+                warm,
+                ..SolveOptions::default()
+            };
+            let got = solve_problem(&mut ws, problem, algo, &opts)
+                .expect("unbudgeted solves do not panic");
+            assert_solutions_identical(&format!("{label} t={threads} warm#{arm}"), &got, want);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Full-solve bit-identity: `solve_par` ≡ `solve` for every variant,
-    /// search-bearing algorithm and thread count.
+    /// Full-solve bit-identity: every `(threads, warm)` option ≡ `solve`
+    /// for every variant and search-bearing algorithm.
     #[test]
     fn solve_par_is_bit_identical_to_solve(
         n in 20usize..70,
@@ -76,28 +112,21 @@ proptest! {
         let algo = algorithm((seed % 3) as u8, eps_log2);
         let mut ws = DualWorkspace::new();
         let want = solve_with(&mut ws, &inst, variant, algo);
-        for threads in thread_counts() {
-            let got = solve_par_budgeted_with(
-                &mut ws,
-                &inst,
-                variant,
-                algo,
-                threads,
-                &SolveBudget::unlimited(),
-            )
-            .expect("unbudgeted solves do not panic");
-            assert_solutions_identical(
-                &format!("{variant} {algo:?} t={threads} seed={seed}"),
-                &got,
-                &want,
-            );
-        }
+        let stale = solve_with(&mut ws, &bss_gen::uniform(n, c, m, seed + 1), variant, algo);
+        assert_options_agree(
+            &format!("{variant} {algo:?} seed={seed}"),
+            &BssProblem::new(&inst, variant),
+            algo,
+            &want,
+            &hints(&want, &stale, seed),
+        );
     }
 
     /// Work-limit interruption points are deterministic: for *every* cut
-    /// point `w` up to the solve's full probe count, the parallel solve
-    /// degrades at exactly the same place as the sequential one — same
-    /// completion tag, same (partial) certificate, same work accounting.
+    /// point `w` up to the solve's full probe count, the parallel and warm
+    /// solves degrade at exactly the same place as the sequential cold one —
+    /// same completion tag, same (partial) certificate, same work
+    /// accounting.
     #[test]
     fn work_limit_interruption_points_match(
         n in 20usize..60,
@@ -109,104 +138,71 @@ proptest! {
     ) {
         let inst = bss_gen::uniform(n, c, m, seed);
         let variant = Variant::ALL[variant_idx];
-        let algo = Algorithm::EpsilonSearch { eps_log2 };
+        let problem = BssProblem::new(&inst, variant);
+        // The ε-ladder, and Theorem 8's integer ladder where it exists.
+        let algos = [Algorithm::EpsilonSearch { eps_log2 }, Algorithm::ThreeHalves];
         let mut ws = DualWorkspace::new();
-        let full = solve_with(&mut ws, &inst, variant, algo);
-        for w in 0..=(full.probes as u64 + 1) {
-            let seq_budget = SolveBudget::unlimited().with_work_limit(w);
-            let want = solve_budgeted_with(&mut ws, &inst, variant, algo, &seq_budget)
-                .expect("budget expiry degrades, never errors");
-            for threads in thread_counts() {
-                let par_budget = SolveBudget::unlimited().with_work_limit(w);
-                let got = solve_par_budgeted_with(
-                    &mut ws, &inst, variant, algo, threads, &par_budget,
-                )
-                .expect("budget expiry degrades, never errors");
-                assert_solutions_identical(
-                    &format!("{variant} w={w} t={threads} seed={seed}"),
-                    &got,
-                    &want,
-                );
-                prop_assert_eq!(
-                    par_budget.work_used(),
-                    seq_budget.work_used(),
-                    "work accounting diverged at w={} t={}",
-                    w,
-                    threads
-                );
+        for algo in algos {
+            let full = solve_with(&mut ws, &inst, variant, algo);
+            let stale = solve_with(&mut ws, &bss_gen::uniform(n, c, m, seed + 1), variant, algo);
+            let warm = hints(&full, &stale, seed);
+            for w in 0..=(full.probes as u64 + 1) {
+                let seq_budget = SolveBudget::unlimited().with_work_limit(w);
+                let cold = SolveOptions { budget: Some(&seq_budget), ..SolveOptions::default() };
+                let want = solve_problem(&mut ws, &problem, algo, &cold)
+                    .expect("budget expiry degrades, never errors");
+                for threads in thread_counts() {
+                    for (arm, &warm) in warm.iter().enumerate() {
+                        let par_budget = SolveBudget::unlimited().with_work_limit(w);
+                        let opts = SolveOptions { budget: Some(&par_budget), threads, warm };
+                        let got = solve_problem(&mut ws, &problem, algo, &opts)
+                            .expect("budget expiry degrades, never errors");
+                        assert_solutions_identical(
+                            &format!("{variant} {algo:?} w={w} t={threads} warm#{arm} seed={seed}"),
+                            &got,
+                            &want,
+                        );
+                        prop_assert_eq!(
+                            par_budget.work_used(),
+                            seq_budget.work_used(),
+                            "work accounting diverged at w={} t={} warm#{}",
+                            w,
+                            threads,
+                            arm
+                        );
+                    }
+                }
             }
         }
     }
 
-    /// Raw ε-search equivalence on real dual probes: accepted bracket,
-    /// rejection certificate and probe count all match, per thread count.
+    /// Sequence-dependent instances, general (heuristic dual) and uniform
+    /// (Theorem 8 on the reduction), obey the same contract.
     #[test]
-    fn epsilon_search_par_matches_on_real_duals(
-        n in 20usize..60,
-        c in 2usize..7,
-        m in 2usize..5,
+    fn seqdep_options_are_bit_identical_to_cold(
+        c in 3usize..12,
+        m in 1usize..5,
         seed in 0u64..10_000,
-        eps_log2 in 2u32..9,
-        variant_idx in 0usize..3,
+        algo_idx in 0u8..3,
     ) {
-        let inst = bss_gen::uniform(n, c, m, seed);
-        let variant = Variant::ALL[variant_idx];
-        let problem = BssProblem::new(&inst, variant);
-        let t_min = problem.t_min();
-        prop_assume!(t_min.is_positive());
-        let t_hi = problem.search_hi();
-        let gap = t_min / (1u64 << eps_log2);
-        let mut ws = DualWorkspace::new();
-        let want = {
-            let (ws, problem) = (&mut ws, &problem);
-            epsilon_search_between_budgeted(
-                t_min,
-                t_hi,
-                gap,
-                &SolveBudget::unlimited(),
-                |t| problem.probe(ws, t),
-            )
-        };
-        for threads in thread_counts() {
-            let got = epsilon_search_between_par_budgeted(
-                t_min,
-                t_hi,
-                gap,
-                threads,
-                &SolveBudget::unlimited(),
-                &mut ws,
-                |w, t| problem.probe(w, t),
+        let algo = algorithm(algo_idx, 8);
+        let general = bss_gen::seqdep::triangle_violating(c, m, seed);
+        let uniform = bss_gen::seqdep::uniform_setups(c, m, seed);
+        for (regime, inst) in [("general", &general), ("uniform", &uniform)] {
+            let problem = SeqDepProblem::new(inst);
+            let mut ws = DualWorkspace::new();
+            let cold = SolveOptions::default();
+            let want = solve_problem(&mut ws, &problem, algo, &cold).expect("no panics");
+            let stale_inst = bss_gen::seqdep::uniform_setups(c, m, seed + 1);
+            let stale = solve_problem(&mut ws, &SeqDepProblem::new(&stale_inst), algo, &cold)
+                .expect("no panics");
+            assert_options_agree(
+                &format!("{regime} seqdep {algo:?} seed={seed}"),
+                &problem,
+                algo,
+                &want,
+                &hints(&want, &stale, seed),
             );
-            prop_assert_eq!(got, want, "t={} seed={}", threads, seed);
-        }
-    }
-
-    /// Raw integer-search equivalence on the non-preemptive 3/2-dual.
-    #[test]
-    fn integer_search_par_matches_on_real_duals(
-        n in 20usize..60,
-        c in 2usize..7,
-        m in 2usize..5,
-        seed in 0u64..10_000,
-    ) {
-        let inst = bss_gen::uniform(n, c, m, seed);
-        prop_assume!(inst.machines() < inst.num_jobs());
-        let t_min = LowerBounds::of(&inst)
-            .tmin(Variant::NonPreemptive)
-            .ceil() as u64;
-        let accepts = |t: u64| bss_core::nonpreemptive::accepts(&inst, t);
-        let want = integer_search_budgeted(t_min, 2 * t_min, &SolveBudget::unlimited(), accepts);
-        let mut ws = DualWorkspace::new();
-        for threads in thread_counts() {
-            let got = integer_search_par_budgeted(
-                t_min,
-                2 * t_min,
-                threads,
-                &SolveBudget::unlimited(),
-                &mut ws,
-                |_, t| bss_core::nonpreemptive::accepts(&inst, t),
-            );
-            prop_assert_eq!(got, want, "t={} seed={}", threads, seed);
         }
     }
 }

@@ -228,17 +228,29 @@ fn warm_builds_allocate_only_output(inst: &Instance, ws: &mut DualWorkspace) {
 /// build, `Solution` assembly — allocates only the output schedule's own
 /// storage plus the same small scaffolding budget as the batch-setup paths.
 fn warm_seqdep_solves_allocate_only_output(ws: &mut DualWorkspace) {
-    use bss_core::{solve_problem, SeqDepProblem};
+    use bss_core::{solve_problem, SeqDepProblem, SolveOptions};
 
     // General (heuristic-dual) regime: probes and builder run entirely in
     // workspace scratch.
     let general = bss_gen::seqdep::triangle_violating(400, 8, 1);
     let problem = SeqDepProblem::new(&general);
     assert!(problem.uniform_reduction().is_none());
-    let _ = solve_problem(ws, &problem, Algorithm::ThreeHalves, &mut Trace::disabled());
+    let _ = solve_problem(
+        ws,
+        &problem,
+        Algorithm::ThreeHalves,
+        &SolveOptions::default(),
+    )
+    .expect("no panics");
 
     let before = allocations();
-    let sol = solve_problem(ws, &problem, Algorithm::ThreeHalves, &mut Trace::disabled());
+    let sol = solve_problem(
+        ws,
+        &problem,
+        Algorithm::ThreeHalves,
+        &SolveOptions::default(),
+    )
+    .expect("no panics");
     let delta = allocations() - before;
     // Output storage: the explicit schedule's placement vector grows by
     // doubling (≤ log2(P) + 1 reallocations) from its fresh `Schedule::new`;
@@ -256,10 +268,22 @@ fn warm_seqdep_solves_allocate_only_output(ws: &mut DualWorkspace) {
     let uniform = bss_gen::seqdep::uniform_setups(400, 8, 2);
     let problem = SeqDepProblem::new(&uniform);
     assert!(problem.uniform_reduction().is_some());
-    let _ = solve_problem(ws, &problem, Algorithm::ThreeHalves, &mut Trace::disabled());
+    let _ = solve_problem(
+        ws,
+        &problem,
+        Algorithm::ThreeHalves,
+        &SolveOptions::default(),
+    )
+    .expect("no panics");
 
     let before = allocations();
-    let sol = solve_problem(ws, &problem, Algorithm::ThreeHalves, &mut Trace::disabled());
+    let sol = solve_problem(
+        ws,
+        &problem,
+        Algorithm::ThreeHalves,
+        &SolveOptions::default(),
+    )
+    .expect("no panics");
     let delta = allocations() - before;
     assert!(sol.schedule().placements().len() >= 400);
     assert!(

@@ -142,6 +142,29 @@ fn single_class_optima_are_hand_computable() {
     assert_eq!(ex.opt(), Some(Rational::from(8u64)));
     let ex = solve_bss(&inst, Variant::Splittable, &cfg).unwrap();
     assert_eq!(ex.opt(), Some(Rational::new(19, 3)));
+
+    // Non-preemptive optima over small class mixes: (machines, [(setup,
+    // jobs)], OPT).
+    let cases = [
+        // One machine: all work plus one setup per class, 3+4+5 + 2+6.
+        (1, vec![(3, vec![4, 5]), (2, vec![6])], 20u64),
+        // Two identical classes: one per machine.
+        (2, vec![(2, vec![5]), (2, vec![5])], 7),
+        // One class with two jobs: splitting pays the setup twice (12 each)
+        // but beats stacking both jobs on one machine (14).
+        (2, vec![(10, vec![2, 2])], 12),
+        // Even with a huge setup, splitting (102 each) beats stacking (104).
+        (2, vec![(100, vec![2, 2])], 102),
+    ];
+    for (m, classes, opt) in cases {
+        let mut b = InstanceBuilder::new(m);
+        for (setup, jobs) in &classes {
+            b.add_batch(*setup, jobs);
+        }
+        let inst = b.build().unwrap();
+        let ex = solve_bss(&inst, Variant::NonPreemptive, &cfg).unwrap();
+        assert_eq!(ex.opt(), Some(Rational::from(opt)), "{classes:?} on {m}");
+    }
 }
 
 #[test]

@@ -16,8 +16,8 @@
 //! Guarantees:
 //!
 //! * **Bit-identity** — each item's result is exactly what
-//!   [`bss_core::solve_budgeted_with`] returns for it, at every thread
-//!   count. Parallelism buys throughput, never different answers.
+//!   [`bss_core::solve_problem`] returns for it under the item's budget, at
+//!   every thread count. Parallelism buys throughput, never different answers.
 //! * **Per-item isolation** — a panicking solve (a bug, an overflow, an
 //!   injected chaos fault) comes back as that item's typed
 //!   [`SolveError`]; its workspace is reset and the rest of the batch is
@@ -34,7 +34,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use bss_budget::{Interrupt, SolveBudget};
-use bss_core::{solve_budgeted_with, Algorithm, DualWorkspace, Solution, SolveError};
+use bss_core::{
+    solve_problem, Algorithm, BssProblem, DualWorkspace, Solution, SolveError, SolveOptions,
+};
 use bss_instance::{Instance, Variant};
 use bss_report::chunk_plan;
 
@@ -99,9 +101,9 @@ impl SolvePool {
 
     /// Solves every instance under an unlimited budget.
     ///
-    /// Per item, the result is bit-identical to
-    /// [`bss_core::solve_budgeted_with`] (and hence, on `Ok`, to
-    /// [`bss_core::solve_with`]) at every thread count. A panicking item
+    /// Per item, the result is bit-identical to [`bss_core::solve_problem`]
+    /// (and hence, on `Ok`, to [`bss_core::solve_with`]) at every thread
+    /// count. A panicking item
     /// comes back as its own `Err` without disturbing its neighbours.
     pub fn solve_batch(
         &mut self,
@@ -125,7 +127,7 @@ impl SolvePool {
     /// [`BatchOutcome::interrupt`]. An item *in flight* when the budget
     /// expires degrades gracefully instead (its solution is returned with
     /// the appropriate [`Completion`](bss_core::Completion)), exactly as a
-    /// standalone [`solve_budgeted_with`] would.
+    /// standalone [`solve_problem`] would.
     pub fn solve_batch_budgeted(
         &mut self,
         insts: &[Instance],
@@ -150,8 +152,7 @@ impl SolvePool {
                 if interrupt.is_none() {
                     match budget.poll() {
                         Ok(()) => {
-                            results
-                                .push(Some(solve_budgeted_with(ws, inst, variant, algo, budget)));
+                            results.push(Some(solve_one(ws, inst, variant, algo, Some(budget))));
                             continue;
                         }
                         Err(i) => interrupt = Some(i),
@@ -217,12 +218,12 @@ impl SolvePool {
                         // Panics are isolated one level down (the budgeted
                         // driver catches, resets `ws`, returns `Err`), so a
                         // failing item never takes the worker out.
-                        *slot = Some(solve_budgeted_with(
+                        *slot = Some(solve_one(
                             ws,
                             &insts[base + off],
                             variant,
                             algo,
-                            budget,
+                            Some(budget),
                         ));
                     }
                 });
@@ -243,7 +244,7 @@ impl SolvePool {
     /// arrived together are solved together across the pool (micro-batching)
     /// while each keeps its own deadline. Items without a budget run
     /// unlimited. Per item the result is bit-identical to a standalone
-    /// [`bss_core::solve_budgeted_with`] under the same budget, at every
+    /// [`bss_core::solve_problem`] under the same budget, at every
     /// thread count, and a panicking item is isolated exactly as in
     /// [`SolvePool::solve_batch`].
     ///
@@ -255,16 +256,14 @@ impl SolvePool {
         if n == 0 {
             return Vec::new();
         }
-        let unlimited = SolveBudget::unlimited();
-        let solve_one = |ws: &mut DualWorkspace, item: &SolveItem<'_>| {
-            let budget = item.budget.unwrap_or(&unlimited);
-            solve_budgeted_with(ws, item.instance, item.variant, item.algo, budget)
+        let solve_item = |ws: &mut DualWorkspace, item: &SolveItem<'_>| {
+            solve_one(ws, item.instance, item.variant, item.algo, item.budget)
         };
         let plan = chunk_plan(n, self.threads);
         self.ensure_workspaces(plan.workers);
         if plan.workers == 1 {
             let ws = &mut self.workspaces[0];
-            return items.iter().map(|item| solve_one(ws, item)).collect();
+            return items.iter().map(|item| solve_item(ws, item)).collect();
         }
 
         let mut result_slots: Vec<Option<Result<Solution, SolveError>>> =
@@ -286,7 +285,7 @@ impl SolvePool {
         std::thread::scope(|scope| {
             let chunks = &chunks;
             let cursor = &cursor;
-            let solve_one = &solve_one;
+            let solve_item = &solve_item;
             for ws in &mut self.workspaces[..plan.workers] {
                 scope.spawn(move || loop {
                     let chunk_idx = cursor.fetch_add(1, Ordering::Relaxed);
@@ -299,7 +298,7 @@ impl SolvePool {
                     };
                     let base = chunk_idx * plan.chunk_len;
                     for (off, slot) in result_chunk.iter_mut().enumerate() {
-                        *slot = Some(solve_one(ws, &items[base + off]));
+                        *slot = Some(solve_item(ws, &items[base + off]));
                     }
                 });
             }
@@ -316,6 +315,21 @@ impl SolvePool {
             self.workspaces.push(DualWorkspace::new());
         }
     }
+}
+
+/// One batch-setup solve on a worker's workspace (`None` = unlimited).
+fn solve_one(
+    ws: &mut DualWorkspace,
+    inst: &Instance,
+    variant: Variant,
+    algo: Algorithm,
+    budget: Option<&SolveBudget>,
+) -> Result<Solution, SolveError> {
+    let opts = SolveOptions {
+        budget,
+        ..SolveOptions::default()
+    };
+    solve_problem(ws, &BssProblem::new(inst, variant), algo, &opts)
 }
 
 /// One item of a heterogeneous [`SolvePool::solve_items`] batch.

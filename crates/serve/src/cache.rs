@@ -348,9 +348,19 @@ mod tests {
         let h = i.content_hash();
         // A work budget of 0 forces a degraded completion.
         let budget = SolveBudget::unlimited().with_work_limit(0);
+        let opts = bss_core::SolveOptions {
+            budget: Some(&budget),
+            ..bss_core::SolveOptions::default()
+        };
+        let problem = bss_core::BssProblem::new(&i, Variant::NonPreemptive);
         let degraded = Arc::new(
-            bss_core::solve_budgeted(&i, Variant::NonPreemptive, Algorithm::ThreeHalves, &budget)
-                .expect("budgeted solve returns a degraded solution, not an error"),
+            bss_core::solve_problem(
+                &mut bss_core::DualWorkspace::new(),
+                &problem,
+                Algorithm::ThreeHalves,
+                &opts,
+            )
+            .expect("budgeted solve returns a degraded solution, not an error"),
         );
         assert_eq!(
             degraded.completion,

@@ -345,11 +345,16 @@ fn work_budget_degrades_like_the_local_budgeted_solver() {
     // Work budgets are deterministic (no wall clock): the remote degraded
     // result must be bit-identical to the local budgeted solve.
     let budget = bss_core::SolveBudget::unlimited().with_work_limit(0);
-    let local = bss_core::solve_budgeted(
-        &instance,
-        Variant::NonPreemptive,
+    let opts = bss_core::SolveOptions {
+        budget: Some(&budget),
+        ..bss_core::SolveOptions::default()
+    };
+    let problem = bss_core::BssProblem::new(&instance, Variant::NonPreemptive);
+    let local = bss_core::solve_problem(
+        &mut bss_core::DualWorkspace::new(),
+        &problem,
         Algorithm::ThreeHalves,
-        &budget,
+        &opts,
     )
     .unwrap();
     assert_eq!(
@@ -478,6 +483,10 @@ fn session_resolves_are_bit_identical_to_local_cold_solves() {
                 "step {step}: ratio_bound"
             );
             assert_eq!(solution.completion, local.completion, "step {step}");
+            assert_eq!(
+                solution.probes as usize, local.probes,
+                "step {step}: probes"
+            );
             assert_eq!(
                 solution.schedule.as_ref(),
                 Some(local.schedule()),

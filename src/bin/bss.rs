@@ -302,12 +302,19 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
             let inst = load_instance(path)?;
             let budget = parse_budget(args)?;
             let threads = parse_threads(args)?;
-            let start = std::time::Instant::now();
-            let sol = match &budget {
-                Some(b) => solve_par_budgeted(&inst, variant, algo, threads, b)
-                    .map_err(|e| format!("solve failed: {e}"))?,
-                None => solve_par(&inst, variant, algo, threads),
+            let opts = SolveOptions {
+                budget: budget.as_ref(),
+                threads,
+                warm: None,
             };
+            let start = std::time::Instant::now();
+            let sol = solve_problem(
+                &mut DualWorkspace::new(),
+                &BssProblem::new(&inst, variant),
+                algo,
+                &opts,
+            )
+            .map_err(|e| format!("solve failed: {e}"))?;
             let elapsed = start.elapsed();
             let violations = validate(sol.schedule(), &inst, variant);
             if !violations.is_empty() {
@@ -336,12 +343,14 @@ fn cmd_solve_seqdep(path: &str, algo: Algorithm, args: &[String]) -> Result<(), 
     let problem = batch_setup_scheduling::core::SeqDepProblem::new(&inst);
     let budget = parse_budget(args)?;
     let threads = parse_threads(args)?;
-    let start = std::time::Instant::now();
-    let sol = match &budget {
-        Some(b) => batch_setup_scheduling::core::solve_seqdep_par_budgeted(&inst, algo, threads, b)
-            .map_err(|e| format!("solve failed: {e}"))?,
-        None => batch_setup_scheduling::core::solve_seqdep_par(&inst, algo, threads),
+    let opts = SolveOptions {
+        budget: budget.as_ref(),
+        threads,
+        warm: None,
     };
+    let start = std::time::Instant::now();
+    let sol = solve_problem(&mut DualWorkspace::new(), &problem, algo, &opts)
+        .map_err(|e| format!("solve failed: {e}"))?;
     let elapsed = start.elapsed();
     match problem.uniform_reduction() {
         Some(reduced) => {

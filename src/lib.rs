@@ -43,7 +43,8 @@
 //! The facade re-exports the workspace crates; see each crate for details:
 //! [`bss_core`] (algorithms), [`bss_instance`] (model), [`bss_schedule`]
 //! (schedules + validators), [`bss_wrap`] (Batch Wrapping), [`bss_knapsack`]
-//! (continuous knapsack), [`bss_baselines`] (comparators and exact oracles),
+//! (continuous knapsack), [`bss_baselines`] (prior-work comparators),
+//! [`bss_exact`] (exact optima),
 //! [`bss_gen`] (workload generators), [`bss_report`] (rendering/stats).
 
 pub use bss_baselines as baselines;
@@ -63,10 +64,9 @@ pub use bss_wrap as wrap;
 /// Most-used items in one import.
 pub mod prelude {
     pub use bss_core::{
-        solve, solve_budgeted, solve_par, solve_par_budgeted, solve_problem, solve_seqdep,
-        solve_seqdep_budgeted, solve_seqdep_par, solve_seqdep_par_budgeted, solve_seqdep_with,
-        solve_with, Algorithm, BssProblem, CancelToken, Completion, DualWorkspace, Interrupt,
-        Problem, ScheduleRepr, SeqDepProblem, Solution, SolveBudget, SolveError,
+        solve, solve_problem, solve_seqdep, solve_warm, solve_with, Algorithm, BssProblem,
+        CancelToken, Completion, DualWorkspace, Interrupt, Problem, ScheduleRepr, SearchStats,
+        SeqDepProblem, Solution, SolveBudget, SolveError, SolveOptions, WarmStart,
     };
     pub use bss_instance::{ClassId, Instance, InstanceBuilder, Job, JobId, LowerBounds, Variant};
     pub use bss_par::{BatchOutcome, SolvePool};
@@ -76,5 +76,5 @@ pub mod prelude {
         ScheduleStats, Violation,
     };
     pub use bss_seqdep::SeqDepInstance;
-    pub use bss_serve::{Client, ServeConfig, SolveOptions, SolveOutcome};
+    pub use bss_serve::{Client, ServeConfig, SolveOutcome};
 }

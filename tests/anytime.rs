@@ -31,6 +31,19 @@ fn instances() -> Vec<(String, Instance)> {
     out
 }
 
+/// A facade solve of `problem` under `budget`.
+fn budgeted<P: Problem + Sync>(
+    problem: &P,
+    algo: Algorithm,
+    budget: &SolveBudget,
+) -> Result<Solution, SolveError> {
+    let opts = SolveOptions {
+        budget: Some(budget),
+        ..SolveOptions::default()
+    };
+    solve_problem(&mut DualWorkspace::new(), problem, algo, &opts)
+}
+
 fn assert_identical(label: &str, a: &Solution, b: &Solution) {
     assert_eq!(a.makespan, b.makespan, "{label}: makespan");
     assert_eq!(a.accepted, b.accepted, "{label}: accepted");
@@ -71,10 +84,14 @@ fn unlimited_budget_is_bit_identical_to_plain_solve() {
             for algo in ALGOS {
                 let label = format!("{name}/{variant}/{algo:?}");
                 let plain = solve(&inst, variant, algo);
-                let budgeted = solve_budgeted(&inst, variant, algo, &SolveBudget::unlimited())
-                    .expect("unlimited budget cannot fail");
-                assert_eq!(budgeted.completion, Completion::Full, "{label}");
-                assert_identical(&label, &budgeted, &plain);
+                let full = budgeted(
+                    &BssProblem::new(&inst, variant),
+                    algo,
+                    &SolveBudget::unlimited(),
+                )
+                .expect("unlimited budget cannot fail");
+                assert_eq!(full.completion, Completion::Full, "{label}");
+                assert_identical(&label, &full, &plain);
             }
         }
     }
@@ -89,7 +106,7 @@ fn pre_cancelled_solve_degrades_to_a_valid_fallback() {
             for algo in ALGOS {
                 let label = format!("{name}/{variant}/{algo:?}");
                 let budget = SolveBudget::unlimited().with_cancel(&token);
-                let sol = solve_budgeted(&inst, variant, algo, &budget)
+                let sol = budgeted(&BssProblem::new(&inst, variant), algo, &budget)
                     .expect("cancellation is not an error");
                 // Probe-free paths (the O(n) fallback, trivial m >= n
                 // shapes) legitimately complete in full even under a dead
@@ -113,7 +130,7 @@ fn every_probe_budget_level_yields_a_valid_certified_solution() {
                 for work in [0, 1, 2, 3, 5, 8, 1000] {
                     let label = format!("{name}/{variant}/{algo:?}/work={work}");
                     let budget = SolveBudget::unlimited().with_work_limit(work);
-                    let sol = solve_budgeted(&inst, variant, algo, &budget)
+                    let sol = budgeted(&BssProblem::new(&inst, variant), algo, &budget)
                         .expect("starvation is not an error");
                     assert_valid(&label, &inst, variant, &sol);
                     // A starved search still never beats its own bound, and a
@@ -133,8 +150,12 @@ fn expired_deadline_degrades_not_errors() {
         for variant in Variant::ALL {
             let label = format!("{name}/{variant}");
             let budget = SolveBudget::unlimited().with_deadline(std::time::Duration::ZERO);
-            let sol = solve_budgeted(&inst, variant, Algorithm::ThreeHalves, &budget)
-                .expect("an expired deadline is not an error");
+            let sol = budgeted(
+                &BssProblem::new(&inst, variant),
+                Algorithm::ThreeHalves,
+                &budget,
+            )
+            .expect("an expired deadline is not an error");
             // Trivial m >= n shapes complete without probing; every other
             // solve must report the expired deadline.
             if sol.completion == Completion::Full {
@@ -167,14 +188,14 @@ fn seqdep_budgeted_matches_plain_and_degrades_cleanly() {
         for algo in ALGOS {
             let label = format!("{name}/{algo:?}");
             let plain = solve_seqdep(sd, algo);
-            let budgeted = solve_seqdep_budgeted(sd, algo, &SolveBudget::unlimited())
+            let problem = SeqDepProblem::new(sd);
+            let full = budgeted(&problem, algo, &SolveBudget::unlimited())
                 .expect("unlimited budget cannot fail");
-            assert_eq!(budgeted.completion, Completion::Full, "{label}");
-            assert_identical(&label, &budgeted, &plain);
+            assert_eq!(full.completion, Completion::Full, "{label}");
+            assert_identical(&label, &full, &plain);
 
-            let starved =
-                solve_seqdep_budgeted(sd, algo, &SolveBudget::unlimited().with_work_limit(1))
-                    .expect("starvation is not an error");
+            let starved = budgeted(&problem, algo, &SolveBudget::unlimited().with_work_limit(1))
+                .expect("starvation is not an error");
             assert!(
                 starved.makespan <= starved.ratio_bound * starved.accepted,
                 "{label}: starved bound"

@@ -7,7 +7,7 @@
 //! non-preemptive variant this is exactly the `T* <= OPT` optimality property
 //! behind Theorem 8).
 
-use batch_setup_scheduling::baselines::{exact_nonpreemptive, ExactLimits};
+use batch_setup_scheduling::exact::{solve_bss, ExactConfig};
 use batch_setup_scheduling::prelude::*;
 
 const SEEDS: u64 = 200;
@@ -15,8 +15,12 @@ const SEEDS: u64 = 200;
 fn tiny_with_opt() -> impl Iterator<Item = (Instance, Rational)> {
     (0..SEEDS).filter_map(|seed| {
         let inst = batch_setup_scheduling::gen::tiny(seed);
-        let opt = exact_nonpreemptive(&inst, ExactLimits::default())?;
-        Some((inst, Rational::from(opt)))
+        let cfg = ExactConfig {
+            max_jobs: 14,
+            ..ExactConfig::default()
+        };
+        let opt = solve_bss(&inst, Variant::NonPreemptive, &cfg).ok()?.opt()?;
+        Some((inst, opt))
     })
 }
 

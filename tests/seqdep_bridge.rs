@@ -4,7 +4,7 @@
 //! general heuristic dual honors the documented `Solution` invariants.
 
 use batch_setup_scheduling::core::{
-    solve_problem, solve_seqdep, Algorithm, DualWorkspace, Problem, SeqDepProblem, Trace,
+    solve_problem, solve_seqdep, Algorithm, DualWorkspace, Problem, SeqDepProblem, SolveOptions,
 };
 use batch_setup_scheduling::prelude::*;
 use batch_setup_scheduling::seqdep::{reduce, solver, SeqDepInstance};
@@ -108,8 +108,9 @@ proptest! {
     ) {
         let inst = batch_setup_scheduling::gen::seqdep::triangle_violating(c, m, seed);
         let mut ws = DualWorkspace::new();
-        let sol =
-            batch_setup_scheduling::core::solve_seqdep_with(&mut ws, &inst, Algorithm::ThreeHalves);
+        let problem = SeqDepProblem::new(&inst);
+        let sol = solve_problem(&mut ws, &problem, Algorithm::ThreeHalves, &SolveOptions::default())
+            .expect("no panics");
         prop_assert!(sol.makespan <= sol.ratio_bound * sol.accepted);
         // Re-run the builder at the accepted guess; the scratch orders must
         // re-price to the same makespan.
@@ -149,7 +150,8 @@ fn problem_trait_objects_unify_both_models() {
     let problems: [&(dyn Problem + Sync); 2] = [&bss_problem, &sd_problem];
     let mut ws = DualWorkspace::new();
     for p in problems {
-        let sol = solve_problem(&mut ws, p, Algorithm::ThreeHalves, &mut Trace::disabled());
+        let sol = solve_problem(&mut ws, p, Algorithm::ThreeHalves, &SolveOptions::default())
+            .expect("no panics");
         assert!(
             sol.makespan <= sol.ratio_bound * sol.accepted,
             "{}",
