@@ -2,8 +2,8 @@
 //! socket, driven by the crate's own load generator.
 //!
 //! Unlike the other benches this one measures the *delivery path* — framing,
-//! parsing, admission, micro-batching, cache — around the solver, which is
-//! exactly what `bss serve` ships. Three scenarios:
+//! parsing, cache, admission gate — around the solver, which is exactly
+//! what `bss serve` ships. Three scenarios:
 //!
 //! * `cold` — every request a distinct instance: sustained cold-solve
 //!   capacity (cache present but never hitting).

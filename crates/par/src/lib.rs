@@ -3,12 +3,12 @@
 //! [`bss_core`]'s speculative search parallelizes *one* solve's probe
 //! ladder; this crate parallelizes *across* solves. A [`SolvePool`] owns one
 //! long-lived [`DualWorkspace`] per worker, so a batch of instances — a
-//! sweep, a service queue, a replay — is solved with warm buffers and zero
+//! sweep, a replay — is solved with warm buffers and zero
 //! per-item allocation churn: worker `i` always probes on workspace `i`
 //! (workspace affinity), and the pool outlives any number of batches.
 //!
-//! Scheduling reuses the chunked work-stealing layout of
-//! [`bss_report::parallel_map`] via the shared [`chunk_plan`]: items are
+//! Scheduling is [`bss_report::parallel_map_with`]'s chunked work-stealing
+//! loop with the pool's workspaces as the per-worker states: items are
 //! pre-split into contiguous chunks (several per worker, so expensive
 //! instances still balance) claimed through one atomic cursor, and tiny
 //! batches never spawn more threads than items.
@@ -30,15 +30,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use bss_budget::{Interrupt, SolveBudget};
 use bss_core::{
     solve_problem, Algorithm, BssProblem, DualWorkspace, Solution, SolveError, SolveOptions,
 };
 use bss_instance::{Instance, Variant};
-use bss_report::chunk_plan;
+use bss_report::{chunk_plan, parallel_map_with};
 
 /// The outcome of [`SolvePool::solve_batch_budgeted`]: one slot per input
 /// item, in input order.
@@ -135,189 +132,56 @@ impl SolvePool {
         algo: Algorithm,
         budget: &SolveBudget,
     ) -> BatchOutcome {
-        let n = insts.len();
-        if n == 0 {
-            return BatchOutcome {
-                results: Vec::new(),
-                interrupt: None,
-            };
-        }
-        let plan = chunk_plan(n, self.threads);
-        self.ensure_workspaces(plan.workers);
-        if plan.workers == 1 {
-            let ws = &mut self.workspaces[0];
-            let mut results = Vec::with_capacity(n);
-            let mut interrupt = None;
-            for inst in insts {
-                if interrupt.is_none() {
-                    match budget.poll() {
-                        Ok(()) => {
-                            results.push(Some(solve_one(ws, inst, variant, algo, Some(budget))));
-                            continue;
-                        }
-                        Err(i) => interrupt = Some(i),
-                    }
-                }
-                results.push(None);
-            }
-            return BatchOutcome { results, interrupt };
-        }
-
-        // Chunked claiming as in `bss_report::parallel_map`: result slots
-        // travel as disjoint `&mut` slices (no per-item locks); the
-        // per-chunk mutex is taken exactly once, to move a chunk out.
-        let mut result_slots: Vec<Option<Result<Solution, SolveError>>> =
-            (0..n).map(|_| None).collect();
-        type Chunk<'a> = (usize, &'a mut [Option<Result<Solution, SolveError>>]);
-        let chunks: Vec<Mutex<Option<Chunk<'_>>>> = {
-            let mut out = Vec::with_capacity(plan.chunks);
-            let mut base = 0usize;
-            let mut rest = result_slots.as_mut_slice();
-            while !rest.is_empty() {
-                let take = plan.chunk_len.min(rest.len());
-                let (chunk, tail) = rest.split_at_mut(take);
-                out.push(Mutex::new(Some((base, chunk))));
-                rest = tail;
-                base += take;
-            }
-            out
-        };
-        let cursor = AtomicUsize::new(0);
-        let aborted = AtomicBool::new(false);
-        let interrupted: Mutex<Option<Interrupt>> = Mutex::new(None);
-
-        std::thread::scope(|scope| {
-            let chunks = &chunks;
-            let cursor = &cursor;
-            let aborted = &aborted;
-            let interrupted = &interrupted;
-            for ws in &mut self.workspaces[..plan.workers] {
-                scope.spawn(move || loop {
-                    if aborted.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let chunk_idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if chunk_idx >= chunks.len() {
-                        break;
-                    }
-                    let Some((_, result_chunk)) =
-                        chunks[chunk_idx].lock().expect("chunk lock").take()
-                    else {
-                        continue;
-                    };
-                    let base = chunk_idx * plan.chunk_len;
-                    for (off, slot) in result_chunk.iter_mut().enumerate() {
-                        if let Err(i) = budget.poll() {
-                            let mut first = interrupted.lock().expect("interrupt lock");
-                            if first.is_none() {
-                                *first = Some(i);
-                            }
-                            aborted.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                        // Panics are isolated one level down (the budgeted
-                        // driver catches, resets `ws`, returns `Err`), so a
-                        // failing item never takes the worker out.
-                        *slot = Some(solve_one(
-                            ws,
-                            &insts[base + off],
-                            variant,
-                            algo,
-                            Some(budget),
-                        ));
-                    }
-                });
-            }
-        });
-
-        BatchOutcome {
-            results: result_slots,
-            interrupt: interrupted.into_inner().expect("interrupt lock"),
-        }
+        let (results, interrupt) = parallel_map_with(
+            self.workspaces_for(insts.len()),
+            insts.iter().collect(),
+            budget,
+            |ws, inst| solve_one(ws, inst, variant, algo, Some(budget)),
+        );
+        BatchOutcome { results, interrupt }
     }
 
     /// Solves a *heterogeneous* batch — per-item variant, algorithm and
-    /// (optional) budget — on the same warm per-worker workspaces.
-    ///
-    /// This is the service entry point: `bss-serve`'s dispatcher drains its
-    /// request queue into one `solve_items` call, so queued requests that
-    /// arrived together are solved together across the pool (micro-batching)
-    /// while each keeps its own deadline. Items without a budget run
-    /// unlimited. Per item the result is bit-identical to a standalone
-    /// [`bss_core::solve_problem`] under the same budget, at every
-    /// thread count, and a panicking item is isolated exactly as in
+    /// (optional) budget — on the same warm per-worker workspaces. Items
+    /// without a budget run unlimited. Per item the result is bit-identical
+    /// to a standalone [`bss_core::solve_problem`] under the same budget, at
+    /// every thread count, and a panicking item is isolated exactly as in
     /// [`SolvePool::solve_batch`].
     ///
     /// Unlike [`SolvePool::solve_batch_budgeted`] there is no batch-wide
-    /// interrupt: every item is always attempted (admission control and
-    /// shedding happen *before* items reach the pool).
+    /// interrupt: every item is always attempted.
     pub fn solve_items(&mut self, items: &[SolveItem<'_>]) -> Vec<Result<Solution, SolveError>> {
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let solve_item = |ws: &mut DualWorkspace, item: &SolveItem<'_>| {
-            solve_one(ws, item.instance, item.variant, item.algo, item.budget)
-        };
-        let plan = chunk_plan(n, self.threads);
-        self.ensure_workspaces(plan.workers);
-        if plan.workers == 1 {
-            let ws = &mut self.workspaces[0];
-            return items.iter().map(|item| solve_item(ws, item)).collect();
-        }
-
-        let mut result_slots: Vec<Option<Result<Solution, SolveError>>> =
-            (0..n).map(|_| None).collect();
-        type Slot = Option<Result<Solution, SolveError>>;
-        let chunks: Vec<Mutex<Option<&mut [Slot]>>> = {
-            let mut out = Vec::with_capacity(plan.chunks);
-            let mut rest = result_slots.as_mut_slice();
-            while !rest.is_empty() {
-                let take = plan.chunk_len.min(rest.len());
-                let (chunk, tail) = rest.split_at_mut(take);
-                out.push(Mutex::new(Some(chunk)));
-                rest = tail;
-            }
-            out
-        };
-        let cursor = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            let chunks = &chunks;
-            let cursor = &cursor;
-            let solve_item = &solve_item;
-            for ws in &mut self.workspaces[..plan.workers] {
-                scope.spawn(move || loop {
-                    let chunk_idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if chunk_idx >= chunks.len() {
-                        break;
-                    }
-                    let Some(result_chunk) = chunks[chunk_idx].lock().expect("chunk lock").take()
-                    else {
-                        continue;
-                    };
-                    let base = chunk_idx * plan.chunk_len;
-                    for (off, slot) in result_chunk.iter_mut().enumerate() {
-                        *slot = Some(solve_item(ws, &items[base + off]));
-                    }
-                });
-            }
-        });
-
-        result_slots
+        let (results, _) = parallel_map_with(
+            self.workspaces_for(items.len()),
+            items.iter().collect(),
+            &SolveBudget::unlimited(),
+            |ws, item| solve_one(ws, item.instance, item.variant, item.algo, item.budget),
+        );
+        results
             .into_iter()
-            .map(|slot| slot.expect("every chunk is claimed and filled"))
+            .map(|r| r.expect("an unlimited budget attempts every item"))
             .collect()
     }
 
-    fn ensure_workspaces(&mut self, k: usize) {
-        while self.workspaces.len() < k {
-            self.workspaces.push(DualWorkspace::new());
+    /// The workspaces of an `n`-item batch, one per worker of
+    /// [`chunk_plan`]`(n, threads)` (worker `i` always gets workspace `i`),
+    /// grown lazily.
+    fn workspaces_for(&mut self, n: usize) -> &mut [DualWorkspace] {
+        let workers = if n == 0 {
+            0
+        } else {
+            chunk_plan(n, self.threads).workers
+        };
+        if self.workspaces.len() < workers {
+            self.workspaces.resize_with(workers, DualWorkspace::new);
         }
+        &mut self.workspaces[..workers]
     }
 }
 
 /// One batch-setup solve on a worker's workspace (`None` = unlimited).
+/// Panics are isolated one level down (`solve_problem` catches, resets `ws`
+/// and returns `Err`), so a failing item never takes its worker out.
 fn solve_one(
     ws: &mut DualWorkspace,
     inst: &Instance,

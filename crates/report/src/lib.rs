@@ -12,6 +12,6 @@ mod timing;
 pub use gantt::{render_gantt, GanttOptions};
 pub use solution::{solution_summary, solution_table};
 pub use stats::{fit_loglog, Summary};
-pub use sweep::{chunk_plan, parallel_map, parallel_map_budgeted, ChunkPlan};
+pub use sweep::{chunk_plan, parallel_map, parallel_map_budgeted, parallel_map_with, ChunkPlan};
 pub use table::Table;
 pub use timing::{time, time_best_of};

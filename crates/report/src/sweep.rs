@@ -116,27 +116,53 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return (Vec::new(), None);
-    }
-    let requested = threads
+    let threads = threads
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(4)
         })
         .max(1);
-    let plan = chunk_plan(n, requested);
-    let workers = plan.workers;
-    if workers == 1 {
+    parallel_map_with(&mut vec![(); threads], items, budget, |(), item| f(item))
+}
+
+/// [`parallel_map_budgeted`] with one mutable state per worker: worker `i`
+/// runs every item it claims as `f(&mut states[i], item)`, so a state — a
+/// warm solver workspace, say — is reused across that worker's items and
+/// never shared. `states.len()` is the worker budget; a small input uses
+/// only the first [`chunk_plan`]`(items.len(), states.len()).workers`
+/// states, and a single worker runs on the calling thread.
+///
+/// # Panics
+/// If `states` is empty while `items` is not. Otherwise the contract of
+/// [`parallel_map`]: a panicking item is re-raised on the calling thread
+/// after the workers drain.
+pub fn parallel_map_with<S, T, R, F>(
+    states: &mut [S],
+    items: Vec<T>,
+    budget: &SolveBudget,
+    f: F,
+) -> (Vec<Option<R>>, Option<Interrupt>)
+where
+    S: Send,
+    T: Send,
+    R: Send,
+    F: Fn(&mut S, T) -> R + Sync,
+{
+    let n = items.len();
+    if n == 0 {
+        return (Vec::new(), None);
+    }
+    let plan = chunk_plan(n, states.len());
+    if plan.workers == 1 {
+        let state = &mut states[0];
         let mut out = Vec::with_capacity(n);
         let mut interrupt = None;
         for item in items {
             if interrupt.is_none() {
                 match budget.poll() {
                     Ok(()) => {
-                        out.push(Some(f(item)));
+                        out.push(Some(f(state, item)));
                         continue;
                     }
                     Err(i) => interrupt = Some(i),
@@ -156,7 +182,7 @@ where
     let mut result_slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     type Chunk<'a, T, R> = (usize, &'a mut [Option<T>], &'a mut [Option<R>]);
     let chunks: Vec<Mutex<Option<Chunk<'_, T, R>>>> = {
-        let mut out = Vec::with_capacity(n.div_ceil(chunk_len));
+        let mut out = Vec::with_capacity(plan.chunks);
         let mut base = 0usize;
         let mut items_rest = item_slots.as_mut_slice();
         let mut results_rest = result_slots.as_mut_slice();
@@ -179,8 +205,10 @@ where
     let interrupted: Mutex<Option<Interrupt>> = Mutex::new(None);
 
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
+        let (chunks, cursor, aborted) = (&chunks, &cursor, &aborted);
+        let (failure, interrupted, f) = (&failure, &interrupted, &f);
+        for state in &mut states[..plan.workers] {
+            scope.spawn(move || loop {
                 if aborted.load(Ordering::Relaxed) {
                     break;
                 }
@@ -207,7 +235,7 @@ where
                         return;
                     }
                     let item = slot.take().expect("chunk items taken once");
-                    match catch_unwind(AssertUnwindSafe(|| f(item))) {
+                    match catch_unwind(AssertUnwindSafe(|| f(state, item))) {
                         Ok(r) => *result = Some(r),
                         Err(payload) => {
                             let mut slot = failure.lock().expect("failure lock");

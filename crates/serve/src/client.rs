@@ -97,7 +97,7 @@ pub enum SolveOutcome {
     },
     /// Admission control refused the request; retry later.
     Shed {
-        /// Queue depth at refusal.
+        /// Requests waiting for a solve slot at refusal.
         queued: u64,
         /// Configured queue capacity.
         capacity: u64,
@@ -149,12 +149,23 @@ impl Client {
         Ok(bss_json::decode::<Response>(&payload)?)
     }
 
-    fn check_id(&self, got: u64, want: u64) -> Result<(), ClientError> {
-        if got == want {
-            Ok(())
+    /// Sends the request built for a fresh id and decodes its reply with
+    /// `expect`, which returns the echoed id and the value for the replies
+    /// the request expects (and [`unexpected`] for any other). The echoed
+    /// id must match.
+    fn exchange<T>(
+        &mut self,
+        request: impl FnOnce(u64) -> Request,
+        expect: impl FnOnce(Response) -> Result<(u64, T), ClientError>,
+    ) -> Result<T, ClientError> {
+        let id = self.next_id;
+        self.next_id += 1;
+        let (rid, value) = expect(self.call(&request(id))?)?;
+        if rid == id {
+            Ok(value)
         } else {
             Err(ClientError::Mismatch(format!(
-                "response id {got}, expected {want} (protocol v{PROTOCOL_VERSION})"
+                "response id {rid}, expected {id} (protocol v{PROTOCOL_VERSION})"
             )))
         }
     }
@@ -171,39 +182,18 @@ impl Client {
         algo: Algorithm,
         opts: SolveOptions,
     ) -> Result<SolveOutcome, ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let request = Request::Solve(Box::new(SolveRequest {
-            id,
-            instance: instance.clone(),
-            variant,
-            algo,
-            deadline_ms: opts.deadline_ms,
-            work_budget: opts.work_budget,
-            want_schedule: opts.want_schedule,
-        }));
-        match self.call(&request)? {
-            Response::Solved {
-                id: rid,
-                cached,
-                solution,
-            } => {
-                self.check_id(rid, id)?;
-                Ok(SolveOutcome::Solved { cached, solution })
-            }
-            Response::Shed {
-                id: rid,
-                queued,
-                capacity,
-            } => {
-                self.check_id(rid, id)?;
-                Ok(SolveOutcome::Shed { queued, capacity })
-            }
-            Response::Error { code, message, .. } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Mismatch(format!(
-                "unexpected response to solve: {other:?}"
-            ))),
-        }
+        let request = |id| {
+            Request::Solve(Box::new(SolveRequest {
+                id,
+                instance: instance.clone(),
+                variant,
+                algo,
+                deadline_ms: opts.deadline_ms,
+                work_budget: opts.work_budget,
+                want_schedule: opts.want_schedule,
+            }))
+        };
+        self.exchange(request, solve_outcome)
     }
 
     /// Liveness probe.
@@ -211,15 +201,13 @@ impl Client {
     /// # Errors
     /// Any [`ClientError`].
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        match self.call(&Request::Ping { id })? {
-            Response::Pong { id: rid } => self.check_id(rid, id),
-            Response::Error { code, message, .. } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Mismatch(format!(
-                "unexpected response to ping: {other:?}"
-            ))),
-        }
+        self.exchange(
+            |id| Request::Ping { id },
+            |reply| match reply {
+                Response::Pong { id } => Ok((id, ())),
+                other => Err(unexpected("ping", other)),
+            },
+        )
     }
 
     /// Fetches the server's counter snapshot.
@@ -227,21 +215,16 @@ impl Client {
     /// # Errors
     /// Any [`ClientError`].
     pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        match self.call(&Request::Stats { id })? {
-            Response::Stats { id: rid, stats } => {
-                self.check_id(rid, id)?;
-                Ok(stats)
-            }
-            Response::Error { code, message, .. } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Mismatch(format!(
-                "unexpected response to stats: {other:?}"
-            ))),
-        }
+        self.exchange(
+            |id| Request::Stats { id },
+            |reply| match reply {
+                Response::Stats { id, stats } => Ok((id, stats)),
+                other => Err(unexpected("stats", other)),
+            },
+        )
     }
 
-    /// Test instrumentation: occupy the server's dispatcher for `ms`
+    /// Test instrumentation: hold one of the server's solve slots for `ms`
     /// milliseconds (requires `allow_test_ops` server-side). Blocks until
     /// the sleep completes.
     ///
@@ -250,43 +233,33 @@ impl Client {
     /// [`ErrorCode::BadRequest`] when the server refuses test ops. A shed
     /// sleep reports [`ClientError::Mismatch`].
     pub fn sleep(&mut self, ms: u64) -> Result<(), ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        match self.call(&Request::Sleep { id, ms })? {
-            Response::Pong { id: rid } => self.check_id(rid, id),
-            Response::Error { code, message, .. } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Mismatch(format!(
-                "unexpected response to sleep: {other:?}"
+        match self.try_sleep(ms)? {
+            None => Ok(()),
+            Some((queued, capacity)) => Err(ClientError::Mismatch(format!(
+                "sleep was shed ({queued} waiting, capacity {capacity})"
             ))),
         }
     }
 
-    /// Like [`Client::sleep`] but surfaces a shed as [`SolveOutcome::Shed`]
-    /// — the overload tests need to observe shedding on the sleep path.
+    /// Like [`Client::sleep`] but surfaces a shed as `Some((queued,
+    /// capacity))` — the overload tests need to observe shedding on the
+    /// sleep path.
     ///
     /// # Errors
     /// Any [`ClientError`].
     pub fn try_sleep(&mut self, ms: u64) -> Result<Option<(u64, u64)>, ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        match self.call(&Request::Sleep { id, ms })? {
-            Response::Pong { id: rid } => {
-                self.check_id(rid, id)?;
-                Ok(None)
-            }
-            Response::Shed {
-                id: rid,
-                queued,
-                capacity,
-            } => {
-                self.check_id(rid, id)?;
-                Ok(Some((queued, capacity)))
-            }
-            Response::Error { code, message, .. } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Mismatch(format!(
-                "unexpected response to sleep: {other:?}"
-            ))),
-        }
+        self.exchange(
+            |id| Request::Sleep { id, ms },
+            |reply| match reply {
+                Response::Pong { id } => Ok((id, None)),
+                Response::Shed {
+                    id,
+                    queued,
+                    capacity,
+                } => Ok((id, Some((queued, capacity)))),
+                other => Err(unexpected("sleep", other)),
+            },
+        )
     }
 
     /// Opens (or replaces) this connection's incremental session on the
@@ -300,15 +273,15 @@ impl Client {
         variant: Variant,
         algo: Algorithm,
     ) -> Result<SessionAck, ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let request = Request::Session(Box::new(SessionRequest {
-            id,
-            instance: instance.clone(),
-            variant,
-            algo,
-        }));
-        self.session_call(&request, id)
+        let request = |id| {
+            Request::Session(Box::new(SessionRequest {
+                id,
+                instance: instance.clone(),
+                variant,
+                algo,
+            }))
+        };
+        self.exchange(request, session_ack)
     }
 
     /// Applies one delta to the server-side session.
@@ -318,51 +291,20 @@ impl Client {
     /// class) comes back as [`ClientError::Server`] with
     /// [`ErrorCode::InvalidInstance`] and leaves the session unchanged.
     pub fn delta(&mut self, delta: Delta) -> Result<SessionAck, ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.session_call(&Request::Delta { id, delta }, id)
-    }
-
-    fn session_call(&mut self, request: &Request, id: u64) -> Result<SessionAck, ClientError> {
-        match self.call(request)? {
-            Response::Session {
-                id: rid,
-                jobs,
-                content_hash,
-            } => {
-                self.check_id(rid, id)?;
-                Ok(SessionAck { jobs, content_hash })
-            }
-            Response::Error { code, message, .. } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Mismatch(format!(
-                "unexpected response to session/delta: {other:?}"
-            ))),
-        }
+        self.exchange(|id| Request::Delta { id, delta }, session_ack)
     }
 
     /// Solves the session's current state through the server's warm-start
-    /// path; `cached` in the result marks a solve-cache hit.
+    /// path; `cached` in the result marks a solve-cache hit. Resolves share
+    /// the solve path's admission control, so a saturated server answers
+    /// [`SolveOutcome::Shed`], exactly as [`Client::solve`] does.
     ///
     /// # Errors
     /// Any [`ClientError`]; resolving without a session is a
     /// [`ClientError::Server`] with [`ErrorCode::BadRequest`].
     pub fn resolve(&mut self, want_schedule: bool) -> Result<SolveOutcome, ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        match self.call(&Request::Resolve { id, want_schedule })? {
-            Response::Solved {
-                id: rid,
-                cached,
-                solution,
-            } => {
-                self.check_id(rid, id)?;
-                Ok(SolveOutcome::Solved { cached, solution })
-            }
-            Response::Error { code, message, .. } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Mismatch(format!(
-                "unexpected response to resolve: {other:?}"
-            ))),
-        }
+        let request = |id| Request::Resolve { id, want_schedule };
+        self.exchange(request, solve_outcome)
     }
 
     /// Asks the server to shut down (the response is `bye`).
@@ -370,14 +312,51 @@ impl Client {
     /// # Errors
     /// Any [`ClientError`].
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        match self.call(&Request::Shutdown { id })? {
-            Response::Bye { id: rid } => self.check_id(rid, id),
-            Response::Error { code, message, .. } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Mismatch(format!(
-                "unexpected response to shutdown: {other:?}"
-            ))),
-        }
+        self.exchange(
+            |id| Request::Shutdown { id },
+            |reply| match reply {
+                Response::Bye { id } => Ok((id, ())),
+                other => Err(unexpected("shutdown", other)),
+            },
+        )
+    }
+}
+
+/// The error for a reply a request does not expect: a typed server error
+/// becomes [`ClientError::Server`], anything else a
+/// [`ClientError::Mismatch`].
+fn unexpected(op: &str, reply: Response) -> ClientError {
+    match reply {
+        Response::Error { code, message, .. } => ClientError::Server { code, message },
+        other => ClientError::Mismatch(format!("unexpected response to {op}: {other:?}")),
+    }
+}
+
+/// The reply decoder shared by solves and resolves: a solution or a shed.
+fn solve_outcome(reply: Response) -> Result<(u64, SolveOutcome), ClientError> {
+    match reply {
+        Response::Solved {
+            id,
+            cached,
+            solution,
+        } => Ok((id, SolveOutcome::Solved { cached, solution })),
+        Response::Shed {
+            id,
+            queued,
+            capacity,
+        } => Ok((id, SolveOutcome::Shed { queued, capacity })),
+        other => Err(unexpected("solve/resolve", other)),
+    }
+}
+
+/// The reply decoder of session and delta requests.
+fn session_ack(reply: Response) -> Result<(u64, SessionAck), ClientError> {
+    match reply {
+        Response::Session {
+            id,
+            jobs,
+            content_hash,
+        } => Ok((id, SessionAck { jobs, content_hash })),
+        other => Err(unexpected("session/delta", other)),
     }
 }

@@ -123,8 +123,8 @@ pub struct SolveRequest {
     /// Which algorithm to run.
     pub algo: Algorithm,
     /// Per-request wall-clock deadline, measured from *arrival* at the
-    /// server (queueing time counts against it — an honest service-level
-    /// deadline).
+    /// server (time spent waiting for a solve slot counts against it — an
+    /// honest service-level deadline).
     pub deadline_ms: Option<u64>,
     /// Per-request work budget (dual-probe / exact-node units).
     pub work_budget: Option<u64>,
@@ -271,7 +271,7 @@ pub struct ServerStats {
     pub errors: u64,
     /// Solve-cache counters.
     pub cache: CacheStats,
-    /// The pool's worker-thread count.
+    /// How many requests may solve at once (the admission gate's slots).
     pub workers: u64,
 }
 
@@ -287,12 +287,13 @@ pub enum Response {
         /// The solution payload.
         solution: WireSolution,
     },
-    /// Admission control refused the request: the queue was full. The
-    /// client may retry later; nothing was enqueued.
+    /// Admission control refused the request: `capacity` requests were
+    /// already waiting for a solve slot. The client may retry later;
+    /// nothing was solved.
     Shed {
         /// Echoed request id.
         id: u64,
-        /// Queue depth observed at refusal.
+        /// Requests waiting for a solve slot at refusal.
         queued: u64,
         /// The configured queue capacity.
         capacity: u64,

@@ -1,44 +1,46 @@
-//! The solve server: TCP accept loop, bounded request queue, and a
-//! micro-batching dispatcher over a thread-per-core [`SolvePool`].
+//! The solve server: a TCP accept loop, and one solve path that runs on the
+//! connection threads behind a counting admission gate.
 //!
 //! # Architecture
 //!
 //! ```text
-//! accept loop ──► connection threads ──► bounded queue ──► dispatcher
-//!                  (frame/parse/cache      (admission        (drains ≤ batch_max,
-//!                   lookup, shed fast)      control)          SolvePool::solve_items)
+//! accept loop ──► connection threads ──► cache ──► admission gate ──► solve_problem
+//!                  (frame, parse,         (hits     (≤ workers solve,   (pooled warm
+//!                   session state)         reply)    FIFO, shed at cap)   workspace)
 //! ```
 //!
 //! One detached thread per connection owns the socket: it reads frames,
-//! parses under the hardened [`bss_json`] limits, answers cache hits and
-//! control requests inline, and enqueues solve work. The queue is bounded;
-//! at capacity the connection thread answers with a typed
-//! [`Response::Shed`] immediately instead of blocking — overload is a
-//! first-class, machine-readable outcome, not a stalled socket.
+//! parses under the hardened [`bss_json`] limits and answers control
+//! requests inline. Stateless solves and session resolves take the same
+//! path on that thread. The solve cache comes first, so a hit touches
+//! nothing else. A miss takes a slot from the admission gate: at most
+//! `workers` requests solve at once and waiting requests are admitted in
+//! arrival order. A request that finds `queue_capacity` others already
+//! waiting is answered with a typed [`Response::Shed`] at once instead of
+//! blocking — overload is a first-class, machine-readable outcome, not a
+//! stalled socket. An admitted request runs [`solve_problem`] on a warm
+//! workspace from a shared pool, behind its panic isolation, and a full
+//! answer goes into the cache.
 //!
-//! A single dispatcher thread drains up to `batch_max` queued requests at a
-//! time and hands them to [`SolvePool::solve_items`], so requests that
-//! arrived together are solved together across all cores on warm
-//! workspaces (micro-batching), while each request keeps its *own*
-//! [`SolveBudget`]. Deadlines are measured from **arrival** at the server
-//! — time spent queued counts against a request's deadline, so a
+//! Deadlines are measured from **arrival** at the server — time spent
+//! waiting for a slot counts against a request's deadline, so a
 //! `deadline_ms` is an honest service-level promise, and a request that
-//! starves in the queue comes back `degraded`, never silently late.
+//! starves at the gate comes back `degraded`, never silently late.
 
-use std::collections::VecDeque;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use bss_core::{solve, solve_warm, Algorithm, SolveBudget, WarmStart};
+use bss_core::{
+    solve_problem, Algorithm, BssProblem, DualWorkspace, Solution, SolveBudget, SolveOptions,
+    WarmStart,
+};
 use bss_instance::{IncrementalInstance, Variant};
 use bss_json::frame::{read_frame, write_frame, FrameError};
 use bss_json::ParseLimits;
-use bss_par::{SolveItem, SolvePool};
 
 use crate::cache::SolveCache;
 use crate::protocol::{
@@ -53,21 +55,20 @@ pub struct ServeConfig {
     /// Listen address. Port 0 binds an ephemeral port; read it back from
     /// [`ServerHandle::addr`].
     pub addr: String,
-    /// Solver worker threads (0 = one per available core).
+    /// Requests solved at once (0 = one per available core).
     pub workers: usize,
     /// Solve-cache entry bound (0 disables caching).
     pub cache_capacity: usize,
-    /// Request-queue bound; requests beyond it are shed.
+    /// Bound on requests waiting for a solve slot; requests beyond it are
+    /// shed.
     pub queue_capacity: usize,
-    /// Maximum requests drained into one pool batch.
-    pub batch_max: usize,
     /// Maximum accepted frame payload, bytes.
     pub max_frame_bytes: usize,
     /// Maximum accepted JSON nesting depth.
     pub max_json_depth: usize,
     /// Honor `"kind":"sleep"` requests (test instrumentation that lets
-    /// integration tests stall the dispatcher deterministically). Keep
-    /// `false` outside tests.
+    /// integration tests hold a solve slot deterministically). Keep `false`
+    /// outside tests.
     pub allow_test_ops: bool,
 }
 
@@ -78,7 +79,6 @@ impl Default for ServeConfig {
             workers: 0,
             cache_capacity: 1024,
             queue_capacity: 1024,
-            batch_max: 64,
             max_frame_bytes: 32 << 20,
             max_json_depth: 64,
             allow_test_ops: false,
@@ -86,60 +86,124 @@ impl Default for ServeConfig {
     }
 }
 
-/// One queued solve job: the parsed request plus its arrival time and the
-/// channel its response travels back on.
-struct Job {
-    req: SolveRequest,
-    hash: u64,
-    enqueued: Instant,
-    reply: mpsc::Sender<Response>,
+/// The admission gate: tickets in arrival order, the slots in use, and the
+/// shutdown flag. The flag is read and raised only under the gate's lock,
+/// so no request is admitted after a shutdown has seen the gate drained.
+#[derive(Default)]
+struct Gate {
+    /// Tickets handed out; `issued - admitted` requests are waiting.
+    issued: u64,
+    /// Tickets admitted, in ticket order.
+    admitted: u64,
+    /// Admitted requests still holding a slot.
+    running: usize,
+    shutdown: bool,
 }
 
-/// Work items the dispatcher understands.
-enum Work {
-    Solve(Job),
-    /// Test instrumentation: occupy the dispatcher for a while.
-    Sleep {
-        id: u64,
-        ms: u64,
-        reply: mpsc::Sender<Response>,
-    },
-}
-
-/// State shared between connection threads and the dispatcher.
+/// State shared by the accept loop and the connection threads.
 struct Shared {
-    queue: Mutex<VecDeque<Work>>,
-    queue_signal: Condvar,
+    gate: Mutex<Gate>,
+    /// Signalled whenever a slot frees, a ticket is admitted or shutdown
+    /// begins.
+    gate_signal: Condvar,
+    /// Warm solve workspaces. Only slot holders pop one and each pushes it
+    /// back, so the pool never holds more than `slots` entries.
+    workspaces: Mutex<Vec<DualWorkspace>>,
     cache: Mutex<SolveCache>,
-    shutdown: AtomicBool,
     solved: AtomicU64,
     shed: AtomicU64,
     errors: AtomicU64,
     config: ServeConfig,
-    pool_threads: usize,
+    /// How many requests may solve at once.
+    slots: usize,
+}
+
+/// Locks `mutex`, recovering from poisoning. Every critical section here
+/// leaves its data consistent at each panic point (the cache's map/order
+/// structures are updated atomically from the caller's view, the gate's
+/// counters are plain assignments, and `solve_problem` resets a workspace
+/// whose solve panicked), so a thread that panicked while *holding* a guard
+/// must not turn every later access into a crash that takes the whole
+/// service down. A poisoned lock degrades to "keep serving with the state
+/// as it was", never to an outage.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Shared {
-    /// Locks the solve cache, recovering from lock poisoning. The cache's
-    /// own methods never leave it mid-mutation at a panic point (the
-    /// map/order structures are updated atomically from the caller's view),
-    /// so a thread that panicked while *holding* the guard — e.g. a solve
-    /// isolation failure on the dispatcher — must not turn every later
-    /// cache access into a `.expect` crash that takes the whole service
-    /// down. A poisoned lock degrades to "keep serving with the cache as
-    /// it was", never to an outage.
-    fn cache(&self) -> MutexGuard<'_, SolveCache> {
-        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn stats(&self) -> ServerStats {
         ServerStats {
             solved: self.solved.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
-            cache: self.cache().stats(),
-            workers: self.pool_threads as u64,
+            cache: lock(&self.cache).stats(),
+            workers: self.slots as u64,
         }
+    }
+
+    /// Admission control: blocks until a solve slot is free and every
+    /// earlier arrival has been admitted, or answers at once with a typed
+    /// shed (`queue_capacity` requests already waiting) or shutdown error
+    /// (boxed, as a `Response` is large).
+    fn admit(&self, id: u64) -> Result<Slot<'_>, Box<Response>> {
+        let mut gate = lock(&self.gate);
+        if gate.shutdown {
+            return Err(Box::new(Response::Error {
+                id,
+                code: ErrorCode::Internal,
+                message: "server is shutting down".into(),
+            }));
+        }
+        let waiting = gate.issued - gate.admitted;
+        let capacity = self.config.queue_capacity as u64;
+        if waiting >= capacity {
+            self.shed.fetch_add(1, Ordering::Relaxed);
+            return Err(Box::new(Response::Shed {
+                id,
+                queued: waiting,
+                capacity,
+            }));
+        }
+        let ticket = gate.issued;
+        gate.issued += 1;
+        let mut gate = self
+            .gate_signal
+            .wait_while(gate, |g| g.admitted != ticket || g.running >= self.slots)
+            .unwrap_or_else(PoisonError::into_inner);
+        gate.admitted += 1;
+        gate.running += 1;
+        drop(gate);
+        // The next ticket may fit into another free slot.
+        self.gate_signal.notify_all();
+        Ok(Slot(self))
+    }
+
+    /// Raises the shutdown flag: later misses are refused, while requests
+    /// already admitted or waiting still finish.
+    fn begin_shutdown(&self) {
+        lock(&self.gate).shutdown = true;
+        self.gate_signal.notify_all();
+    }
+
+    /// Blocks until shutdown has begun and every admitted and waiting
+    /// request has finished.
+    fn wait_drained(&self) {
+        let _gate = self
+            .gate_signal
+            .wait_while(lock(&self.gate), |g| {
+                !g.shutdown || g.running > 0 || g.issued > g.admitted
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+}
+
+/// A held solve slot; dropping it frees the slot, on unwind too.
+struct Slot<'a>(&'a Shared);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        lock(&self.0.gate).running -= 1;
+        self.0.gate_signal.notify_all();
     }
 }
 
@@ -148,8 +212,7 @@ impl Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept_thread: Option<JoinHandle<()>>,
-    dispatch_thread: Option<JoinHandle<()>>,
+    accept_thread: JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -160,29 +223,23 @@ impl ServerHandle {
     }
 
     /// Blocks until the server stops — i.e. until some client sends a
-    /// `shutdown` request. The CLI `serve` command parks on this.
-    pub fn join(mut self) {
-        if let Some(t) = self.dispatch_thread.take() {
-            let _ = t.join();
-        }
-        // The dispatcher only exits once the shutdown flag is up; poke the
-        // accept loop so it notices too.
+    /// `shutdown` request and every admitted and waiting request has
+    /// finished. The CLI `serve` command parks on this.
+    pub fn join(self) {
+        self.shared.wait_drained();
+        // Poke the accept loop so it notices the flag too.
         let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        let _ = self.accept_thread.join();
     }
 
-    /// Stops the server: no new connections, the queue drains, in-flight
-    /// responses are delivered, then both service threads join.
-    pub fn shutdown(mut self) {
-        self.signal_shutdown();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.dispatch_thread.take() {
-            let _ = t.join();
-        }
+    /// Stops the server: no new connections or solves, every admitted and
+    /// waiting request finishes, then the accept thread joins.
+    pub fn shutdown(self) {
+        self.shared.begin_shutdown();
+        // Unblock the accept loop with a throwaway connection.
+        let _ = TcpStream::connect(self.addr);
+        let _ = self.accept_thread.join();
+        self.shared.wait_drained();
     }
 
     /// Test instrumentation: poisons the solve-cache mutex by panicking on
@@ -193,49 +250,36 @@ impl ServerHandle {
     pub fn poison_cache_for_tests(&self) {
         let shared = Arc::clone(&self.shared);
         let _ = std::thread::spawn(move || {
-            let _guard = shared.cache.lock().expect("not yet poisoned");
+            let _guard = lock(&shared.cache);
             panic!("deliberate poison");
         })
         .join();
     }
-
-    fn signal_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Wake the dispatcher out of its condvar wait.
-        self.shared.queue_signal.notify_all();
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-    }
 }
 
-/// Binds the listener and spawns the service threads.
+/// Binds the listener and spawns the accept thread.
 ///
 /// # Errors
 /// [`std::io::Error`] when the listen address cannot be bound.
 pub fn spawn(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    let pool_threads = if config.workers == 0 {
+    let slots = if config.workers == 0 {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     } else {
         config.workers
     };
     let shared = Arc::new(Shared {
-        queue: Mutex::new(VecDeque::new()),
-        queue_signal: Condvar::new(),
+        gate: Mutex::new(Gate::default()),
+        gate_signal: Condvar::new(),
+        workspaces: Mutex::new(Vec::with_capacity(slots)),
         cache: Mutex::new(SolveCache::new(config.cache_capacity)),
-        shutdown: AtomicBool::new(false),
         solved: AtomicU64::new(0),
         shed: AtomicU64::new(0),
         errors: AtomicU64::new(0),
         config,
-        pool_threads,
+        slots,
     });
-
-    let dispatch_shared = Arc::clone(&shared);
-    let dispatch_thread = std::thread::Builder::new()
-        .name("bss-serve-dispatch".into())
-        .spawn(move || dispatch_loop(&dispatch_shared))?;
 
     let accept_shared = Arc::clone(&shared);
     let accept_thread = std::thread::Builder::new()
@@ -245,14 +289,13 @@ pub fn spawn(config: ServeConfig) -> std::io::Result<ServerHandle> {
     Ok(ServerHandle {
         addr,
         shared,
-        accept_thread: Some(accept_thread),
-        dispatch_thread: Some(dispatch_thread),
+        accept_thread,
     })
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     for conn in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if lock(&shared.gate).shutdown {
             break;
         }
         let Ok(stream) = conn else { continue };
@@ -285,7 +328,7 @@ struct SessionState {
 /// answered — so responses are trivially in request order. Session state
 /// (the incremental instance and its warm-start bracket) lives here, owned
 /// by the connection thread, and dies with the connection.
-fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
+fn connection_loop(stream: TcpStream, shared: &Shared) {
     let mut reader = match stream.try_clone() {
         Ok(r) => r,
         Err(_) => return,
@@ -319,136 +362,70 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             Err(_) => break,
         };
 
-        let handled = match bss_json::parse_with_limits(&payload, &limits) {
-            Err(err) => Handled::Reply(Response::Error {
+        let response = match bss_json::parse_with_limits(&payload, &limits) {
+            Err(err) => Response::Error {
                 id: 0,
                 code: ErrorCode::of_json(err.kind()),
                 message: err.to_string(),
-            }),
-            Ok(value) => {
-                let id = peek_id(&value);
-                match Request::decode(&value) {
-                    Err(err) => Handled::Reply(Response::Error {
-                        id,
-                        code: err.code,
-                        message: err.message,
-                    }),
-                    Ok(request) => handle_request(request, &mut session, shared),
-                }
-            }
+            },
+            Ok(value) => match Request::decode(&value) {
+                Err(err) => Response::Error {
+                    id: peek_id(&value),
+                    code: err.code,
+                    message: err.message,
+                },
+                Ok(request) => handle_request(request, &mut session, shared),
+            },
         };
-
-        match handled {
-            Handled::Reply(resp) => {
-                let bye = matches!(resp, Response::Bye { .. });
-                if !send(&mut writer, &resp, shared.config.max_frame_bytes) || bye {
-                    break;
-                }
-            }
-            Handled::Pending(reply_rx) => {
-                // A job was enqueued: block until its response arrives. The
-                // only sender lives inside the queued job, so if the
-                // dispatcher dies (or the job is otherwise dropped
-                // undelivered) this surfaces as a RecvError and the
-                // connection closes instead of hanging forever.
-                match reply_rx.recv() {
-                    Ok(resp) => {
-                        if !send(&mut writer, &resp, shared.config.max_frame_bytes) {
-                            break;
-                        }
-                    }
-                    Err(_) => break,
-                }
-            }
+        let bye = matches!(response, Response::Bye { .. });
+        if !send(&mut writer, &response, shared.config.max_frame_bytes) || bye {
+            break;
         }
     }
 }
 
-/// How one request was handled on the connection thread.
-enum Handled {
-    /// Answer immediately.
-    Reply(Response),
-    /// A job was enqueued; its response arrives on this receiver.
-    Pending(mpsc::Receiver<Response>),
-}
-
-/// Handles one decoded request, answering inline or enqueueing a job whose
-/// response will arrive on the returned receiver. Session requests mutate
-/// the connection-local `session` and are answered inline: resolves are
-/// latency-bound single solves on a warm bracket, so they skip the batch
-/// queue and run right here on the connection thread.
+/// Answers one decoded request. Session requests mutate the
+/// connection-local `session`; solves and resolves both go through
+/// [`solve_request`].
 fn handle_request(
     request: Request,
     session: &mut Option<SessionState>,
-    shared: &Arc<Shared>,
-) -> Handled {
+    shared: &Shared,
+) -> Response {
     match request {
-        Request::Ping { id } => Handled::Reply(Response::Pong { id }),
-        Request::Stats { id } => Handled::Reply(Response::Stats {
+        Request::Ping { id } => Response::Pong { id },
+        Request::Stats { id } => Response::Stats {
             id,
             stats: shared.stats(),
-        }),
+        },
         Request::Shutdown { id } => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.queue_signal.notify_all();
-            Handled::Reply(Response::Bye { id })
+            shared.begin_shutdown();
+            Response::Bye { id }
         }
         Request::Sleep { id, ms } => {
             if !shared.config.allow_test_ops {
-                return Handled::Reply(Response::Error {
+                return Response::Error {
                     id,
                     code: ErrorCode::BadRequest,
                     message: "sleep is a test op; this server does not allow test ops".into(),
-                });
+                };
             }
-            let (reply_tx, reply_rx) = mpsc::channel();
-            match enqueue(
-                Work::Sleep {
-                    id,
-                    ms,
-                    reply: reply_tx,
-                },
-                id,
-                shared,
-            ) {
-                Some(resp) => Handled::Reply(resp),
-                None => Handled::Pending(reply_rx),
+            match shared.admit(id) {
+                Ok(_slot) => {
+                    std::thread::sleep(Duration::from_millis(ms));
+                    Response::Pong { id }
+                }
+                Err(reply) => *reply,
             }
         }
         Request::Solve(req) => {
             let hash = req.instance.content_hash();
-            // Cache fast path: answered on the connection thread without
-            // touching the queue, so hits stay cheap under load.
-            let hit = shared
-                .cache()
-                .lookup(hash, &req.instance, req.variant, req.algo);
-            if let Some(sol) = hit {
-                return Handled::Reply(Response::Solved {
-                    id: req.id,
-                    cached: true,
-                    solution: WireSolution::of(&sol, req.want_schedule),
-                });
-            }
-            let id = req.id;
-            let (reply_tx, reply_rx) = mpsc::channel();
-            match enqueue(
-                Work::Solve(Job {
-                    req: *req,
-                    hash,
-                    enqueued: Instant::now(),
-                    reply: reply_tx,
-                }),
-                id,
-                shared,
-            ) {
-                Some(resp) => Handled::Reply(resp),
-                None => Handled::Pending(reply_rx),
-            }
+            solve_request(&req, hash, None, shared).0
         }
-        Request::Session(req) => Handled::Reply(open_session(*req, session)),
-        Request::Delta { id, delta } => Handled::Reply(apply_delta(id, delta, session)),
+        Request::Session(req) => open_session(*req, session),
+        Request::Delta { id, delta } => apply_delta(id, delta, session),
         Request::Resolve { id, want_schedule } => {
-            Handled::Reply(resolve_session(id, want_schedule, session, shared))
+            resolve_session(id, want_schedule, session, shared)
         }
     }
 }
@@ -497,58 +474,41 @@ fn apply_delta(
     }
 }
 
-/// Solves the session's current state: the shared cache first (a session
-/// revisiting a state — or another client solving the same instance — hits
-/// it), then a warm-start re-solve seeded with the previous resolve's dual
-/// bracket, widened by the load shift the deltas since then caused. Cold
-/// solves only happen on a session's first resolve.
+/// Solves the session's current state on the shared solve path, warm-started
+/// from the previous resolve's dual bracket widened by the load shift the
+/// deltas since then caused. A solved or cached answer refreshes the
+/// bracket; a shed or failed resolve keeps the previous one.
 fn resolve_session(
     id: u64,
     want_schedule: bool,
     session: &mut Option<SessionState>,
-    shared: &Arc<Shared>,
+    shared: &Shared,
 ) -> Response {
     let Some(state) = session else {
         return no_session(id);
     };
-    let hash = state.inc.content_hash();
     let load = state.inc.total_load_once();
-    let instance = state.inc.materialize();
-    if let Some(sol) = shared
-        .cache()
-        .lookup(hash, &instance, state.variant, state.algo)
-    {
-        // A hit still refreshes the warm bracket: the cached solution's
-        // accepted/certificate window seeds the next resolve.
-        state.prev = Some((WarmStart::of(&sol), load));
-        return Response::Solved {
-            id,
-            cached: true,
-            solution: WireSolution::of(&sol, want_schedule),
-        };
-    }
-    let sol = match state.prev.take() {
-        Some((hint, prev_load)) => {
-            let hint = hint.widen_by_load_shift(
-                u128::from(prev_load),
-                u128::from(load),
-                instance.machines(),
-            );
-            solve_warm(&instance, state.variant, state.algo, &hint).0
-        }
-        None => solve(&instance, state.variant, state.algo),
-    };
-    shared.solved.fetch_add(1, Ordering::Relaxed);
-    let sol = Arc::new(sol);
-    shared
-        .cache()
-        .insert(hash, &instance, state.variant, state.algo, &sol);
-    state.prev = Some((WarmStart::of(&sol), load));
-    Response::Solved {
+    let req = SolveRequest {
         id,
-        cached: false,
-        solution: WireSolution::of(&sol, want_schedule),
+        instance: state.inc.materialize(),
+        variant: state.variant,
+        algo: state.algo,
+        deadline_ms: None,
+        work_budget: None,
+        want_schedule,
+    };
+    let warm = state.prev.map(|(hint, prev_load)| {
+        hint.widen_by_load_shift(
+            u128::from(prev_load),
+            u128::from(load),
+            req.instance.machines(),
+        )
+    });
+    let (response, solution) = solve_request(&req, state.inc.content_hash(), warm, shared);
+    if let Some(sol) = solution {
+        state.prev = Some((WarmStart::of(&sol), load));
     }
+    response
 }
 
 /// The typed reply to a delta/resolve with no open session.
@@ -560,135 +520,73 @@ fn no_session(id: u64) -> Response {
     }
 }
 
-/// Admission control: enqueue `work`, or answer with a typed shed/error.
-fn enqueue(work: Work, id: u64, shared: &Arc<Shared>) -> Option<Response> {
-    let mut queue = shared.queue.lock().expect("queue lock");
-    // The shutdown flag must be read *while holding the queue lock*: the
-    // dispatcher decides to exit under this lock (empty queue + flag up),
-    // so a push serialized after that decision is guaranteed to observe the
-    // flag and refuse here. Checking before locking would let a job slip
-    // into a queue nobody drains, hanging its connection thread on a reply
-    // that never comes.
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return Some(Response::Error {
-            id,
-            code: ErrorCode::Internal,
-            message: "server is shutting down".into(),
-        });
-    }
-    if queue.len() >= shared.config.queue_capacity {
-        shared.shed.fetch_add(1, Ordering::Relaxed);
-        return Some(Response::Shed {
-            id,
-            queued: queue.len() as u64,
-            capacity: shared.config.queue_capacity as u64,
-        });
-    }
-    queue.push_back(work);
-    drop(queue);
-    shared.queue_signal.notify_one();
-    None
-}
-
-/// The dispatcher: drains the queue in batches into the solve pool.
-fn dispatch_loop(shared: &Arc<Shared>) {
-    let mut pool = SolvePool::with_threads(shared.pool_threads);
-    loop {
-        let batch = {
-            let mut queue = shared.queue.lock().expect("queue lock");
-            loop {
-                if !queue.is_empty() {
-                    let take = queue.len().min(shared.config.batch_max.max(1));
-                    break queue.drain(..take).collect::<Vec<_>>();
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = shared.queue_signal.wait(queue).expect("queue condvar wait");
-            }
-        };
-
-        let mut jobs = Vec::new();
-        for work in batch {
-            match work {
-                Work::Solve(job) => jobs.push(job),
-                Work::Sleep { id, ms, reply } => {
-                    std::thread::sleep(Duration::from_millis(ms));
-                    let _ = reply.send(Response::Pong { id });
-                }
-            }
-        }
-        if !jobs.is_empty() {
-            solve_batch(&mut pool, jobs, shared);
-        }
-    }
-}
-
-/// Solves one drained batch on the pool and delivers every response.
-fn solve_batch(pool: &mut SolvePool, jobs: Vec<Job>, shared: &Arc<Shared>) {
-    // Budgets must outlive the SolveItem borrows; build them first.
-    let budgets: Vec<Option<SolveBudget>> = jobs
-        .iter()
-        .map(|job| {
+/// The one solve path, for stateless solves and session resolves alike: the
+/// cache first (a hit touches nothing else), then a slot from the admission
+/// gate, then [`solve_problem`] on a pooled warm workspace under the
+/// request's budget (anchored at arrival) and `warm` hint, then the cache
+/// insert. Returns the reply and, unless the request was shed or failed,
+/// the solution it carries.
+fn solve_request(
+    req: &SolveRequest,
+    hash: u64,
+    warm: Option<WarmStart>,
+    shared: &Shared,
+) -> (Response, Option<Arc<Solution>>) {
+    let hit = lock(&shared.cache).lookup(hash, &req.instance, req.variant, req.algo);
+    let (cached, solution) = match hit {
+        Some(sol) => (true, sol),
+        None => {
+            // Built before the gate, so the deadline runs from arrival: time
+            // spent waiting for a slot counts against it.
             let mut budget = SolveBudget::unlimited();
-            let mut limited = false;
-            if let Some(ms) = job.req.deadline_ms {
-                // From *arrival*: queue time already spent counts.
-                budget = budget.with_deadline_at(job.enqueued + Duration::from_millis(ms));
-                limited = true;
+            if let Some(ms) = req.deadline_ms {
+                budget = budget.with_deadline(Duration::from_millis(ms));
             }
-            if let Some(w) = job.req.work_budget {
-                budget = budget.with_work_limit(w);
-                limited = true;
+            if let Some(units) = req.work_budget {
+                budget = budget.with_work_limit(units);
             }
-            limited.then_some(budget)
-        })
-        .collect();
-    let items: Vec<SolveItem<'_>> = jobs
-        .iter()
-        .zip(&budgets)
-        .map(|(job, budget)| SolveItem {
-            instance: &job.req.instance,
-            variant: job.req.variant,
-            algo: job.req.algo,
-            budget: budget.as_ref(),
-        })
-        .collect();
-
-    let results = pool.solve_items(&items);
-
-    for (job, result) in jobs.iter().zip(results) {
-        let response = match result {
-            Ok(solution) => {
-                shared.solved.fetch_add(1, Ordering::Relaxed);
-                let solution = Arc::new(solution);
-                // Only Full completions are cacheable, and a key collision
-                // with a different resident instance drops the insert —
-                // both enforced inside the cache.
-                shared.cache().insert(
-                    job.hash,
-                    &job.req.instance,
-                    job.req.variant,
-                    job.req.algo,
-                    &solution,
-                );
-                Response::Solved {
-                    id: job.req.id,
-                    cached: false,
-                    solution: WireSolution::of(&solution, job.req.want_schedule),
+            let opts = SolveOptions {
+                budget: budget.is_limited().then_some(&budget),
+                warm,
+                ..SolveOptions::default()
+            };
+            let slot = match shared.admit(req.id) {
+                Ok(slot) => slot,
+                Err(reply) => return (*reply, None),
+            };
+            let mut ws = lock(&shared.workspaces).pop().unwrap_or_default();
+            let problem = BssProblem::new(&req.instance, req.variant);
+            let result = solve_problem(&mut ws, &problem, req.algo, &opts);
+            lock(&shared.workspaces).push(ws);
+            drop(slot);
+            match result {
+                Ok(sol) => {
+                    shared.solved.fetch_add(1, Ordering::Relaxed);
+                    let sol = Arc::new(sol);
+                    // Only Full completions are cacheable, and a key
+                    // collision with a different resident instance drops
+                    // the insert — both enforced inside the cache.
+                    lock(&shared.cache).insert(hash, &req.instance, req.variant, req.algo, &sol);
+                    (false, sol)
+                }
+                Err(err) => {
+                    shared.errors.fetch_add(1, Ordering::Relaxed);
+                    let reply = Response::Error {
+                        id: req.id,
+                        code: ErrorCode::Internal,
+                        message: format!("solve failed: {err}"),
+                    };
+                    return (reply, None);
                 }
             }
-            Err(err) => {
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-                Response::Error {
-                    id: job.req.id,
-                    code: ErrorCode::Internal,
-                    message: format!("solve failed: {err}"),
-                }
-            }
-        };
-        let _ = job.reply.send(response);
-    }
+        }
+    };
+    let response = Response::Solved {
+        id: req.id,
+        cached,
+        solution: WireSolution::of(&solution, req.want_schedule),
+    };
+    (response, Some(solution))
 }
 
 /// Encodes and frames a response onto the socket; `false` when the peer is

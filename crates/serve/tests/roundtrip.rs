@@ -208,18 +208,17 @@ fn cache_evicts_fifo_under_its_size_bound() {
 
 #[test]
 fn overloaded_server_sheds_with_a_typed_response() {
-    // One dispatcher slot, a queue of one: a sleeping job plus a queued job
-    // saturate the server deterministically.
+    // One solve slot, a queue of one: a sleeping request holding the slot
+    // plus one waiting behind it saturate the server deterministically.
     let server = test_server(ServeConfig {
         workers: 1,
-        batch_max: 1,
         queue_capacity: 1,
         allow_test_ops: true,
         ..ServeConfig::default()
     });
     let addr = server.addr();
 
-    // Occupy the dispatcher (blocking call, so it runs on its own thread).
+    // Occupy the only slot (blocking call, so it runs on its own thread).
     let busy = std::thread::spawn(move || {
         let mut c = Client::connect(addr).unwrap();
         c.sleep(600).unwrap();
@@ -232,8 +231,8 @@ fn overloaded_server_sheds_with_a_typed_response() {
     });
     std::thread::sleep(Duration::from_millis(150));
 
-    // Queue full, dispatcher busy: this request must be shed, immediately
-    // and typed — not blocked, not errored.
+    // Queue full, slot busy: this request must be shed, immediately and
+    // typed — not blocked, not errored.
     let mut client = Client::connect(addr).unwrap();
     let instance = bss_gen::uniform(10, 2, 2, 1);
     let started = std::time::Instant::now();
@@ -256,7 +255,7 @@ fn overloaded_server_sheds_with_a_typed_response() {
     assert!(depth >= 1);
     assert!(
         started.elapsed() < Duration::from_millis(400),
-        "shed reply must not wait for the busy dispatcher"
+        "shed reply must not wait for the busy slot"
     );
 
     busy.join().unwrap();
@@ -367,12 +366,11 @@ fn work_budget_degrades_like_the_local_budgeted_solver() {
 
 #[test]
 fn concurrent_clients_all_get_correct_answers() {
-    // More in-flight requests than workers forces micro-batching through
-    // SolvePool::solve_items; every response must still match its own
-    // request (no cross-wiring under concurrency).
+    // More in-flight requests than solve slots forces requests to wait at
+    // the admission gate; every response must still match its own request
+    // (no cross-wiring under concurrency).
     let server = test_server(ServeConfig {
         workers: 2,
-        batch_max: 4,
         ..ServeConfig::default()
     });
     let addr = server.addr();
@@ -571,6 +569,67 @@ fn session_misuse_gets_typed_errors_and_the_session_survives_bad_deltas() {
         client.resolve(false).unwrap(),
         SolveOutcome::Solved { .. }
     ));
+    server.shutdown();
+}
+
+#[test]
+fn session_resolve_is_shed_when_the_server_is_saturated() {
+    // Resolves share the solve path's admission gate: with the only slot
+    // held and the queue full, a resolve is shed like any other miss.
+    let server = test_server(ServeConfig {
+        workers: 1,
+        queue_capacity: 1,
+        allow_test_ops: true,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let base = bss_gen::uniform(30, 4, 3, 2718);
+    let (variant, algo) = (
+        Variant::NonPreemptive,
+        Algorithm::EpsilonSearch { eps_log2: 6 },
+    );
+    let mut client = Client::connect(addr).unwrap();
+    client.session(&base, variant, algo).unwrap();
+
+    let busy = std::thread::spawn(move || {
+        let mut c = Client::connect(addr).unwrap();
+        c.sleep(600).unwrap();
+    });
+    std::thread::sleep(Duration::from_millis(150));
+    let queued = std::thread::spawn(move || {
+        let mut c = Client::connect(addr).unwrap();
+        c.try_sleep(200).unwrap();
+    });
+    std::thread::sleep(Duration::from_millis(150));
+
+    let outcome = client.resolve(false).unwrap();
+    let SolveOutcome::Shed { capacity: 1, .. } = outcome else {
+        panic!("a resolve on a saturated server must be shed, got {outcome:?}");
+    };
+
+    busy.join().unwrap();
+    queued.join().unwrap();
+
+    // After the stall, the same session resolves normally: a cold solve,
+    // bit-identical to the local one.
+    let outcome = client.resolve(false).unwrap();
+    let SolveOutcome::Solved {
+        cached: false,
+        solution,
+    } = outcome
+    else {
+        panic!("the resolve after the stall must be a cold solve, got {outcome:?}");
+    };
+    assert_wire_matches(
+        "resolve after shed",
+        &solution,
+        &solve(&base, variant, algo),
+    );
+    let stats = client.stats().unwrap();
+    assert!(
+        stats.shed >= 1,
+        "shed counter must record the refused resolve"
+    );
     server.shutdown();
 }
 
@@ -853,10 +912,10 @@ fn solve_after_shutdown_gets_a_typed_error_not_a_hang() {
     let mut closer = Client::connect(addr).unwrap();
     closer.shutdown_server().unwrap();
 
-    // The dispatcher has (or soon will have) observed empty-queue+shutdown
-    // and exited. Admission control re-checks the flag under the queue
-    // lock, so this enqueue must be refused with a typed error — never
-    // pushed into a queue nobody drains, which would hang this call.
+    // The shutdown flag is up. Admission control reads it under the gate's
+    // lock, so this cache miss must be refused with a typed error — never
+    // left waiting for a slot on a server that has stopped admitting,
+    // which would hang this call.
     let instance = bss_gen::uniform(10, 2, 2, 3);
     match survivor.solve(
         &instance,

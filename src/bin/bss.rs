@@ -56,7 +56,6 @@ USAGE:
                [--deadline-ms MS] [--budget PROBES]
   bss validate <instance.json> <schedule.json> [--variant V]
   bss serve    [--addr HOST:PORT] [--threads N] [--cache N] [--queue N]
-               [--batch-max N]
   bss loadgen  --addr HOST:PORT [--connections N] [--requests N] [--distinct N]
                [--jobs N] [--classes C] [--machines M] [--seed S]
                [--variant V] [--algorithm A] [--deadline-ms MS] [--rate R]
@@ -82,11 +81,13 @@ USAGE:
   with the proven 3/2 bound, general ones through the heuristic dual.
 
   `serve` runs the solver as a long-lived TCP daemon (length-prefixed JSON
-  frames, see bss-serve): thread-per-core solving with warm workspaces, a
-  content-hash solve cache, request micro-batching, and typed shedding once
-  the bounded queue fills. `loadgen` drives a running server with a seeded
-  request mix — closed-loop by default, open-loop at `--rate R` requests/s
-  per connection — and prints sustained solves/s with p50/p90/p99 latency.";
+  frames, see bss-serve) with a content-hash solve cache: cache misses
+  solve on warm workspaces, at most `--threads` at once, and once `--queue`
+  requests are waiting for a slot the rest are shed with a typed reply.
+  `loadgen` drives a running server with a seeded request mix — closed-loop
+  by default, open-loop at `--rate R` requests/s per connection — prints
+  sustained solves/s with p50/p90/p99 latency, and fails when any request
+  was shed or failed.";
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -506,7 +507,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         workers: parse_opt("--threads", 0)?,
         cache_capacity: parse_opt("--cache", defaults.cache_capacity)?,
         queue_capacity: parse_opt("--queue", defaults.queue_capacity)?,
-        batch_max: parse_opt("--batch-max", defaults.batch_max)?,
         ..defaults
     };
     let server =
@@ -558,6 +558,13 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     let report = batch_setup_scheduling::serve::loadgen::run(&config)
         .map_err(|e| format!("load generation failed: {e}"))?;
     println!("{}", report.render());
+    let requests = config.requests as u64;
+    if report.solved < requests {
+        return Err(format!(
+            "{} of {requests} request(s) were shed or failed",
+            requests - report.solved
+        ));
+    }
     Ok(())
 }
 
