@@ -10,7 +10,8 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bss_core::{
-    nonpreemptive, preemptive, solve, splittable, two_approx, Algorithm, DualWorkspace, Trace,
+    nonpreemptive, preemptive, solve, solve_with, splittable, two_approx, Algorithm, DualWorkspace,
+    Trace,
 };
 use bss_instance::{Instance, LowerBounds, Variant};
 use bss_rational::Rational;
@@ -132,12 +133,11 @@ fn n_scaling(c: &mut Criterion) {
     for k in [12u32, 14, 16] {
         let n = 1usize << k;
         let inst = bss_gen::uniform(n, n / 20, 16, 5);
-        g.bench_with_input(BenchmarkId::new("splittable", n), &inst, |b, inst| {
-            b.iter(|| black_box(splittable::class_jumping_in(&mut ws, inst)))
-        });
-        g.bench_with_input(BenchmarkId::new("preemptive", n), &inst, |b, inst| {
-            b.iter(|| black_box(preemptive::class_jumping_in(&mut ws, inst)))
-        });
+        for variant in [Variant::Splittable, Variant::Preemptive] {
+            g.bench_with_input(BenchmarkId::new(variant.name(), n), &inst, |b, inst| {
+                b.iter(|| black_box(solve_with(&mut ws, inst, variant, Algorithm::ThreeHalves)))
+            });
+        }
     }
     g.finish();
 }

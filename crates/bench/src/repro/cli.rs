@@ -60,7 +60,7 @@ pub fn usage(what: &str) -> String {
          \x20            [--deadline-ms MS] [--budget CELLS]\n\n\
          OPTIONS:\n\
          \x20 --grid fast|full  sweep budget (default: $BSS_REPRO_GRID, else full;\n\
-         \x20                   fast is the row-subset grid the CI job checks)\n\
+         \x20                   fast is a cheap row-subset of the full grid)\n\
          \x20 --threads N       worker threads for the sweeps (default: all cores)\n\
          \x20 --no-timing       skip wall-time measurement (deterministic part only)\n\
          \x20 --out DIR         output root (default: {DEFAULT_OUT}; repro-all\n\

@@ -20,7 +20,7 @@
 //!
 //! Two grids exist ([`Grid`]): `Full` is the committed golden grid, `Fast` a
 //! strict row-subset of it (same instance sizes, fewer sweep points and
-//! seeds) cheap enough for the per-push CI job. Because fast rows are
+//! seeds) cheap enough for a debug-mode test run. Because fast rows are
 //! computed cell-by-cell exactly as full rows are, the fast grid checks each
 //! regenerated CSV row against the committed golden file even though the
 //! files as a whole differ — see [`compare_file`].

@@ -9,11 +9,11 @@
 //! | Theorem 1 | 2-approximation, `O(n)` | [`two_approx`] |
 //! | Theorem 2 | `(3/2+ε)`-approx, `O(n log 1/ε)` | [`Algorithm::EpsilonSearch`] over the duals ([`search`]) |
 //! | Theorem 7 | splittable 3/2-dual, `O(n)` | [`splittable::dual`] |
-//! | Theorem 3 | splittable 3/2, `O(n + c log(c+m))` | [`splittable::class_jumping`] |
+//! | Theorem 3 | splittable 3/2, `O(n + c log(c+m))` | [`Algorithm::ThreeHalves`] |
 //! | Theorems 4–5 | preemptive 3/2-dual, `O(n)` | [`preemptive::dual`] |
-//! | Theorem 6 | preemptive 3/2, `O(n log(c+m))` | [`preemptive::class_jumping`] |
+//! | Theorem 6 | preemptive 3/2, `O(n log(c+m))` | [`Algorithm::ThreeHalves`] |
 //! | Theorem 9 | non-preemptive 3/2-dual, `O(n)` | [`nonpreemptive::dual`] |
-//! | Theorem 8 | non-preemptive 3/2, `O(n log(n+Δ))` | [`nonpreemptive::three_halves`] |
+//! | Theorem 8 | non-preemptive 3/2, `O(n log(n+Δ))` | [`Algorithm::ThreeHalves`] |
 //!
 //! The one-stop entry point is [`solve`] with an [`Algorithm`] selector;
 //! [`solve_problem`] runs any [`Problem`] under one [`SolveOptions`]
@@ -62,6 +62,7 @@ pub mod splittable;
 pub mod two_approx;
 
 mod api;
+mod jumping;
 mod problem;
 mod seqdep_bridge;
 mod trace;

@@ -2,13 +2,12 @@
 //!
 //! * [`accepts`] / [`dual`]: the 3/2-dual approximation of Theorem 9
 //!   (Algorithm 6, Appendix D) — `O(n)` per guess.
-//! * [`three_halves`]: Theorem 8 — exact integer binary search over the dual,
-//!   `O(n log(n + Δ))` total, a clean 3/2-approximation because the
-//!   non-preemptive optimum is integral.
+//! * Theorem 8, run as [`crate::Algorithm::ThreeHalves`]: exact integer
+//!   binary search over the dual, `O(n log(n + Δ))` total, a clean
+//!   3/2-approximation because the non-preemptive optimum is integral.
 
 mod dual;
 mod search;
 
 pub use dual::{accepts, dual, dual_in, dual_into};
 pub(crate) use search::three_halves_search;
-pub use search::{three_halves, three_halves_in};

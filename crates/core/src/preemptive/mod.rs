@@ -4,14 +4,17 @@
 //!   (`I⁰_exp = ∅`).
 //! * [`dual`] / [`accepts`]: Theorem 5 / Algorithm 3 — the general 3/2-dual
 //!   with large machines and the continuous-knapsack placement decision.
-//! * [`class_jumping`]: Theorem 6 / Algorithm 4 — the full 3/2-approximation
-//!   in `O(n log(c+m)) ⊆ O(n log n)`, improving on the previous best ratio of
-//!   `2 − 1/(⌊m/2⌋+1)` (Monma & Potts 1993).
+//! * Class Jumping, Theorem 6 / Algorithm 4, run as
+//!   [`crate::Algorithm::ThreeHalves`]: the full 3/2-approximation in
+//!   `O(n log(c+m)) ⊆ O(n log n)`, improving on the previous best ratio of
+//!   `2 − 1/(⌊m/2⌋+1)` (Monma & Potts 1993). This module supplies the
+//!   variant's hooks; the search itself is shared with the splittable
+//!   variant.
 
 pub(crate) mod dual;
 mod jumping;
 pub(crate) mod nice;
 
 pub use dual::{accepts, accepts_in, dual, dual_in, dual_into};
-pub use jumping::{class_jumping, class_jumping_budgeted_in, class_jumping_in};
+pub(crate) use jumping::Pmtn;
 pub use nice::{is_nice, nice_dual, CountMode};

@@ -37,9 +37,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use bss_budget::{Interrupt, SolveBudget};
 use bss_instance::{Instance, LowerBounds, Variant};
 use bss_rational::Rational;
+use bss_schedule::Schedule;
 
 use crate::api::{finish, Algorithm, Completion, ScheduleRepr, Solution, SolveError};
-use crate::search::{Bracket, Search, SearchStats};
+use crate::jumping::class_jumping;
+use crate::search::{Bracket, Search, SearchOutcome, SearchStats};
 use crate::workspace::DualWorkspace;
 use crate::{nonpreemptive, preemptive, splittable, two_approx, SolveOptions, Trace};
 
@@ -530,56 +532,24 @@ impl Problem for BssProblem<'_> {
 
     fn direct_search(&self, ws: &mut DualWorkspace, opts: &SolveOptions<'_>) -> DirectSolve {
         let mut search = Search::new(opts, true);
-        let budget = search.budget();
-        let ((repr, accepted, rejected, probes), interrupt) = match self.variant {
-            // Class Jumping walks a jump structure whose next probe depends
-            // on the previous outcome in a way the wavefront planner cannot
-            // enumerate, and has no bisection to warm: it runs as is.
-            Variant::Splittable => {
-                let (o, i) = splittable::class_jumping_budgeted_in(ws, self.inst, budget);
-                (
-                    (
-                        ScheduleRepr::Compact(o.schedule),
-                        o.accepted,
-                        o.rejected,
-                        o.probes,
-                    ),
-                    i,
-                )
-            }
-            Variant::Preemptive => {
-                let (o, i) = preemptive::class_jumping_budgeted_in(ws, self.inst, budget);
-                (
-                    (
-                        ScheduleRepr::Explicit(o.schedule),
-                        o.accepted,
-                        o.rejected,
-                        o.probes,
-                    ),
-                    i,
-                )
-            }
-            Variant::NonPreemptive => {
-                let (o, i) = nonpreemptive::three_halves_search(ws, self.inst, &mut search);
-                (
-                    (
-                        ScheduleRepr::Explicit(o.schedule),
-                        o.accepted,
-                        o.rejected,
-                        o.probes,
-                    ),
-                    i,
-                )
-            }
+        let inst = self.inst;
+        // Class Jumping walks a jump structure whose next probe depends on
+        // the previous outcome in a way the wavefront planner cannot
+        // enumerate, and has no bisection to warm: it runs as is.
+        let out = match self.variant {
+            Variant::Splittable => class_jumping::<splittable::Split>(ws, inst, search.budget()),
+            _ if inst.machines() >= inst.num_jobs() => one_job_per_machine(inst),
+            Variant::Preemptive => class_jumping::<preemptive::Pmtn>(ws, inst, search.budget()),
+            Variant::NonPreemptive => nonpreemptive::three_halves_search(ws, inst, &mut search),
         };
         let t_min = self.t_min();
         DirectSolve {
-            repr,
-            accepted,
-            certificate: rejected.unwrap_or(t_min).max(t_min),
-            probes,
+            repr: out.repr,
+            accepted: out.accepted,
+            certificate: out.rejected.unwrap_or(t_min).max(t_min),
+            probes: out.probes,
             ratio: Rational::new(3, 2),
-            interrupt,
+            interrupt: out.interrupt,
             stats: search.stats,
         }
     }
@@ -597,6 +567,28 @@ impl Problem for BssProblem<'_> {
             budget,
         )
         .ok()
+    }
+}
+
+/// `m >= n` without splitting: one job and its setup per machine is
+/// optimal (Note 1), with makespan `max_i (s_i + t^(i)_max)` — the lower
+/// bound of Note 2.
+fn one_job_per_machine(inst: &Instance) -> SearchOutcome {
+    let mut s = Schedule::new(inst.machines());
+    for j in 0..inst.num_jobs() {
+        let job = inst.job(j);
+        let setup = Rational::from(inst.setup(job.class));
+        s.push_setup(j, Rational::ZERO, setup, job.class);
+        s.push_piece(j, setup, Rational::from(job.time), j, job.class);
+    }
+    let opt = Rational::from(inst.max_setup_plus_tmax());
+    debug_assert_eq!(s.makespan(), opt);
+    SearchOutcome {
+        repr: ScheduleRepr::Explicit(s),
+        accepted: opt,
+        rejected: None,
+        probes: 0,
+        interrupt: None,
     }
 }
 

@@ -10,9 +10,11 @@
 //!   ([`crate::Algorithm::EpsilonSearch`]);
 //! * Theorem 8: for the non-preemptive variant `OPT` is integral, so an exact
 //!   integer binary search yields a true 3/2-approximation in
-//!   `⌈log(T_min)⌉` probes ([`crate::nonpreemptive::three_halves`]);
-//! * Class Jumping (in the per-variant modules) replaces the geometric search
-//!   with a jump-structure search for the splittable and preemptive variants.
+//!   `⌈log(T_min)⌉` probes ([`crate::Algorithm::ThreeHalves`]);
+//! * Class Jumping (Theorems 3 and 6, also behind
+//!   [`crate::Algorithm::ThreeHalves`]) replaces the geometric search with a
+//!   jump-structure search for the splittable and preemptive variants,
+//!   narrowing a right interval over sorted candidate guesses.
 //!
 //! The first two are the same bisection over different brackets, and the
 //! loop that runs it (the *ladder*) exists once. It charges the budget one
@@ -26,22 +28,26 @@
 use bss_budget::{Interrupt, SolveBudget};
 use bss_rational::{gcd, Rational};
 
-use crate::api::SolveOptions;
+use crate::api::{ScheduleRepr, SolveOptions};
 use crate::workspace::DualWorkspace;
 
-/// Outcome of a dual-approximation search.
-#[derive(Debug, Clone)]
-pub struct SearchOutcome<S> {
-    /// The accepted guess; the schedule's makespan is at most `ρ ·
+/// Outcome of one of the 3/2 searches (Class Jumping, Theorem 8's integer
+/// search, or the `m >= n` schedule).
+#[derive(Debug)]
+pub(crate) struct SearchOutcome {
+    /// The schedule built at `accepted`.
+    pub repr: ScheduleRepr,
+    /// The accepted guess; the schedule's makespan is at most `3/2 ·
     /// accepted`.
     pub accepted: Rational,
-    /// The schedule built at `accepted`.
-    pub schedule: S,
     /// The largest guess the dual test rejected, if any — a certificate that
     /// `OPT > rejected`.
     pub rejected: Option<Rational>,
-    /// Number of dual-test probes performed (for the running-time studies).
+    /// Committed dual-test probes.
     pub probes: usize,
+    /// Why the search stopped early, if it did: it then built at its
+    /// current, still accepted, right bracket.
+    pub interrupt: Option<Interrupt>,
 }
 
 /// Counters of one solve's probe ladders beyond the committed probe count
@@ -521,10 +527,12 @@ impl<'a> Search<'a> {
     }
 }
 
-/// Narrows a right interval `(lo, hi]` (`lo` rejected, `hi` accepted) over a
-/// *sorted* list of candidate guesses strictly inside `(lo, hi)`, probing
-/// with binary search. Returns the narrowed `(lo, hi)` bracket with no
-/// candidate strictly inside.
+/// Narrows a right interval `(lo, hi]` (`lo` rejected, `hi` accepted) over
+/// `len` sorted candidate guesses `at(0) < … < at(len - 1)`, all strictly
+/// inside `(lo, hi)`, probing with binary search. Returns the narrowed
+/// `(lo, hi)` bracket with no candidate strictly inside. `at` is evaluated
+/// only at probed indices, so the candidates may be computed lazily (a
+/// Class Jumping gap can span up to `m` jumps).
 ///
 /// Used by the Class-Jumping searches, where candidates are partition
 /// boundaries or class jumps. A `None` from `accepts` (the budgeted probes'
@@ -536,47 +544,51 @@ impl<'a> Search<'a> {
 /// are counted by the caller's `accepts` closure alone — this function
 /// deliberately returns no count of its own, so the two can never be added
 /// together again (the double-counting bug the repro goldens flushed out).
-pub(crate) fn refine_right_interval(
+pub(crate) fn refine_sorted(
     mut lo: Rational,
     mut hi: Rational,
-    candidates: &[Rational],
+    len: usize,
+    at: impl Fn(usize) -> Rational,
     mut accepts: impl FnMut(Rational) -> Option<bool>,
 ) -> (Rational, Rational) {
-    debug_assert!(candidates.windows(2).all(|w| w[0] < w[1]), "sorted unique");
-    // Candidates strictly inside (lo, hi).
-    let begin = candidates.partition_point(|c| *c <= lo);
-    let end = candidates.partition_point(|c| *c < hi);
-    if begin >= end {
-        return (lo, hi);
-    }
-    let cands = &candidates[begin..end];
     // Find the leftmost accepted candidate, exploiting that everything left
     // of a rejected candidate stays bracketed by `lo`.
-    let mut l = 0usize; // cands[..l] rejected region boundary
-    let mut r = cands.len(); // cands[r..] accepted region boundary
-    let mut leftmost_accept: Option<usize> = None;
+    let mut l = 0usize; // at(..l) rejected region boundary
+    let mut r = len; // at(r..) accepted region boundary
     while l < r {
         let mid = l + (r - l) / 2;
-        match accepts(cands[mid]) {
-            Some(true) => {
-                leftmost_accept = Some(mid);
-                r = mid;
-            }
+        match accepts(at(mid)) {
+            Some(true) => r = mid,
             Some(false) => l = mid + 1,
             None => break,
         }
     }
     // Finalize from the binary-search invariants alone; they hold both at
-    // completion (l == r) and at an interruption (l < r): `cands[..l]` are
+    // completion (l == r) and at an interruption (l < r): `at(..l)` are
     // certified rejected (monotone acceptance below the probed rejection at
-    // `l - 1`), `leftmost_accept` was probed accepted.
+    // `l - 1`), and `r` moves only onto a probed acceptance.
     if l > 0 {
-        lo = cands[l - 1];
+        lo = at(l - 1);
     }
-    if let Some(idx) = leftmost_accept {
-        hi = cands[idx];
+    if r < len {
+        hi = at(r);
     }
     (lo, hi)
+}
+
+/// [`refine_sorted`] over a sorted, deduplicated candidate slice, ignoring
+/// the candidates outside `(lo, hi)`.
+pub(crate) fn refine_right_interval(
+    lo: Rational,
+    hi: Rational,
+    candidates: &[Rational],
+    accepts: impl FnMut(Rational) -> Option<bool>,
+) -> (Rational, Rational) {
+    debug_assert!(candidates.windows(2).all(|w| w[0] < w[1]), "sorted unique");
+    let begin = candidates.partition_point(|c| *c <= lo);
+    let end = candidates.partition_point(|c| *c < hi).max(begin);
+    let inside = &candidates[begin..end];
+    refine_sorted(lo, hi, inside.len(), |k| inside[k], accepts)
 }
 
 #[cfg(test)]
@@ -792,5 +804,27 @@ mod tests {
     #[test]
     fn refine_ignores_outside_candidates() {
         assert_eq!(refine(10, 100, &[5, 10, 50, 100, 120], 60), (r(50), r(100)));
+    }
+
+    /// The indexed form never materializes its candidates: `2^40` lazily
+    /// computed guesses narrow to the exact one-step bracket around the
+    /// threshold in at most `⌈log2(2^40 + 1)⌉ = 41` probes.
+    #[test]
+    fn refine_sorted_bisects_lazy_candidates() {
+        let len = 1usize << 40;
+        let threshold = 987_654_321_012_i128;
+        let mut probes = 0;
+        let out = refine_sorted(
+            r(-1),
+            r(len as i128),
+            len,
+            |k| r(k as i128),
+            |t| {
+                probes += 1;
+                Some(t >= r(threshold))
+            },
+        );
+        assert_eq!(out, (r(threshold - 1), r(threshold)));
+        assert!(probes <= 41, "{probes} probes");
     }
 }

@@ -306,8 +306,9 @@ fn warm_solves_allocate_only_output(inst: &Instance, ws: &mut DualWorkspace) {
         // Output storage: a compact schedule allocates one item vector per
         // group plus the group list; an explicit schedule grows its
         // placement vector by doubling (≤ log2(P) + 1 reallocations). The
-        // slack of 64 covers the SearchOutcome/Solution scaffolding without
-        // leaving room for any O(n) per-solve buffer (n = 2000 here).
+        // slack of 64 covers the search result and `Solution` scaffolding
+        // without leaving room for any O(n) per-solve buffer (n = 2000
+        // here).
         let output_bound = 64
             + sol
                 .compact()

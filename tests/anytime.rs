@@ -144,6 +144,41 @@ fn every_probe_budget_level_yields_a_valid_certified_solution() {
     }
 }
 
+/// Class Jumping narrows to one jump gap of its fastest class by bisecting
+/// that class's jumps lazily, and on `all_expensive(3000, 6, 1024, _)` the
+/// splittable search meets a gap of far more than 64 jumps. An interrupt at
+/// any point of that bisection must certify only rejections it probed: the
+/// certificate never exceeds the uninterrupted accepted guess, and it never
+/// falls as the work limit grows.
+#[test]
+fn wide_jump_gap_interrupts_keep_only_probed_rejections() {
+    let variant = Variant::Splittable;
+    for seed in 0..4 {
+        let inst = batch_setup_scheduling::gen::all_expensive(3000, 6, 1024, seed);
+        let plain = solve(&inst, variant, Algorithm::ThreeHalves);
+        let problem = BssProblem::new(&inst, variant);
+        let mut floor = None;
+        for work in 0..=plain.probes as u64 {
+            let label = format!("all_expensive/{seed}/work={work}");
+            let budget = SolveBudget::unlimited().with_work_limit(work);
+            let sol = budgeted(&problem, Algorithm::ThreeHalves, &budget)
+                .expect("starvation is not an error");
+            assert_valid(&label, &inst, variant, &sol);
+            assert!(
+                sol.certificate <= plain.accepted,
+                "{label}: certificate {} above the accepted guess {}",
+                sol.certificate,
+                plain.accepted
+            );
+            assert!(
+                floor.is_none_or(|c| c <= sol.certificate),
+                "{label}: certificate fell below {floor:?}"
+            );
+            floor = Some(sol.certificate);
+        }
+    }
+}
+
 #[test]
 fn expired_deadline_degrades_not_errors() {
     for (name, inst) in instances() {

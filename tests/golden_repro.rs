@@ -2,12 +2,12 @@
 //! artifacts in-process and diffs them against the committed goldens under
 //! `results/figures/` — the whole paper reproduction as a regression test.
 //!
-//! * Default / CI per-push (`BSS_REPRO_GRID=fast` or unset): the fast grid,
-//!   a strict row-subset of the golden grid. Grid-insensitive files
-//!   (figures, the bounds table) are byte-compared; grid-sensitive CSVs are
-//!   checked row-by-row against the golden files.
-//! * Nightly (`BSS_REPRO_GRID=full`): the full grid, byte-for-byte,
-//!   MANIFEST included.
+//! * Default (`BSS_REPRO_GRID=fast` or unset, e.g. a debug `cargo test`):
+//!   the fast grid, a strict row-subset of the golden grid. Grid-insensitive
+//!   files (figures, the bounds table) are byte-compared; grid-sensitive
+//!   CSVs are checked row-by-row against the golden files.
+//! * CI per-push (`BSS_REPRO_GRID=full`, release): the full grid,
+//!   byte-for-byte, MANIFEST included.
 //! * Re-blessing after an intentional change:
 //!   `BSS_BLESS=1 cargo test --release --test golden_repro` (full grid
 //!   enforced), then commit the refreshed `results/figures/`.
@@ -68,8 +68,8 @@ fn regenerated_artifacts_match_committed_goldens() {
         problems.extend(compare_deterministic(&root, artifact, cfg.grid));
     }
     // The file *names* are grid-independent, so stale goldens (a study that
-    // stopped producing an output) are caught on every grid, not just
-    // nightly's byte-exact full pass.
+    // stopped producing an output) are caught on every grid, not just the
+    // byte-exact full pass.
     problems.extend(compare_layout(&root, &artifacts));
     if cfg.grid == Grid::Full {
         let path = root.join(MANIFEST_FILE);

@@ -6,7 +6,7 @@
 use bss_bench::repro::{manifest, render_manifest, studies, Artifact, Grid, ReproConfig};
 
 fn cfg(threads: Option<usize>, timing: bool) -> ReproConfig {
-    // Honour BSS_REPRO_GRID like the golden suite (default fast): nightly's
+    // Honour BSS_REPRO_GRID like the golden suite (default fast): the CI
     // full-grid run must prove determinism for the full-grid-only cells too.
     let mut cfg = ReproConfig::from_env(Grid::Fast).expect("BSS_REPRO_GRID must be fast|full");
     cfg.threads = threads;
