@@ -33,19 +33,13 @@ impl Instance {
         bss_json::encode_pretty(self)
     }
 
-    /// Parses and validates an instance from JSON.
+    /// Parses and validates an instance from JSON, distinguishing malformed
+    /// JSON from model violations — unlike the [`bss_json::FromJson`] impl,
+    /// which flattens both into one error.
     pub fn from_json(json: &str) -> Result<Self, IoError> {
         let value = bss_json::parse(json).map_err(IoError::Json)?;
-        Instance::from_json_value_checked(&value)
-    }
-
-    /// Decodes and validates an instance from an already-parsed value,
-    /// distinguishing malformed JSON from model violations — unlike the
-    /// [`bss_json::FromJson`] impl, which flattens both into one error.
-    /// Network servers use this to answer with typed error classes.
-    pub fn from_json_value_checked(value: &bss_json::Value) -> Result<Self, IoError> {
         let (machines, setups, jobs) =
-            crate::model::raw_parts_from_json(value).map_err(IoError::Json)?;
+            crate::model::raw_parts_from_json(&value).map_err(IoError::Json)?;
         Instance::from_parts(machines, setups, jobs).map_err(IoError::Model)
     }
 }

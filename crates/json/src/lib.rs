@@ -3,9 +3,11 @@
 //! The instance and schedule crates expose a JSON import/export surface
 //! (`bss inst.json`, `--schedule-out`, hand-edited fixture files). The build
 //! environment has no access to crates.io, so instead of serde this crate
-//! provides a small self-contained [`Value`] tree with a strict parser and a
-//! pretty-printer, plus the [`ToJson`]/[`FromJson`] traits the model types
-//! implement by hand.
+//! provides a small self-contained [`Value`] tree with a strict parser and
+//! two printers, plus the [`ToJson`]/[`FromJson`] traits the model types
+//! implement by hand. Files and CLI output use the pretty printer
+//! ([`encode_pretty`]), which people read and diff; `bss-serve` frames use
+//! the compact one ([`encode`]), which prints no whitespace at all.
 //!
 //! Numbers are kept exact: every JSON number without fraction or exponent is
 //! an `i128` (covering `u64` times and `i128` rational components); anything
@@ -27,6 +29,7 @@
 //! ```
 
 use core::fmt;
+use core::fmt::Write as _;
 
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,6 +175,14 @@ pub fn encode_pretty<T: ToJson>(value: &T) -> String {
     to_string_pretty(&value.to_json_value())
 }
 
+/// Serializes any [`ToJson`] type to compact JSON text (no whitespace), the
+/// form network frames use.
+pub fn encode<T: ToJson>(value: &T) -> String {
+    let mut out = String::new();
+    write_value(&mut out, &value.to_json_value(), None);
+    out
+}
+
 /// Parses JSON text and decodes it into any [`FromJson`] type.
 pub fn decode<T: FromJson>(text: &str) -> Result<T, JsonError> {
     T::from_json_value(&parse(text)?)
@@ -241,15 +252,18 @@ impl<T: FromJson> FromJson for Vec<T> {
 #[must_use]
 pub fn to_string_pretty(value: &Value) -> String {
     let mut out = String::new();
-    write_value(&mut out, value, 0);
+    write_value(&mut out, value, Some(0));
     out
 }
 
-fn write_value(out: &mut String, value: &Value, indent: usize) {
+/// Prints `value` at nesting level `indent`; `None` prints compact JSON
+/// with no whitespace at all.
+fn write_value(out: &mut String, value: &Value, indent: Option<usize>) {
+    let inner = indent.map(|i| i + 1);
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(v) => out.push_str(&v.to_string()),
+        Value::Int(v) => write!(out, "{v}").expect("writing to a String cannot fail"),
         Value::Float(v) => {
             if v.is_finite() {
                 // Guarantee a re-parsable float literal.
@@ -273,11 +287,9 @@ fn write_value(out: &mut String, value: &Value, indent: usize) {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push('\n');
-                push_indent(out, indent + 1);
-                write_value(out, item, indent + 1);
+                push_indent(out, inner);
+                write_value(out, item, inner);
             }
-            out.push('\n');
             push_indent(out, indent);
             out.push(']');
         }
@@ -291,22 +303,24 @@ fn write_value(out: &mut String, value: &Value, indent: usize) {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push('\n');
-                push_indent(out, indent + 1);
+                push_indent(out, inner);
                 write_string(out, key);
-                out.push_str(": ");
-                write_value(out, item, indent + 1);
+                out.push_str(if indent.is_some() { ": " } else { ":" });
+                write_value(out, item, inner);
             }
-            out.push('\n');
             push_indent(out, indent);
             out.push('}');
         }
     }
 }
 
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
+/// Starts a new pretty-printed line at `indent`; nothing when compact.
+fn push_indent(out: &mut String, indent: Option<usize>) {
+    if let Some(indent) = indent {
+        out.push('\n');
+        for _ in 0..indent {
+            out.push_str("  ");
+        }
     }
 }
 
@@ -763,6 +777,13 @@ pub mod frame {
 mod tests {
     use super::*;
 
+    /// What [`encode`] prints for a type whose JSON form is `value`.
+    fn compact(value: &Value) -> String {
+        let mut out = String::new();
+        write_value(&mut out, value, None);
+        out
+    }
+
     #[test]
     fn roundtrips() {
         let doc = Value::Object(vec![
@@ -782,6 +803,20 @@ mod tests {
         ]);
         let text = to_string_pretty(&doc);
         assert_eq!(parse(&text).unwrap(), doc);
+        let compact = compact(&doc);
+        assert_eq!(parse(&compact).unwrap(), doc);
+        assert!(compact.len() < text.len());
+        assert!(!compact.contains(['\n', '\t']) && !compact.contains(": "));
+    }
+
+    #[test]
+    fn compact_printer_prints_no_whitespace() {
+        let v = parse(r#"{"a": [1, -2, {"b": null}], "c": {}, "d": []}"#).unwrap();
+        assert_eq!(compact(&v), r#"{"a":[1,-2,{"b":null}],"c":{},"d":[]}"#);
+        assert_eq!(
+            to_string_pretty(&v),
+            "{\n  \"a\": [\n    1,\n    -2,\n    {\n      \"b\": null\n    }\n  ],\n  \"c\": {},\n  \"d\": []\n}"
+        );
     }
 
     #[test]

@@ -51,12 +51,14 @@ impl Rational {
     pub const MAX_WIRE_NUM: i128 = 1 << 94;
     /// Largest denominator accepted from the JSON wire format.
     pub const MAX_WIRE_DEN: i128 = 1 << 32;
-}
 
-impl FromJson for Rational {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-        let num: i128 = bss_json::int_from(bss_json::required(value, "num")?, "Rational.num")?;
-        let den: i128 = bss_json::int_from(bss_json::required(value, "den")?, "Rational.den")?;
+    /// The one bound check for decoded rationals: `den ∈ [1, 2^32]` and
+    /// `|num| ≤ 2^94`, then reduced. Every JSON decoder of a rational calls
+    /// it, whatever shape carried the two integers.
+    ///
+    /// # Errors
+    /// A decode-kind [`JsonError`] when either bound is violated.
+    pub fn from_wire(num: i128, den: i128) -> Result<Rational, JsonError> {
         if den <= 0 || den > Rational::MAX_WIRE_DEN {
             return Err(JsonError::new(format!(
                 "Rational.den must be in [1, 2^32], got {den}"
@@ -68,6 +70,14 @@ impl FromJson for Rational {
             return Err(JsonError::new("Rational.num out of range (|num| > 2^94)"));
         }
         Ok(Rational::new(num, den))
+    }
+}
+
+impl FromJson for Rational {
+    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+        let num: i128 = bss_json::int_from(bss_json::required(value, "num")?, "Rational.num")?;
+        let den: i128 = bss_json::int_from(bss_json::required(value, "den")?, "Rational.den")?;
+        Rational::from_wire(num, den)
     }
 }
 

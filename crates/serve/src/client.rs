@@ -142,7 +142,7 @@ impl Client {
 
     /// Round-trips one request.
     fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        let text = bss_json::encode_pretty(request);
+        let text = bss_json::encode(request);
         write_frame(&mut self.stream, &text, self.max_frame_bytes)?;
         let payload =
             read_frame(&mut self.stream, self.max_frame_bytes)?.ok_or(ClientError::Disconnected)?;

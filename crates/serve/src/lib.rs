@@ -7,7 +7,7 @@
 //! solve is comparable to the cost of *delivering* one. This crate makes
 //! the delivery path a first-class, measured artifact:
 //!
-//! * [`server`] — the daemon. Length-prefixed JSON frames over TCP
+//! * [`server`] — the daemon. Length-prefixed compact JSON frames over TCP
 //!   ([`bss_json::frame`]), parsed under hardened size/depth limits. Each
 //!   connection thread answers cache hits itself and solves misses through
 //!   one admission gate: at most `workers` solves run at once, on warm
@@ -20,7 +20,8 @@
 //!   instance equality is re-checked on every hit, so an FNV collision can
 //!   cause a miss but never a wrong answer.
 //! * [`protocol`] — the versioned request/response envelopes, with typed
-//!   error codes for malformed, oversized, and over-deep input.
+//!   error codes for malformed, oversized, and over-deep input. A request's
+//!   jobs and a reply's placements travel as flat integer tables.
 //! * [`client`] — a blocking client speaking the protocol.
 //! * [`loadgen`] — seeded open- and closed-loop load generation with a
 //!   latency histogram; the `throughput` bench and the CLI `loadgen`

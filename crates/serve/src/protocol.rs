@@ -1,19 +1,21 @@
 //! The `bss-serve` wire protocol: versioned request/response envelopes.
 //!
 //! Every message is one length-prefixed frame (see [`bss_json::frame`])
-//! carrying a JSON object with a `"v"` protocol-version field and an `"id"`
-//! the server echoes back, so a client can match responses to requests.
+//! carrying a compact JSON object ([`bss_json::encode`]) with a `"v"`
+//! protocol-version field and an `"id"` the server echoes back, so a client
+//! can match responses to requests. A frame of any other version is
+//! answered with `unsupported-version`.
 //!
 //! Requests (`"kind"` selects):
 //!
 //! ```text
-//! {"v":1, "id":7, "kind":"solve", "variant":"NonPreemptive",
+//! {"v":2, "id":7, "kind":"solve", "variant":"NonPreemptive",
 //!  "algorithm":"three-halves", "deadline_ms":50, "work_budget":100000,
 //!  "schedule":false, "instance":{...}}
-//! {"v":1, "id":8, "kind":"ping"}
-//! {"v":1, "id":9, "kind":"stats"}
-//! {"v":1, "id":10, "kind":"shutdown"}
-//! {"v":1, "id":11, "kind":"sleep", "ms":100}        // test ops only
+//! {"v":2, "id":8, "kind":"ping"}
+//! {"v":2, "id":9, "kind":"stats"}
+//! {"v":2, "id":10, "kind":"shutdown"}
+//! {"v":2, "id":11, "kind":"sleep", "ms":100}        // test ops only
 //! ```
 //!
 //! Online sessions (`bss-instance` incremental workloads): a `"session"`
@@ -22,12 +24,12 @@
 //! solves the current state through the warm-start path:
 //!
 //! ```text
-//! {"v":1, "id":12, "kind":"session", "variant":"NonPreemptive",
+//! {"v":2, "id":12, "kind":"session", "variant":"NonPreemptive",
 //!  "algorithm":"eps:6", "instance":{...}}
-//! {"v":1, "id":13, "kind":"delta", "op":"add-job", "class":0, "time":17}
-//! {"v":1, "id":14, "kind":"delta", "op":"remove-job", "job":3}
-//! {"v":1, "id":15, "kind":"delta", "op":"retime", "job":2, "time":9}
-//! {"v":1, "id":16, "kind":"resolve", "schedule":false}
+//! {"v":2, "id":13, "kind":"delta", "op":"add-job", "class":0, "time":17}
+//! {"v":2, "id":14, "kind":"delta", "op":"remove-job", "job":3}
+//! {"v":2, "id":15, "kind":"delta", "op":"retime", "job":2, "time":9}
+//! {"v":2, "id":16, "kind":"resolve", "schedule":false}
 //! ```
 //!
 //! Responses (`"status"` selects): `"ok"` (a solved request, with `"cached"`
@@ -36,18 +38,44 @@
 //! typed [`ErrorCode`] + message), `"pong"`, `"stats"`, `"session"` (the
 //! session/delta acknowledgement carrying the state's job count and content
 //! hash), and `"bye"` (shutdown acknowledged).
+//!
+//! # Bulk tables
+//!
+//! The two payloads that grow with the instance travel as flat integer
+//! arrays, so decoding one builds a single array of numbers rather than an
+//! object per job or placement. The `instance` of a `solve` or `session`
+//! request lists its jobs in job-id order as `(class, time)` pairs:
+//!
+//! ```text
+//! {"machines":2, "setups":[3,1], "jobs":[0,4, 0,5, 1,2]}
+//! ```
+//!
+//! The `schedule` of an `ok` reply lists its placements in order, one
+//! 7-integer row each: `machine, start.num, start.den, len.num, len.den,
+//! class, job`, with `job` = `null` for a setup:
+//!
+//! ```text
+//! {"machines":2, "placements":[0,0,1,3,1,0,null, 0,3,1,9,2,0,1, ...]}
+//! ```
+//!
+//! A table whose length is not a whole number of rows, or a value that is
+//! not an in-range integer, is a decode error (`bad-request` in a request);
+//! a well-formed instance that violates the model is `invalid-instance`.
+//! Rationals are bounded by [`Rational::from_wire`]. The file formats
+//! ([`Instance::to_json`], [`Schedule::to_json`]) are unaffected: files are
+//! read by people and keep the pretty, self-describing shape.
 
 use bss_core::{Algorithm, Completion, Solution};
-use bss_instance::{Delta, Instance, IoError, Variant};
+use bss_instance::{Delta, Instance, Job, Variant};
 use bss_json::{FromJson, JsonError, JsonErrorKind, ToJson, Value};
 use bss_rational::Rational;
-use bss_schedule::Schedule;
+use bss_schedule::{ItemKind, Placement, Schedule};
 
 use crate::cache::CacheStats;
 
 /// The protocol version this build speaks. Mismatches are rejected with
 /// [`ErrorCode::UnsupportedVersion`] rather than misdecoded.
-pub const PROTOCOL_VERSION: i128 = 1;
+pub const PROTOCOL_VERSION: i128 = 2;
 
 /// A decoded client request.
 #[derive(Debug, Clone)]
@@ -476,7 +504,7 @@ impl ToJson for Request {
                     fields.push(("work_budget".into(), Value::Int(w.into())));
                 }
                 fields.push(("schedule".into(), Value::Bool(req.want_schedule)));
-                fields.push(("instance".into(), req.instance.to_json_value()));
+                fields.push(("instance".into(), instance_to_wire(&req.instance)));
                 envelope(req.id, fields)
             }
             Request::Ping { id } => envelope(*id, vec![("kind".into(), Value::Str("ping".into()))]),
@@ -499,7 +527,7 @@ impl ToJson for Request {
                     ("kind".into(), Value::Str("session".into())),
                     ("variant".into(), req.variant.to_json_value()),
                     ("algorithm".into(), Value::Str(algorithm_to_wire(req.algo))),
-                    ("instance".into(), req.instance.to_json_value()),
+                    ("instance".into(), instance_to_wire(&req.instance)),
                 ],
             ),
             Request::Delta { id, delta } => {
@@ -657,16 +685,128 @@ fn decode_want_schedule(value: &Value) -> Result<bool, RequestError> {
 /// violating the paper's model is [`ErrorCode::InvalidInstance`] — decided
 /// by the error's *type*, not its text.
 fn decode_instance(value: &Value) -> Result<Instance, RequestError> {
-    Instance::from_json_value_checked(
-        bss_json::required(value, "instance").map_err(|e| RequestError::bad(&e))?,
-    )
-    .map_err(|e| match e {
-        IoError::Json(err) => RequestError::bad(&err),
-        IoError::Model(err) => RequestError {
-            code: ErrorCode::InvalidInstance,
-            message: format!("invalid instance data: {err}"),
-        },
+    let (machines, setups, jobs) = bss_json::required(value, "instance")
+        .and_then(instance_parts)
+        .map_err(|e| RequestError::bad(&e))?;
+    Instance::from_parts(machines, setups, jobs).map_err(|err| RequestError {
+        code: ErrorCode::InvalidInstance,
+        message: format!("invalid instance data: {err}"),
     })
+}
+
+// ---------------------------------------------------------------------------
+// Bulk tables
+// ---------------------------------------------------------------------------
+
+/// Integers per row of a schedule's `placements` table.
+const PLACEMENT_ROW: usize = 7;
+
+/// The rows of a flat table of `width`-value rows.
+fn table<'v>(
+    value: &'v Value,
+    width: usize,
+    what: &str,
+) -> Result<core::slice::ChunksExact<'v, Value>, JsonError> {
+    let items = value.as_array().ok_or_else(|| {
+        JsonError::new(format!("expected array for {what}, found {}", value.kind()))
+    })?;
+    if items.len() % width != 0 {
+        return Err(JsonError::new(format!(
+            "{what} table of {} values is not a whole number of {width}-value rows",
+            items.len()
+        )));
+    }
+    Ok(items.chunks_exact(width))
+}
+
+/// The wire form of an instance: its jobs as one `[class, time, ...]` table.
+fn instance_to_wire(instance: &Instance) -> Value {
+    let setups = instance.setups().iter().map(|&s| Value::Int(s.into()));
+    let mut jobs = Vec::with_capacity(2 * instance.num_jobs());
+    for job in instance.jobs() {
+        jobs.extend([Value::Int(job.class as i128), Value::Int(job.time.into())]);
+    }
+    Value::Object(vec![
+        ("machines".into(), Value::Int(instance.machines() as i128)),
+        ("setups".into(), Value::Array(setups.collect())),
+        ("jobs".into(), Value::Array(jobs)),
+    ])
+}
+
+/// The unvalidated `(machines, setups, jobs)` of a wire instance.
+fn instance_parts(value: &Value) -> Result<(usize, Vec<u64>, Vec<Job>), JsonError> {
+    let machines = bss_json::int_from(bss_json::required(value, "machines")?, "machines")?;
+    let setups = bss_json::vec_from(bss_json::required(value, "setups")?, "setups", |v| {
+        bss_json::int_from(v, "setup time")
+    })?;
+    let jobs = table(bss_json::required(value, "jobs")?, 2, "jobs")?
+        .map(|row| {
+            Ok(Job {
+                class: bss_json::int_from(&row[0], "job class")?,
+                time: bss_json::int_from(&row[1], "job time")?,
+            })
+        })
+        .collect::<Result<_, JsonError>>()?;
+    Ok((machines, setups, jobs))
+}
+
+/// The wire form of a schedule: its placements as one table of
+/// [`PLACEMENT_ROW`]-integer rows, in order.
+fn schedule_to_wire(schedule: &Schedule) -> Value {
+    let mut rows = Vec::with_capacity(PLACEMENT_ROW * schedule.placements().len());
+    for p in schedule.placements() {
+        let job = match p.kind {
+            ItemKind::Setup(_) => Value::Null,
+            ItemKind::Piece { job, .. } => Value::Int(job as i128),
+        };
+        rows.extend([
+            Value::Int(p.machine as i128),
+            Value::Int(p.start.numer()),
+            Value::Int(p.start.denom()),
+            Value::Int(p.len.numer()),
+            Value::Int(p.len.denom()),
+            Value::Int(p.kind.class() as i128),
+            job,
+        ]);
+    }
+    Value::Object(vec![
+        ("machines".into(), Value::Int(schedule.machines() as i128)),
+        ("placements".into(), Value::Array(rows)),
+    ])
+}
+
+/// Decodes a wire schedule row by row. Rows go straight into the placement
+/// list, not through [`Schedule::push`], so a zero-length placement is kept
+/// and the result equals the sender's schedule field for field.
+fn schedule_from_wire(value: &Value) -> Result<Schedule, JsonError> {
+    let mut schedule = Schedule::new(bss_json::int_from(
+        bss_json::required(value, "machines")?,
+        "machines",
+    )?);
+    let rows = table(
+        bss_json::required(value, "placements")?,
+        PLACEMENT_ROW,
+        "placements",
+    )?;
+    let placements = schedule.placements_mut();
+    placements.reserve_exact(rows.len());
+    for row in rows {
+        let int = |i: usize, what: &str| bss_json::int_from::<i128>(&row[i], what);
+        let class = bss_json::int_from(&row[5], "placement class")?;
+        placements.push(Placement::new(
+            bss_json::int_from(&row[0], "placement machine")?,
+            Rational::from_wire(int(1, "start.num")?, int(2, "start.den")?)?,
+            Rational::from_wire(int(3, "len.num")?, int(4, "len.den")?)?,
+            match &row[6] {
+                Value::Null => ItemKind::Setup(class),
+                job => ItemKind::Piece {
+                    job: bss_json::int_from(job, "placement job")?,
+                    class,
+                },
+            },
+        ));
+    }
+    Ok(schedule)
 }
 
 impl FromJson for Request {
@@ -689,7 +829,7 @@ impl ToJson for WireSolution {
             ),
         ];
         if let Some(schedule) = &self.schedule {
-            fields.push(("schedule".into(), schedule.to_json_value()));
+            fields.push(("schedule".into(), schedule_to_wire(schedule)));
         }
         Value::Object(fields)
     }
@@ -710,7 +850,7 @@ impl FromJson for WireSolution {
             )?,
             schedule: match value.field("schedule") {
                 None | Some(Value::Null) => None,
-                Some(v) => Some(Schedule::from_json_value(v)?),
+                Some(v) => Some(schedule_from_wire(v)?),
             },
         })
     }
@@ -882,9 +1022,21 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Instances whose job tables are long and varied: the tiny one, two
+    /// uniform ones and two where every class is expensive.
+    fn table_instances() -> Vec<Instance> {
+        vec![
+            tiny_instance(),
+            bss_gen::uniform(400, 12, 5, 1),
+            bss_gen::uniform(2000, 120, 16, 2),
+            bss_gen::all_expensive(300, 6, 16, 3),
+            bss_gen::all_expensive(1200, 24, 40, 4),
+        ]
+    }
+
     #[test]
     fn request_roundtrips() {
-        let reqs = [
+        let mut reqs = vec![
             Request::Solve(Box::new(SolveRequest {
                 id: 7,
                 instance: tiny_instance(),
@@ -921,13 +1073,38 @@ mod tests {
                 want_schedule: true,
             },
         ];
-        for req in reqs {
-            let text = bss_json::encode_pretty(&req);
+        for (i, instance) in table_instances().into_iter().enumerate() {
+            let id = 100 + 2 * i as u64;
+            reqs.push(Request::Solve(Box::new(SolveRequest {
+                id,
+                instance: instance.clone(),
+                variant: Variant::Splittable,
+                algo: Algorithm::ThreeHalves,
+                deadline_ms: None,
+                work_budget: Some(1000),
+                want_schedule: false,
+            })));
+            reqs.push(Request::Session(Box::new(SessionRequest {
+                id: id + 1,
+                instance,
+                variant: Variant::Preemptive,
+                algo: Algorithm::EpsilonSearch { eps_log2: 10 },
+            })));
+        }
+        // Frames are compact; the pretty form must decode the same.
+        let texts = reqs.iter().flat_map(|req| {
+            [
+                (req, bss_json::encode(req)),
+                (req, bss_json::encode_pretty(req)),
+            ]
+        });
+        for (req, text) in texts {
             let back: Request = bss_json::decode(&text).unwrap();
-            match (&req, &back) {
+            match (req, &back) {
                 (Request::Solve(a), Request::Solve(b)) => {
                     assert_eq!(a.id, b.id);
                     assert_eq!(a.instance, b.instance);
+                    assert_eq!(a.instance.content_hash(), b.instance.content_hash());
                     assert_eq!(a.variant, b.variant);
                     assert_eq!(a.algo, b.algo);
                     assert_eq!(a.deadline_ms, b.deadline_ms);
@@ -945,6 +1122,7 @@ mod tests {
                 (Request::Session(a), Request::Session(b)) => {
                     assert_eq!(a.id, b.id);
                     assert_eq!(a.instance, b.instance);
+                    assert_eq!(a.instance.content_hash(), b.instance.content_hash());
                     assert_eq!(a.variant, b.variant);
                     assert_eq!(a.algo, b.algo);
                 }
@@ -973,7 +1151,7 @@ mod tests {
             Variant::Splittable,
             Algorithm::ThreeHalves,
         );
-        let responses = [
+        let mut responses = vec![
             Response::Solved {
                 id: 7,
                 cached: true,
@@ -1018,10 +1196,44 @@ mod tests {
             },
             Response::Bye { id: 3 },
         ];
-        for resp in responses {
-            let text = bss_json::encode_pretty(&resp);
+        // Every variant's schedule table, compared below placement for
+        // placement; the preemptive and splittable ones carry fractional
+        // starts and lengths.
+        let variants = [
+            Variant::NonPreemptive,
+            Variant::Preemptive,
+            Variant::Splittable,
+        ];
+        let mut fractional = [0; 3];
+        for (i, instance) in table_instances().iter().enumerate() {
+            for (v, variant) in variants.into_iter().enumerate() {
+                let sol = bss_core::solve(instance, variant, Algorithm::ThreeHalves);
+                fractional[v] += sol
+                    .schedule()
+                    .placements()
+                    .iter()
+                    .filter(|p| p.start.denom() > 1 || p.len.denom() > 1)
+                    .count();
+                responses.push(Response::Solved {
+                    id: 100 + i as u64,
+                    cached: false,
+                    solution: WireSolution::of(&sol, true),
+                });
+            }
+        }
+        assert!(
+            fractional[1] > 0 && fractional[2] > 0,
+            "preemptive and splittable schedules must carry fractional rationals: {fractional:?}"
+        );
+        let texts = responses.iter().flat_map(|resp| {
+            [
+                (resp, bss_json::encode(resp)),
+                (resp, bss_json::encode_pretty(resp)),
+            ]
+        });
+        for (resp, text) in texts {
             let back: Response = bss_json::decode(&text).unwrap();
-            match (&resp, &back) {
+            match (resp, &back) {
                 (
                     Response::Solved {
                         id: a,
@@ -1090,6 +1302,68 @@ mod tests {
                 other => panic!("status changed in roundtrip: {other:?}"),
             }
         }
+    }
+
+    /// Decodes an `ok` reply whose schedule has the given `placements`
+    /// table body.
+    fn reply_with_placements(placements: &str) -> Result<Response, JsonError> {
+        let one = r#"{"num":1,"den":1}"#;
+        bss_json::decode(&format!(
+            r#"{{"v":2,"id":1,"status":"ok","cached":false,"solution":{{"makespan":{one},
+            "accepted":{one},"ratio_bound":{one},"certificate":{one},"probes":1,
+            "completion":"full","schedule":{{"machines":2,"placements":[{placements}]}}}}}}"#
+        ))
+    }
+
+    #[test]
+    fn malformed_tables_are_rejected() {
+        for (bad, why) in [
+            ("0,0,1,3,1,0", "six values"),
+            ("0,0,1,3,1,0,null,0", "eight values"),
+            ("0,0,0,3,1,0,null", "start.den 0"),
+            ("0,0,1,3,4294967297,0,null", "len.den 2^32 + 1"),
+            (
+                "0,19807040628566084398385987585,1,3,1,0,null",
+                "start.num 2^94 + 1",
+            ),
+            ("-1,0,1,3,1,0,null", "negative machine"),
+            (r#"0,0,1,3,1,0,"7""#, "string job"),
+        ] {
+            assert!(reply_with_placements(bad).is_err(), "accepted {why}: {bad}");
+        }
+        // Both bounds are inclusive, and rows decode in order.
+        let Response::Solved { solution, .. } = reply_with_placements(
+            "1,19807040628566084398385987584,4294967296,3,2,4,null, 0,0,1,5,1,4,9",
+        )
+        .unwrap() else {
+            panic!("an ok reply decodes as one");
+        };
+        let placements = solution.schedule.unwrap().placements().to_vec();
+        assert_eq!(
+            placements,
+            [
+                Placement::new(
+                    1,
+                    Rational::from(1u64 << 62),
+                    Rational::new(3, 2),
+                    ItemKind::Setup(4)
+                ),
+                Placement::new(
+                    0,
+                    Rational::ZERO,
+                    Rational::from(5u64),
+                    ItemKind::Piece { job: 9, class: 4 }
+                ),
+            ]
+        );
+        // A zero-length row is kept, not dropped as `Schedule::push` would.
+        let Response::Solved { solution, .. } = reply_with_placements("0,2,1,0,1,0,3").unwrap()
+        else {
+            panic!("an ok reply decodes as one");
+        };
+        let schedule = solution.schedule.unwrap();
+        assert_eq!(schedule.placements().len(), 1);
+        assert!(schedule.placements()[0].len.is_zero());
     }
 
     #[test]

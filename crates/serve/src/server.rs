@@ -599,7 +599,7 @@ fn solve_request(
 /// bytes, so the oversized payload never hits the wire and the stream stays
 /// framed — the connection remains usable for further requests.
 fn send(writer: &mut TcpStream, response: &Response, max_len: usize) -> bool {
-    let text = bss_json::encode_pretty(response);
+    let text = bss_json::encode(response);
     match write_frame(writer, &text, max_len) {
         Ok(()) => writer.flush().is_ok(),
         Err(FrameError::TooLarge { len, max }) => {
@@ -611,7 +611,7 @@ fn send(writer: &mut TcpStream, response: &Response, max_len: usize) -> bool {
                      retry without the schedule or raise the server's max_frame_bytes"
                 ),
             };
-            write_frame(writer, &bss_json::encode_pretty(&error), max_len).is_ok()
+            write_frame(writer, &bss_json::encode(&error), max_len).is_ok()
                 && writer.flush().is_ok()
         }
         Err(_) => false,

@@ -731,8 +731,23 @@ fn malformed_and_unsupported_requests_get_typed_errors() {
         "wrong version: {resp:?}"
     );
 
+    // A well-formed frame of the previous protocol version is refused, not
+    // misdecoded, and its id is still echoed.
+    let resp = raw_call(addr, r#"{"v": 1, "id": 12, "kind": "ping"}"#);
+    assert!(
+        matches!(
+            resp,
+            Response::Error {
+                id: 12,
+                code: ErrorCode::UnsupportedVersion,
+                ..
+            }
+        ),
+        "v1 frame: {resp:?}"
+    );
+
     // Unknown kind.
-    let resp = raw_call(addr, r#"{"v": 1, "id": 6, "kind": "transmogrify"}"#);
+    let resp = raw_call(addr, r#"{"v": 2, "id": 6, "kind": "transmogrify"}"#);
     assert!(
         matches!(
             resp,
@@ -747,7 +762,7 @@ fn malformed_and_unsupported_requests_get_typed_errors() {
 
     // Nesting deeper than the server's limit.
     let deep = format!(
-        r#"{{"v": 1, "id": 7, "kind": "solve", "instance": {}}}"#,
+        r#"{{"v": 2, "id": 7, "kind": "solve", "instance": {}}}"#,
         "[".repeat(20).to_string() + &"]".repeat(20)
     );
     let resp = raw_call(addr, &deep);
@@ -764,7 +779,7 @@ fn malformed_and_unsupported_requests_get_typed_errors() {
 
     // Oversized frame: refused with a typed error, then disconnect.
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
-    let big = format!(r#"{{"v":1,"id":8,"pad":"{}"}}"#, "x".repeat(8192));
+    let big = format!(r#"{{"v":2,"id":8,"pad":"{}"}}"#, "x".repeat(8192));
     write_frame(&mut stream, &big, 64 << 20).unwrap();
     let reply = read_frame(&mut stream, 64 << 20).unwrap().unwrap();
     let resp: Response = bss_json::decode(&reply).unwrap();
@@ -780,7 +795,7 @@ fn malformed_and_unsupported_requests_get_typed_errors() {
     );
 
     // Test ops are refused when not enabled.
-    let resp = raw_call(addr, r#"{"v": 1, "id": 9, "kind": "sleep", "ms": 10}"#);
+    let resp = raw_call(addr, r#"{"v": 2, "id": 9, "kind": "sleep", "ms": 10}"#);
     assert!(
         matches!(
             resp,
@@ -796,9 +811,9 @@ fn malformed_and_unsupported_requests_get_typed_errors() {
     // A model-violating instance (zero machines) gets InvalidInstance —
     // classified structurally from the decode error's type, so exactly
     // this code, not a BadRequest fallback.
-    let bad_instance = r#"{"v":1,"id":10,"kind":"solve","variant":"NonPreemptive",
+    let bad_instance = r#"{"v":2,"id":10,"kind":"solve","variant":"NonPreemptive",
         "algorithm":"two-approx",
-        "instance":{"machines":0,"setups":[1],"jobs":[{"class":0,"time":1}]}}"#;
+        "instance":{"machines":0,"setups":[1],"jobs":[0,1]}}"#;
     let resp = raw_call(addr, bad_instance);
     assert!(
         matches!(
@@ -814,7 +829,7 @@ fn malformed_and_unsupported_requests_get_typed_errors() {
 
     // A malformed *shape* inside the instance object (jobs not an array)
     // stays BadRequest even though the message mentions the field.
-    let bad_shape = r#"{"v":1,"id":11,"kind":"solve","variant":"NonPreemptive",
+    let bad_shape = r#"{"v":2,"id":11,"kind":"solve","variant":"NonPreemptive",
         "algorithm":"two-approx",
         "instance":{"machines":1,"setups":[1],"jobs":"nope"}}"#;
     let resp = raw_call(addr, bad_shape);
@@ -830,6 +845,40 @@ fn malformed_and_unsupported_requests_get_typed_errors() {
         "malformed instance shape: {resp:?}"
     );
 
+    // A `jobs` table of odd length is not a list of (class, time) pairs.
+    let odd_table = r#"{"v":2,"id":13,"kind":"solve","variant":"NonPreemptive",
+        "algorithm":"two-approx",
+        "instance":{"machines":1,"setups":[1],"jobs":[0,1,0]}}"#;
+    let resp = raw_call(addr, odd_table);
+    assert!(
+        matches!(
+            resp,
+            Response::Error {
+                id: 13,
+                code: ErrorCode::BadRequest,
+                ..
+            }
+        ),
+        "odd-length jobs table: {resp:?}"
+    );
+
+    // A well-formed table naming an undeclared class violates the model.
+    let unknown_class = r#"{"v":2,"id":14,"kind":"solve","variant":"NonPreemptive",
+        "algorithm":"two-approx",
+        "instance":{"machines":1,"setups":[1],"jobs":[0,1,5,1]}}"#;
+    let resp = raw_call(addr, unknown_class);
+    assert!(
+        matches!(
+            resp,
+            Response::Error {
+                id: 14,
+                code: ErrorCode::InvalidInstance,
+                ..
+            }
+        ),
+        "unknown class in jobs table: {resp:?}"
+    );
+
     // The server is still healthy after all the abuse.
     let mut client = Client::connect(addr).unwrap();
     client.ping().unwrap();
@@ -842,7 +891,7 @@ fn oversized_response_gets_a_typed_error_and_keeps_the_connection() {
 
     let instance = bss_gen::uniform(80, 6, 3, 2024);
     let request = |id: u64, want_schedule: bool| {
-        bss_json::encode_pretty(&bss_serve::Request::Solve(Box::new(SolveRequest {
+        bss_json::encode(&bss_serve::Request::Solve(Box::new(SolveRequest {
             id,
             instance: instance.clone(),
             variant: Variant::Splittable,
@@ -853,10 +902,11 @@ fn oversized_response_gets_a_typed_error_and_keeps_the_connection() {
         })))
     };
     let req_text = request(1, true);
-    // Precondition: the schedule-carrying response really is bigger than
-    // the request, so a frame bound can sit between the two.
+    // Precondition: the schedule-carrying response the server frames
+    // really is bigger than the request, so a frame bound can sit between
+    // the two.
     let local = solve(&instance, Variant::Splittable, Algorithm::ThreeHalves);
-    let resp_text = bss_json::encode_pretty(&Response::Solved {
+    let resp_text = bss_json::encode(&Response::Solved {
         id: 1,
         cached: false,
         solution: WireSolution::of(&local, true),
