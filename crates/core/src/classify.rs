@@ -205,11 +205,20 @@ pub fn gamma(inst: &Instance, t: Rational, class: ClassId) -> usize {
 pub fn cstar(inst: &Instance, t: Rational, class: ClassId) -> Vec<JobId> {
     let s = inst.setup(class);
     let half = t.half();
-    inst.class_jobs(class)
-        .iter()
-        .copied()
-        .filter(|&j| Rational::from(s + inst.job(j).time) > half)
+    class_items(inst, class)
+        .filter(|&(_, tj)| Rational::from(s + tj) > half)
+        .map(|(j, _)| j)
         .collect()
+}
+
+/// Class `class`'s jobs as `(id, time)` pairs, ids ascending, streamed from
+/// the instance's class-major columns.
+pub(crate) fn class_items(
+    inst: &Instance,
+    class: ClassId,
+) -> impl Iterator<Item = (JobId, u64)> + '_ {
+    let times = inst.class_times(class).iter().copied();
+    inst.class_jobs(class).iter().copied().zip(times)
 }
 
 #[cfg(test)]

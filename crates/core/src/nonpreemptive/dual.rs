@@ -24,9 +24,12 @@
 //! the fillable-machine lists, the step-3 queue, the machine stacks and the
 //! repair maps — lives in the [`DualWorkspace`], so a warm
 //! [`dual_into`] performs **zero** heap allocations beyond the output
-//! schedule the caller provides.
+//! schedule the caller provides. The build names a job by its position in
+//! the instance's class-major table ([`Instance::class_major`]), so every
+//! per-class pass reads times sequentially; ids are looked up only when a
+//! placement is emitted.
 
-use bss_instance::{ClassId, Instance, JobId};
+use bss_instance::{ClassId, Instance};
 use bss_rational::Rational;
 use bss_schedule::Schedule;
 
@@ -50,8 +53,7 @@ pub fn accepts(inst: &Instance, t: u64) -> bool {
         } else {
             let mut big = 0u64;
             let mut pk = 0u64;
-            for &j in inst.class_jobs(i) {
-                let tj = inst.job(j).time;
+            for &tj in inst.class_times(i) {
                 if 2 * tj > t {
                     big += 1;
                 } else if 2 * (s + tj) > t {
@@ -74,6 +76,8 @@ pub fn accepts(inst: &Instance, t: u64) -> bool {
 /// vector and every inner stack keep their capacity across builds.
 struct Builder<'a> {
     inst: &'a Instance,
+    /// Job times by class-major position.
+    times: &'a [u64],
     t: u64,
     stacks: &'a mut Vec<Vec<NpItem>>,
     loads: &'a mut Vec<u64>,
@@ -91,6 +95,7 @@ impl<'a> Builder<'a> {
     ) -> Self {
         Builder {
             inst,
+            times: inst.class_major().1,
             t,
             stacks,
             loads,
@@ -111,10 +116,10 @@ impl<'a> Builder<'a> {
         self.used - 1
     }
 
-    fn push(&mut self, u: usize, job: Option<JobId>, class: ClassId, len: u64, step3: bool) {
+    fn push(&mut self, u: usize, pos: Option<usize>, class: ClassId, len: u64, step3: bool) {
         debug_assert!(len > 0);
         let item = NpItem {
-            job,
+            pos,
             class,
             len,
             seq: self.seq,
@@ -126,22 +131,22 @@ impl<'a> Builder<'a> {
     }
 
     /// Preemptive per-class wrap until border `T` with one setup per machine
-    /// (used for expensive classes and for `C_i ∩ K`). Returns the last
-    /// machine used.
-    fn wrap_class(&mut self, class: ClassId, jobs: &[JobId]) -> usize {
+    /// (used for expensive classes and for `C_i ∩ K`) of the jobs at the
+    /// class-major positions `jobs`. Returns the last machine used.
+    fn wrap_class(&mut self, class: ClassId, jobs: impl IntoIterator<Item = usize>) -> usize {
         let s = self.inst.setup(class);
         let mut u = self.open_machine();
         self.push(u, None, class, s, false);
-        for &j in jobs {
-            let mut rem = self.inst.job(j).time;
+        for p in jobs {
+            let mut rem = self.times[p];
             while rem > 0 {
                 let avail = self.t - self.loads[u];
                 if rem <= avail {
-                    self.push(u, Some(j), class, rem, false);
+                    self.push(u, Some(p), class, rem, false);
                     rem = 0;
                 } else {
                     if avail > 0 {
-                        self.push(u, Some(j), class, avail, false);
+                        self.push(u, Some(p), class, avail, false);
                         rem -= avail;
                     }
                     u = self.open_machine();
@@ -152,15 +157,17 @@ impl<'a> Builder<'a> {
         u
     }
 
-    /// Emits the stacks into `out` (cleared by the caller).
+    /// Emits the stacks into `out` (cleared by the caller), mapping each
+    /// piece's position back to its job id.
     fn emit_into(&self, out: &mut Schedule) {
+        let ids = self.inst.class_major().0;
         for (u, stack) in self.stacks[..self.used].iter().enumerate() {
             let mut at = Rational::ZERO;
             for item in stack {
                 let len = Rational::from(item.len);
-                match item.job {
+                match item.pos {
                     None => out.push_setup(u, at, len, item.class),
-                    Some(j) => out.push_piece(u, at, len, j, item.class),
+                    Some(p) => out.push_piece(u, at, len, ids[p], item.class),
                 }
                 at += len;
             }
@@ -230,9 +237,11 @@ pub fn dual_into(
         ..
     } = *ws;
     let mut b = Builder::new(inst, t, np_stacks, np_loads);
+    let times = b.times;
 
-    // Per-class job partition into the flat workspace buffer:
-    // J+ (t_j > T/2), K (borderline), C' (light) — contiguous per class.
+    // Per-class partition of class-major positions into the flat workspace
+    // buffer: J+ (t_j > T/2), K (borderline), C' (light) — contiguous per
+    // class.
     for i in 0..c {
         let s = inst.setup(i);
         let start = np_jobs.len() as u32;
@@ -246,22 +255,23 @@ pub fn dual_into(
             np_ranges.push(range); // expensive classes are wrapped whole
             continue;
         }
-        for &j in inst.class_jobs(i) {
-            if 2 * inst.job(j).time > t {
-                np_jobs.push(j);
+        let first = inst.class_span(i).start;
+        let class_times = inst.class_times(i);
+        for (k, &tj) in class_times.iter().enumerate() {
+            if 2 * tj > t {
+                np_jobs.push(first + k);
             }
         }
         range.big_end = np_jobs.len() as u32;
-        for &j in inst.class_jobs(i) {
-            let tj = inst.job(j).time;
+        for (k, &tj) in class_times.iter().enumerate() {
             if 2 * tj <= t && 2 * (s + tj) > t {
-                np_jobs.push(j);
+                np_jobs.push(first + k);
             }
         }
         range.bord_end = np_jobs.len() as u32;
-        for &j in inst.class_jobs(i) {
-            if 2 * (s + inst.job(j).time) <= t {
-                np_jobs.push(j);
+        for (k, &tj) in class_times.iter().enumerate() {
+            if 2 * (s + tj) <= t {
+                np_jobs.push(first + k);
             }
         }
         range.end = np_jobs.len() as u32;
@@ -273,17 +283,17 @@ pub fn dual_into(
         let fill_start = np_fillable.len() as u32;
         let s = inst.setup(i);
         if 2 * s > t {
-            b.wrap_class(i, inst.class_jobs(i));
+            b.wrap_class(i, inst.class_span(i));
         } else {
-            for &j in &np_jobs[r.start as usize..r.big_end as usize] {
+            for &p in &np_jobs[r.start as usize..r.big_end as usize] {
                 let u = b.open_machine();
                 b.push(u, None, i, s, false);
-                b.push(u, Some(j), i, inst.job(j).time, false);
+                b.push(u, Some(p), i, times[p], false);
                 np_fillable.push(u);
             }
             let borderline = &np_jobs[r.big_end as usize..r.bord_end as usize];
             if !borderline.is_empty() {
-                let last = b.wrap_class(i, borderline);
+                let last = b.wrap_class(i, borderline.iter().copied());
                 np_fillable.push(last);
             }
         }
@@ -303,11 +313,7 @@ pub fn dual_into(
         let (fs, fe) = np_fill_ranges[i];
         let lend = r.end as usize;
         let mut k = r.bord_end as usize;
-        let mut rem = if k < lend {
-            inst.job(np_jobs[k]).time
-        } else {
-            0
-        };
+        let mut rem = if k < lend { times[np_jobs[k]] } else { 0 };
         for &u in &np_fillable[fs as usize..fe as usize] {
             while k < lend {
                 let avail = b.t - b.loads[u];
@@ -317,11 +323,7 @@ pub fn dual_into(
                 if rem <= avail {
                     b.push(u, Some(np_jobs[k]), i, rem, false);
                     k += 1;
-                    rem = if k < lend {
-                        inst.job(np_jobs[k]).time
-                    } else {
-                        0
-                    };
+                    rem = if k < lend { times[np_jobs[k]] } else { 0 };
                 } else {
                     b.push(u, Some(np_jobs[k]), i, avail, false);
                     rem -= avail;
@@ -333,24 +335,24 @@ pub fn dual_into(
         // step-3 batch of this class.
         if k < lend {
             np_queue.push(NpItem {
-                job: None,
+                pos: None,
                 class: i,
                 len: inst.setup(i),
                 seq: 0,
                 step3: true,
             });
             np_queue.push(NpItem {
-                job: Some(np_jobs[k]),
+                pos: Some(np_jobs[k]),
                 class: i,
                 len: rem,
                 seq: 0,
                 step3: true,
             });
-            for &j in &np_jobs[k + 1..lend] {
+            for &p in &np_jobs[k + 1..lend] {
                 np_queue.push(NpItem {
-                    job: Some(j),
+                    pos: Some(p),
                     class: i,
-                    len: inst.job(j).time,
+                    len: times[p],
                     seq: 0,
                     step3: true,
                 });
@@ -377,7 +379,7 @@ pub fn dual_into(
         }
         let item = np_queue[qi];
         qi += 1;
-        b.push(u, item.job, item.class, item.len, true);
+        b.push(u, item.pos, item.class, item.len, true);
     }
     if trace.is_enabled() {
         trace.snap("step 3: greedy fill", &b.to_schedule());
@@ -386,17 +388,17 @@ pub fn dual_into(
     // Step 4a: make jobs integral — replace each split's first-placed piece
     // (smallest sequence number) by the parent job and remove the other
     // pieces. Two passes over the stacks with per-job min-seq/count buffers
-    // from the workspace: `O(n)` total instead of a rescan of every machine
-    // per split job, and no hash map.
+    // from the workspace, indexed by class-major position: `O(n)` total
+    // instead of a rescan of every machine per split job, and no hash map.
     // `prepare_for` cleared both buffers, so resize initializes every slot.
     job_min_seq.resize(inst.num_jobs(), usize::MAX);
     job_count.resize(inst.num_jobs(), 0);
     for stack in &b.stacks[..b.used] {
         for item in stack {
-            if let Some(j) = item.job {
-                job_count[j] += 1;
-                if item.seq < job_min_seq[j] {
-                    job_min_seq[j] = item.seq;
+            if let Some(p) = item.pos {
+                job_count[p] += 1;
+                if item.seq < job_min_seq[p] {
+                    job_min_seq[p] = item.seq;
                 }
             }
         }
@@ -405,14 +407,14 @@ pub fn dual_into(
         let mut k = 0;
         while k < b.stacks[u].len() {
             let item = b.stacks[u][k];
-            let Some(j) = item.job else {
+            let Some(p) = item.pos else {
                 k += 1;
                 continue;
             };
-            if job_count[j] < 2 {
+            if job_count[p] < 2 {
                 k += 1;
-            } else if item.seq == job_min_seq[j] {
-                let full = inst.job(j).time;
+            } else if item.seq == job_min_seq[p] {
+                let full = times[p];
                 b.loads[u] += full - item.len;
                 b.stacks[u][k].len = full;
                 k += 1;
@@ -445,7 +447,7 @@ pub fn dual_into(
             continue;
         }
         let end = b.loads[mu]; // stacks are contiguous from 0
-        let crosses = end > b.t || (last.job.is_none() && end == b.t && idx + 1 < np_step3.len());
+        let crosses = end > b.t || (last.pos.is_none() && end == b.t && idx + 1 < np_step3.len());
         if !crosses {
             continue;
         }
@@ -457,10 +459,10 @@ pub fn dual_into(
                     .iter()
                     .position(|i| i.step3)
                     .expect("target has step-3 items");
-                if item.job.is_some() {
+                if item.pos.is_some() {
                     let s = inst.setup(item.class);
                     let setup = NpItem {
-                        job: None,
+                        pos: None,
                         class: item.class,
                         len: s,
                         seq: b.seq,
@@ -500,17 +502,17 @@ pub fn dual_into(
         // further insertions. (The capacity test usually guarantees an
         // empty machine, but the load can be exactly tight.)
         let target = empty.or_else(|| {
-            let need = item.len + item.job.map_or(0, |_| inst.setup(item.class));
+            let need = item.len + item.pos.map_or(0, |_| inst.setup(item.class));
             (0..b.used).find(|&u| b.loads[u] + need <= b.t + b.t / 2)
         });
         let Some(eu) = target else {
             return false; // defensive: excluded by the load test
         };
         let class = item.class;
-        if item.job.is_some() {
+        if item.pos.is_some() {
             let s = inst.setup(class);
             let setup = NpItem {
-                job: None,
+                pos: None,
                 class,
                 len: s,
                 seq: b.seq,
@@ -530,7 +532,7 @@ pub fn dual_into(
         let mut configured: Option<ClassId> = None;
         let mut fix: Option<(usize, ClassId)> = None;
         for (k, item) in b.stacks[u].iter().enumerate() {
-            match item.job {
+            match item.pos {
                 None => configured = Some(item.class),
                 Some(_) => {
                     if configured != Some(item.class) {
@@ -543,7 +545,7 @@ pub fn dual_into(
         if let Some((k, class)) = fix {
             let s = inst.setup(class);
             let setup = NpItem {
-                job: None,
+                pos: None,
                 class,
                 len: s,
                 seq: b.seq,
@@ -557,7 +559,7 @@ pub fn dual_into(
 
     // Drop unnecessary trailing setups.
     for u in 0..b.used {
-        while matches!(b.stacks[u].last(), Some(i) if i.job.is_none()) {
+        while matches!(b.stacks[u].last(), Some(i) if i.pos.is_none()) {
             let it = b.stacks[u].pop().expect("non-empty");
             b.loads[u] -= it.len;
         }

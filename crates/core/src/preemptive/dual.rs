@@ -24,7 +24,7 @@ use bss_rational::{Rational, RawRational};
 use bss_schedule::Schedule;
 use bss_wrap::{wrap_into, GapRun};
 
-use crate::classify::classify_into;
+use crate::classify::{class_items, classify_into};
 use crate::workspace::{DualWorkspace, IstarAgg, KPiece};
 use crate::Trace;
 
@@ -103,8 +103,7 @@ pub(crate) fn aggregates_in(
         let s = inst.setup(i);
         let mut big_count = 0u64;
         let mut big_proc = 0u64;
-        for &j in inst.class_jobs(i) {
-            let tj = inst.job(j).time;
+        for &tj in inst.class_times(i) {
             if Rational::from(s + tj) > half {
                 big_count += 1;
                 big_proc += tj;
@@ -241,8 +240,7 @@ fn prepare_in(
             } else if x.is_zero() {
                 // Only the obligatory pieces j(2) go to the nice instance.
                 let start = ws.arena.len();
-                for &j in inst.class_jobs(i) {
-                    let tj = inst.job(j).time;
+                for (j, tj) in class_items(inst, i) {
                     if is_big(tj) {
                         let t2 = Rational::from(s + tj) - half;
                         ws.arena.push((j, t2));
@@ -261,8 +259,7 @@ fn prepare_in(
                         end: ws.arena.len(),
                     },
                 });
-                for &j in inst.class_jobs(i) {
-                    let tj = inst.job(j).time;
+                for (j, tj) in class_items(inst, i) {
                     if !is_big(tj) {
                         ws.k_pieces.push(KPiece {
                             class: i,
@@ -275,9 +272,9 @@ fn prepare_in(
                 // The split item e: pieces per Equation (6).
                 k_first_class = Some(i);
                 let start = ws.arena.len();
-                for &j in inst.class_jobs(i) {
-                    let tj = Rational::from(inst.job(j).time);
-                    let t2 = if is_big(inst.job(j).time) {
+                for (j, time) in class_items(inst, i) {
+                    let tj = Rational::from(time);
+                    let t2 = if is_big(time) {
                         let t1 = half - Rational::from(s);
                         let t2_obl = Rational::from(s) + tj - half;
                         x * t1 + t2_obl
@@ -307,11 +304,11 @@ fn prepare_in(
         // Light-cheap classes without big jobs go entirely to the bottom.
         for &i in &ws.cls.ichp_minus {
             if !ws.class_mark.is_marked(i) {
-                for &j in inst.class_jobs(i) {
+                for (j, tj) in class_items(inst, i) {
                     ws.k_pieces.push(KPiece {
                         class: i,
                         job: j,
-                        len: Rational::from(inst.job(j).time),
+                        len: Rational::from(tj),
                     });
                 }
             }
@@ -341,8 +338,8 @@ fn prepare_in(
                 k_first_class = Some(i);
                 let mut budget = remaining.reduce() - s;
                 let start = ws.arena.len();
-                for &j in inst.class_jobs(i) {
-                    let tj = Rational::from(inst.job(j).time);
+                for (j, time) in class_items(inst, i) {
+                    let tj = Rational::from(time);
                     if budget.is_positive() {
                         let take = tj.min(budget);
                         ws.arena.push((j, take));
@@ -373,11 +370,11 @@ fn prepare_in(
                 remaining = RawRational::ZERO;
             } else {
                 split_done = true;
-                for &j in inst.class_jobs(i) {
+                for (j, tj) in class_items(inst, i) {
                     ws.k_pieces.push(KPiece {
                         class: i,
                         job: j,
-                        len: Rational::from(inst.job(j).time),
+                        len: Rational::from(tj),
                     });
                 }
             }
@@ -454,8 +451,8 @@ pub fn dual_into(
         let s = Rational::from(inst.setup(i));
         out.push_setup(u, half, s, i);
         let mut at = half + s;
-        for &j in inst.class_jobs(i) {
-            let len = Rational::from(inst.job(j).time);
+        for (j, tj) in class_items(inst, i) {
+            let len = Rational::from(tj);
             out.push_piece(u, at, len, j, i);
             at += len;
         }

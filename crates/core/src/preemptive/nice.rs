@@ -19,7 +19,7 @@ use bss_rational::Rational;
 use bss_schedule::{PlacementSink, Schedule};
 use bss_wrap::{wrap_into, GapRun};
 
-use crate::classify::{alpha_prime, classify, gamma};
+use crate::classify::{alpha_prime, class_items, classify, gamma};
 use crate::workspace::WrapScratch;
 
 /// Machine-count mode for `I⁺_exp` classes.
@@ -84,8 +84,8 @@ impl Batch {
     ) {
         match self.jobs {
             BatchJobs::Full => {
-                for &j in inst.class_jobs(self.class) {
-                    f(j, Rational::from(inst.job(j).time));
+                for (j, tj) in class_items(inst, self.class) {
+                    f(j, Rational::from(tj));
                 }
             }
             BatchJobs::Pieces { start, end } => {
@@ -205,8 +205,8 @@ pub(crate) fn build_nice<S: PlacementSink>(
         for &i in pair {
             sink.place_setup(cursor, at, Rational::from(inst.setup(i)), i);
             at += inst.setup(i);
-            for &j in inst.class_jobs(i) {
-                let len = Rational::from(inst.job(j).time);
+            for (j, tj) in class_items(inst, i) {
+                let len = Rational::from(tj);
                 sink.place_piece(cursor, at, len, j, i);
                 at += len;
             }

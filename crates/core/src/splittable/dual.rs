@@ -14,7 +14,7 @@ use bss_rational::{Rational, RawRational};
 use bss_schedule::CompactSchedule;
 use bss_wrap::{batch_items, wrap_iter_append, GapRun, SeqItem};
 
-use crate::classify::{beta, classify_into};
+use crate::classify::{beta, class_items, classify_into};
 use crate::workspace::DualWorkspace;
 use crate::Trace;
 
@@ -225,9 +225,7 @@ pub(crate) fn class_batch<'a>(
     batch_items(
         i,
         Rational::from(inst.setup(i)),
-        inst.class_jobs(i)
-            .iter()
-            .map(|&j| (j, Rational::from(inst.job(j).time))),
+        class_items(inst, i).map(|(j, tj)| (j, Rational::from(tj))),
     )
 }
 

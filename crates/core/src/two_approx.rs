@@ -5,6 +5,7 @@ use bss_rational::Rational;
 use bss_schedule::{CompactSchedule, Schedule};
 use bss_wrap::{wrap_iter_append, GapRun};
 
+use crate::classify::class_items;
 use crate::workspace::DualWorkspace;
 use crate::Trace;
 
@@ -57,12 +58,12 @@ pub fn greedy_two_approx(inst: &Instance, trace: &mut Trace) -> Schedule {
     #[derive(Clone, Copy)]
     enum It {
         Setup(usize),
-        Job(usize, usize), // (job, class)
+        Job(usize, usize, u64), // (job, class, time)
     }
     fn len_of(inst: &Instance, it: &It) -> u64 {
         match *it {
             It::Setup(c) => inst.setup(c),
-            It::Job(j, _) => inst.job(j).time,
+            It::Job(_, _, time) => time,
         }
     }
 
@@ -81,8 +82,8 @@ pub fn greedy_two_approx(inst: &Instance, trace: &mut Trace) -> Schedule {
     };
     for i in 0..inst.num_classes() {
         push(&mut stacks, &mut load, It::Setup(i), inst.setup(i));
-        for &j in inst.class_jobs(i) {
-            push(&mut stacks, &mut load, It::Job(j, i), inst.job(j).time);
+        for (j, tj) in class_items(inst, i) {
+            push(&mut stacks, &mut load, It::Job(j, i, tj), tj);
         }
     }
     if trace.is_enabled() {
@@ -99,7 +100,7 @@ pub fn greedy_two_approx(inst: &Instance, trace: &mut Trace) -> Schedule {
             let last = stacks[u].pop().expect("overfull machine has items");
             match last {
                 It::Setup(_) => moved[u + 1].push(last),
-                It::Job(_, c) => {
+                It::Job(_, c, _) => {
                     moved[u + 1].push(It::Setup(c));
                     moved[u + 1].push(last);
                 }
@@ -121,7 +122,7 @@ pub fn greedy_two_approx(inst: &Instance, trace: &mut Trace) -> Schedule {
         for (idx, it) in stack.iter().enumerate() {
             match *it {
                 It::Setup(c) => configured = Some(c),
-                It::Job(_, c) => {
+                It::Job(_, c, _) => {
                     if configured != Some(c) {
                         fix = Some((idx, c));
                         break;
@@ -154,8 +155,8 @@ pub fn greedy_two_approx(inst: &Instance, trace: &mut Trace) -> Schedule {
                         s.push_setup(u, t, len, c);
                         t += len;
                     }
-                    It::Job(j, c) => {
-                        let len = Rational::from(inst.job(j).time);
+                    It::Job(j, c, time) => {
+                        let len = Rational::from(time);
                         s.push_piece(u, t, len, j, c);
                         t += len;
                     }

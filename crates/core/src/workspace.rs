@@ -97,8 +97,9 @@ impl WrapScratch {
 /// from time 0 on their machine).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct NpItem {
-    /// `None` = setup, `Some(j)` = piece of job `j`.
-    pub job: Option<JobId>,
+    /// `None` = setup, `Some(p)` = piece of the job at position `p` of the
+    /// instance's class-major table ([`Instance::class_major`]).
+    pub pos: Option<usize>,
     pub class: ClassId,
     pub len: u64,
     /// Global placement sequence number (drives the step-4 repair order).
@@ -158,12 +159,15 @@ pub struct DualWorkspace {
     pub(crate) k_small: Vec<usize>,
     /// Partial machines of the splittable builder: `(machine, load)`.
     pub(crate) partial: Vec<(usize, Rational)>,
-    /// Non-preemptive repair: earliest placement sequence per job.
+    /// Non-preemptive repair: earliest placement sequence per job, indexed
+    /// by class-major position.
     pub(crate) job_min_seq: Vec<usize>,
-    /// Non-preemptive repair: piece count per job.
+    /// Non-preemptive repair: piece count per job, indexed by class-major
+    /// position.
     pub(crate) job_count: Vec<u32>,
-    /// Non-preemptive builder: flat per-class big/borderline/light partition.
-    pub(crate) np_jobs: Vec<JobId>,
+    /// Non-preemptive builder: flat per-class big/borderline/light partition
+    /// of class-major positions.
+    pub(crate) np_jobs: Vec<usize>,
     /// Ranges of `np_jobs` per class.
     pub(crate) np_ranges: Vec<NpClassRange>,
     /// Non-preemptive builder: fillable machines, flat.

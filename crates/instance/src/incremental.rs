@@ -151,9 +151,9 @@ pub struct IncrementalInstance {
     machines: usize,
     setups: Vec<u64>,
     jobs: Vec<Job>,
-    /// Jobs per class (non-emptiness guard; cheaper than the id lists an
-    /// `Instance` keeps, which positional removal would force us to rebuild
-    /// wholesale anyway).
+    /// Jobs per class (non-emptiness guard; cheaper than the class-major
+    /// table an `Instance` keeps, which positional removal would force us to
+    /// rebuild wholesale anyway).
     class_count: Vec<usize>,
     class_proc: Vec<u64>,
     class_tmax: Vec<u64>,

@@ -1,6 +1,7 @@
 //! The [`Instance`] type, its builder and validation.
 
 use core::fmt;
+use core::ops::Range;
 
 use bss_json::{FromJson, JsonError, ToJson, Value};
 
@@ -59,13 +60,26 @@ impl FromJson for Job {
 /// precomputes the per-class aggregates (`P(C_i)`, `t^(i)_max`) that all
 /// algorithms need, so that the dual-approximation *tests* run in `O(c)` time
 /// as required by the Class-Jumping searches.
+///
+/// Jobs are stored twice: in id order ([`Instance::jobs`], the serialized
+/// form) and in a derived *class-major* table of two aligned columns, job ids
+/// and job times, where class `i` occupies the positions
+/// [`Instance::class_span`]`(i)` with its ids ascending. The solvers' per-class
+/// passes read [`Instance::class_jobs`] and [`Instance::class_times`] (or the
+/// whole table, [`Instance::class_major`]) as contiguous slices instead of
+/// gathering times from the id-ordered list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Instance {
     machines: usize,
     setups: Vec<u64>,
     jobs: Vec<Job>,
     // Derived data, not serialized (rebuilt on load via `Instance::from_parts`).
-    class_jobs: Vec<Vec<JobId>>,
+    /// `c + 1` offsets: class `i` owns positions `class_start[i]..class_start[i + 1]`.
+    class_start: Vec<usize>,
+    /// Class-major job ids, ascending within each class.
+    class_ids: Vec<JobId>,
+    /// Job times aligned with `class_ids`.
+    class_times: Vec<u64>,
     class_proc: Vec<u64>,
     class_tmax: Vec<u64>,
     total_proc: u64,
@@ -221,6 +235,10 @@ impl InstanceBuilder {
 
 impl Instance {
     /// Builds an instance from raw parts, validating the model assumptions.
+    ///
+    /// One pass validates the jobs and counts them per class; a prefix sum
+    /// and a second pass then place them into the class-major columns (a
+    /// counting sort, so ids stay ascending within each class).
     pub fn from_parts(
         machines: usize,
         setups: Vec<u64>,
@@ -241,7 +259,8 @@ impl Instance {
             }
         }
         let c = setups.len();
-        let mut class_jobs: Vec<Vec<JobId>> = vec![Vec::new(); c];
+        // `class_start[i + 1]` first counts class `i`'s jobs.
+        let mut class_start = vec![0usize; c + 1];
         let mut class_proc = vec![0u64; c];
         let mut class_tmax = vec![0u64; c];
         let mut total: u128 = setups.iter().map(|&s| s as u128).sum();
@@ -266,21 +285,36 @@ impl Instance {
             if total > MAX_TOTAL_LOAD as u128 {
                 return Err(InstanceError::TotalLoadTooLarge);
             }
-            class_jobs[job.class].push(j);
+            class_start[job.class + 1] += 1;
             class_proc[job.class] += job.time;
             class_tmax[job.class] = class_tmax[job.class].max(job.time);
             total_proc += job.time;
         }
-        for (i, js) in class_jobs.iter().enumerate() {
-            if js.is_empty() {
-                return Err(InstanceError::EmptyClass(i));
-            }
+        if let Some(i) = class_start[1..].iter().position(|&count| count == 0) {
+            return Err(InstanceError::EmptyClass(i));
+        }
+        // Exclusive prefix sum: `class_start[i + 1]` becomes class `i`'s
+        // first position, and placing a job advances it, so after the
+        // placement pass it is class `i`'s end, i.e. class `i + 1`'s start.
+        let mut next = 0;
+        for slot in &mut class_start[1..] {
+            next += core::mem::replace(slot, next);
+        }
+        let mut class_ids = vec![0; jobs.len()];
+        let mut class_times = vec![0; jobs.len()];
+        for (j, job) in jobs.iter().enumerate() {
+            let pos = &mut class_start[job.class + 1];
+            class_ids[*pos] = j;
+            class_times[*pos] = job.time;
+            *pos += 1;
         }
         Ok(Instance {
             machines,
             setups,
             jobs,
-            class_jobs,
+            class_start,
+            class_ids,
+            class_times,
             class_proc,
             class_tmax,
             total_proc,
@@ -329,10 +363,33 @@ impl Instance {
         &self.jobs
     }
 
-    /// Job ids of class `class`.
+    /// Job ids of class `class`, ascending.
     #[must_use]
     pub fn class_jobs(&self, class: ClassId) -> &[JobId] {
-        &self.class_jobs[class]
+        &self.class_ids[self.class_span(class)]
+    }
+
+    /// Processing times of class `class`'s jobs, aligned with
+    /// [`Instance::class_jobs`]: `class_times(i)[k]` is the time of job
+    /// `class_jobs(i)[k]`.
+    #[must_use]
+    pub fn class_times(&self, class: ClassId) -> &[u64] {
+        &self.class_times[self.class_span(class)]
+    }
+
+    /// Positions of class `class`'s jobs in the class-major table
+    /// ([`Instance::class_major`]). The spans of classes `0..c` tile `0..n`
+    /// in class order.
+    #[must_use]
+    pub fn class_span(&self, class: ClassId) -> Range<usize> {
+        self.class_start[class]..self.class_start[class + 1]
+    }
+
+    /// The class-major job table: job ids and their times, aligned, class
+    /// by class (class `i` at [`Instance::class_span`]`(i)`, ids ascending).
+    #[must_use]
+    pub fn class_major(&self) -> (&[JobId], &[u64]) {
+        (&self.class_ids, &self.class_times)
     }
 
     /// Total processing time `P(C_i)` of class `class`.
@@ -392,19 +449,37 @@ impl Instance {
     /// The instance with all setup and processing times multiplied by
     /// `factor`. The problems are scale-free, so optima (and our algorithms'
     /// outputs) scale along — a property the test suite checks.
+    ///
+    /// # Errors
+    ///
+    /// [`InstanceError::TotalLoadTooLarge`] when a scaled time overflows
+    /// `u64` or the scaled total load exceeds [`MAX_TOTAL_LOAD`].
+    ///
+    /// # Panics
+    ///
+    /// If `factor` is zero.
     pub fn scaled(&self, factor: u64) -> Result<Instance, InstanceError> {
         assert!(factor >= 1, "scale factor must be positive");
-        Instance::from_parts(
-            self.machines,
-            self.setups.iter().map(|&s| s * factor).collect(),
-            self.jobs
-                .iter()
-                .map(|j| Job {
+        let scale = |v: u64| {
+            v.checked_mul(factor)
+                .ok_or(InstanceError::TotalLoadTooLarge)
+        };
+        let setups = self
+            .setups
+            .iter()
+            .map(|&s| scale(s))
+            .collect::<Result<_, _>>()?;
+        let jobs = self
+            .jobs
+            .iter()
+            .map(|j| {
+                Ok(Job {
                     class: j.class,
-                    time: j.time * factor,
+                    time: scale(j.time)?,
                 })
-                .collect(),
-        )
+            })
+            .collect::<Result<_, _>>()?;
+        Instance::from_parts(self.machines, setups, jobs)
     }
 }
 
@@ -439,6 +514,41 @@ mod tests {
         assert_eq!(inst.class_jobs(1), &[2]);
     }
 
+    /// Jobs added with their classes interleaved land class by class in the
+    /// class-major table, ids ascending and times aligned.
+    #[test]
+    fn class_major_table_of_interleaved_jobs() {
+        let mut b = InstanceBuilder::new(2);
+        let (x, y, z) = (b.add_class(3), b.add_class(1), b.add_class(2));
+        for (class, time) in [(y, 4), (x, 7), (z, 1), (y, 2), (x, 5), (y, 9), (z, 6)] {
+            b.add_job(class, time);
+        }
+        let inst = b.build().unwrap();
+        assert_eq!(
+            inst.class_major(),
+            (&[1, 4, 0, 3, 5, 2, 6][..], &[7, 5, 4, 2, 9, 1, 6][..])
+        );
+        assert_eq!(
+            (inst.class_span(x), inst.class_span(y), inst.class_span(z)),
+            (0..2, 2..5, 5..7)
+        );
+        assert_eq!(inst.class_jobs(y), &[0, 3, 5]);
+        assert_eq!(inst.class_times(y), &[4, 2, 9]);
+        let mut end = 0;
+        for i in 0..inst.num_classes() {
+            let (span, ids, times) = (inst.class_span(i), inst.class_jobs(i), inst.class_times(i));
+            assert_eq!(span.start, end);
+            end = span.end;
+            assert!(ids.windows(2).all(|w| w[0] < w[1]));
+            for (&j, &t) in ids.iter().zip(times) {
+                assert_eq!(inst.job(j), Job { class: i, time: t });
+            }
+            assert_eq!(inst.class_proc(i), times.iter().sum::<u64>());
+            assert_eq!(inst.class_tmax(i), *times.iter().max().unwrap());
+        }
+        assert_eq!(end, inst.num_jobs());
+    }
+
     #[test]
     fn scaled_multiplies_all_times() {
         let inst = simple().build().unwrap();
@@ -447,6 +557,16 @@ mod tests {
         assert_eq!(scaled.job(0).time, 12);
         assert_eq!(scaled.total_load_once(), 3 * inst.total_load_once());
         assert_eq!(scaled.machines(), inst.machines());
+    }
+
+    /// A scaled time that overflows `u64` is an error, not a wrapped value:
+    /// `(2^40 + 1) · 2^30` once wrapped to `2^30` and `2^40 · 2^30` to 0.
+    #[test]
+    fn scaled_rejects_overflowing_times() {
+        for time in [(1 << 40) + 1, 1 << 40] {
+            let inst = Instance::from_parts(1, vec![1], vec![Job { class: 0, time }]).unwrap();
+            assert_eq!(inst.scaled(1 << 30), Err(InstanceError::TotalLoadTooLarge));
+        }
     }
 
     #[test]
