@@ -6,8 +6,7 @@
 //! `uniform_50k_eps10` configuration of `results/BASELINES.md`
 //! (non-preemptive, ε = 2⁻¹⁰, a 12-probe cold ladder): the preemptive and
 //! splittable duals accept these uniform instances at `T_min` outright
-//! (1 probe — nothing to warm), exactly as in the speculative-search
-//! study. Two functions:
+//! (1 probe — nothing to warm). Two functions:
 //!
 //! * `cold` — `solve` of the post-delta state from scratch;
 //! * `warm` — `solve_warm` seeded from the pre-delta solution's bracket,

@@ -179,8 +179,10 @@ pub struct Solution {
     pub accepted: Rational,
     /// The proven approximation factor of this run relative to `accepted`.
     pub ratio_bound: Rational,
-    /// A certified strict lower bound on `OPT` (from `T_min` and rejected
-    /// guesses); `makespan / certificate` upper-bounds the true ratio.
+    /// A certified lower bound on the optimum, `OPT >= certificate` (from
+    /// `T_min`, rejected guesses, or the exact oracle, whose closed search
+    /// sets it to `OPT` itself); `makespan / certificate` upper-bounds the
+    /// true ratio.
     pub certificate: Rational,
     /// Dual-test probes performed by the search (0 for direct algorithms).
     pub probes: usize,
@@ -237,8 +239,8 @@ impl Solution {
 }
 
 /// How [`solve_problem`](crate::solve_problem) runs one solve. The default
-/// is an unlimited, sequential, cold solve; every setting leaves the answer
-/// unchanged under an unlimited budget.
+/// is an unlimited, cold solve; every setting leaves the answer unchanged
+/// under an unlimited budget.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolveOptions<'a> {
     /// The cooperative budget (deadline, work limit, cancel token) every
@@ -247,11 +249,6 @@ pub struct SolveOptions<'a> {
     /// certified solution held at the interrupt, with an honestly widened
     /// [`Solution::ratio_bound`] and a [`Completion`] saying what happened.
     pub budget: Option<&'a SolveBudget>,
-    /// Worker threads for speculative probing on the bisection ladders (see
-    /// [`crate::par`]); `0` and `1` are sequential. The committed probes,
-    /// and hence the answer and the budget's interruption points, are the
-    /// same at every count.
-    pub threads: usize,
     /// A previous solve's bracket, seeding the ladders' monotonicity memo
     /// (see [`WarmStart`]): the answer is the cold one, with fewer dual tests
     /// evaluated. Ladders over heuristic duals, which are not known to be

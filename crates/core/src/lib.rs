@@ -17,7 +17,7 @@
 //!
 //! The one-stop entry point is [`solve`] with an [`Algorithm`] selector;
 //! [`solve_problem`] runs any [`Problem`] under one [`SolveOptions`]
-//! (budget, threads, warm start).
+//! (budget, warm start).
 //!
 //! All internal arithmetic is exact ([`bss_rational::Rational`]); every
 //! algorithm's output is checked against the strict validators of
@@ -55,7 +55,6 @@
 
 pub mod classify;
 pub mod nonpreemptive;
-pub mod par;
 pub mod preemptive;
 pub mod search;
 pub mod splittable;

@@ -11,7 +11,7 @@ use crate::Trace;
 use super::{accepts, dual_in};
 
 /// Runs the exact integer binary search over the 3/2-dual of Theorem 9 on
-/// `search`'s ladder settings (budget, threads, warm hint).
+/// `search`'s ladder settings (budget, warm hint).
 ///
 /// Because all input values are integral and jobs and setups are never
 /// preempted, `OPT ∈ N`; the search over `[⌈T_min⌉, 2⌈T_min⌉]` therefore
@@ -42,7 +42,7 @@ pub(crate) fn three_halves_search(
         t_min,
         2 * t_min,
         || Some(IntBracket::new(t_min, 2 * t_min)),
-        &|_, t| accepts(inst, t),
+        |_, t| accepts(inst, t),
     );
     let mut accepted = out.accepted;
     let schedule = loop {

@@ -63,7 +63,7 @@ pub struct DirectSolve {
     /// *valid*: `repr` realized at an accepted `accepted`, `certificate`
     /// restricted to genuinely certified rejections.
     pub interrupt: Option<Interrupt>,
-    /// The ladders' warm and speculative counters (the driver fills in
+    /// The ladders' warm-start counters (the driver fills in
     /// [`SearchStats::probes`]).
     pub stats: SearchStats,
 }
@@ -115,9 +115,9 @@ pub trait Problem {
     /// The problem's best direct algorithm ([`Algorithm::ThreeHalves`]):
     /// Class Jumping, the exact integer search, or — for problems without a
     /// specialized search — a fine ε-search over the dual. It runs under
-    /// `opts`'s budget, and its bisection ladders under `opts`'s threads and
-    /// warm hint, bit-identically to the unlimited sequential cold search
-    /// whenever the budget never trips.
+    /// `opts`'s budget, and its bisection ladders under `opts`'s warm hint,
+    /// bit-identically to the unlimited cold search whenever the budget
+    /// never trips.
     fn direct_search(&self, ws: &mut DualWorkspace, opts: &SolveOptions<'_>) -> DirectSolve;
 
     /// The exact branch-and-bound oracle, for problems small enough that it
@@ -134,15 +134,14 @@ pub trait Problem {
 }
 
 /// Drives any [`Problem`] through the chosen [`Algorithm`] on a reusable
-/// workspace, under `opts`'s budget, threads and warm hint. All four modes
+/// workspace, under `opts`'s budget and warm hint. All four modes
 /// share the guarantee accounting documented on the module; the result is a
 /// standard [`Solution`], bit-identical for every `opts` whose budget never
 /// trips.
 ///
 /// This is the safe API boundary: the solve runs behind [`catch_unwind`],
 /// so a solver panic (arithmetic overflow on an adversarial instance, a
-/// violated internal invariant, a panic re-raised from a speculative worker
-/// along the committed path, injected chaos) surfaces as a typed
+/// violated internal invariant, injected chaos) surfaces as a typed
 /// [`SolveError`] instead of unwinding through the caller. On panic the
 /// workspace is [reset](DualWorkspace::reset) — buffers abandoned mid-probe
 /// may hold arbitrary partial state — so the same workspace is safe (and
@@ -154,12 +153,9 @@ pub trait Problem {
 /// against the certified lower bound, and [`Solution::completion`] reports
 /// what happened.
 ///
-/// (`P: Sync` because probes may run on worker threads; both implementors
-/// in this workspace are plain borrows of immutable instances.)
-///
 /// # Errors
 /// [`SolveError`] when the solver panicked.
-pub fn solve_problem<P: Problem + Sync + ?Sized>(
+pub fn solve_problem<P: Problem + ?Sized>(
     ws: &mut DualWorkspace,
     problem: &P,
     algo: Algorithm,
@@ -169,7 +165,7 @@ pub fn solve_problem<P: Problem + Sync + ?Sized>(
 }
 
 /// [`solve_problem`] plus the solve's [`SearchStats`].
-pub(crate) fn solve_with_stats<P: Problem + Sync + ?Sized>(
+pub(crate) fn solve_with_stats<P: Problem + ?Sized>(
     ws: &mut DualWorkspace,
     problem: &P,
     algo: Algorithm,
@@ -190,7 +186,7 @@ pub(crate) fn solve_with_stats<P: Problem + Sync + ?Sized>(
     })
 }
 
-fn drive<P: Problem + Sync + ?Sized>(
+fn drive<P: Problem + ?Sized>(
     ws: &mut DualWorkspace,
     problem: &P,
     algo: Algorithm,
@@ -323,7 +319,7 @@ fn drive<P: Problem + Sync + ?Sized>(
 /// guess. The builders keep defensive rejection branches beyond the accept
 /// test; if one fires at the accepted guess, the build falls back to the
 /// problem's safe guess instead of panicking.
-pub(crate) fn epsilon_direct<P: Problem + Sync + ?Sized>(
+pub(crate) fn epsilon_direct<P: Problem + ?Sized>(
     ws: &mut DualWorkspace,
     problem: &P,
     eps_log2: u32,
@@ -341,7 +337,7 @@ pub(crate) fn epsilon_direct<P: Problem + Sync + ?Sized>(
         t_min,
         t_hi,
         || Bracket::try_new(t_min, t_hi, gap),
-        &|w, t| problem.probe(w, t),
+        |w, t| problem.probe(w, t),
     );
     let trace = &mut Trace::disabled();
     let (accepted, repr) = match problem.build(ws, out.accepted, trace) {
@@ -533,9 +529,8 @@ impl Problem for BssProblem<'_> {
     fn direct_search(&self, ws: &mut DualWorkspace, opts: &SolveOptions<'_>) -> DirectSolve {
         let mut search = Search::new(opts, true);
         let inst = self.inst;
-        // Class Jumping walks a jump structure whose next probe depends on
-        // the previous outcome in a way the wavefront planner cannot
-        // enumerate, and has no bisection to warm: it runs as is.
+        // Class Jumping walks a jump structure, not a bisection, so it has
+        // no ladder to warm: it runs as is.
         let out = match self.variant {
             Variant::Splittable => class_jumping::<splittable::Split>(ws, inst, search.budget()),
             _ if inst.machines() >= inst.num_jobs() => one_job_per_machine(inst),

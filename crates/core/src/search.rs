@@ -19,11 +19,10 @@
 //! The first two are the same bisection over different brackets, and the
 //! loop that runs it (the *ladder*) exists once. It charges the budget one
 //! unit per committed query and takes its verdicts from a *verdict source*:
-//! a direct probe, the warm-start monotonicity memo
-//! ([`crate::SolveOptions::warm`]), or the speculative wavefront of
-//! [`crate::par`]. Every source answers each
-//! committed query exactly as the probe would, so the bracket, the committed
-//! probe count and the interruption points are the same whichever one runs.
+//! the direct probe, or the warm-start monotonicity memo
+//! ([`crate::SolveOptions::warm`]) in front of it. Both answer each committed
+//! query exactly as the probe would, so the bracket, the committed probe
+//! count and the interruption points are the same whichever one runs.
 
 use bss_budget::{Interrupt, SolveBudget};
 use bss_rational::{gcd, Rational};
@@ -51,8 +50,7 @@ pub(crate) struct SearchOutcome {
 }
 
 /// Counters of one solve's probe ladders beyond the committed probe count
-/// ([`crate::Solution::probes`]): what a warm start saved and what the
-/// speculative wavefront cost.
+/// ([`crate::Solution::probes`]): what a warm start saved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Dual tests the committed path genuinely evaluated: memo misses plus
@@ -64,15 +62,6 @@ pub struct SearchStats {
     pub skipped: usize,
     /// Of `probes`, how many seeded the warm memo at the hint points.
     pub seed_probes: usize,
-    /// Speculative wavefronts published (each costs one probe wall-time
-    /// when every worker has a core).
-    pub rounds: usize,
-    /// Speculative probe slots issued across all wavefronts (committed +
-    /// losers).
-    pub speculated: usize,
-    /// Committed probes recomputed inline because a worker had to skip the
-    /// node (budget trip observed worker-side, or a caught panic).
-    pub inline: usize,
 }
 
 impl core::ops::AddAssign for SearchStats {
@@ -80,24 +69,18 @@ impl core::ops::AddAssign for SearchStats {
         self.probes += o.probes;
         self.skipped += o.skipped;
         self.seed_probes += o.seed_probes;
-        self.rounds += o.rounds;
-        self.speculated += o.speculated;
-        self.inline += o.inline;
     }
 }
 
 /// A bisection state: `lo` rejected, `hi` accepted, narrowing while wide —
 /// implemented by the rational ε-bracket and the Theorem-8 integer bracket,
-/// so one ladder (and one wavefront planner) serves both searches.
-pub(crate) trait Bisect: Clone {
-    type Guess: Copy + Ord + Send + Sync;
+/// so one ladder serves both searches.
+pub(crate) trait Bisect {
+    type Guess: Copy + Ord;
     fn is_wide(&self) -> bool;
-    /// The committed split: panics on overflow exactly as [`Rational`]
+    /// The midpoint split: panics on overflow exactly as [`Rational`]
     /// arithmetic does.
     fn split(&mut self) -> Self::Guess;
-    /// The planning split: `None` instead of a panic (a speculative path
-    /// must not fail where the committed path might never go).
-    fn try_split(&mut self) -> Option<Self::Guess>;
     fn accept_mid(&mut self);
     fn reject_mid(&mut self);
     fn lo_guess(&self) -> Self::Guess;
@@ -117,7 +100,6 @@ pub(crate) trait Bisect: Clone {
 /// once per iteration; when that would leave the `i128` headroom the bracket
 /// renormalizes by the common gcd, matching the overflow discipline (and
 /// panic behaviour) of [`Rational`] itself.
-#[derive(Clone)]
 pub(crate) struct Bracket {
     lo: i128,
     hi: i128,
@@ -127,8 +109,8 @@ pub(crate) struct Bracket {
 }
 
 impl Bracket {
-    /// `None` when the common denominator leaves `i128` (the committed
-    /// ladder turns that into the overflow panic, the planner into a stop).
+    /// `None` when the common denominator leaves `i128` (the ladder turns
+    /// that into the overflow panic).
     pub(crate) fn try_new(lo: Rational, hi: Rational, gap: Rational) -> Option<Bracket> {
         let den = lcm(lo.denom(), hi.denom()).and_then(|d| lcm(d, gap.denom()))?;
         let scale = |r: Rational| r.numer().checked_mul(den / r.denom());
@@ -144,7 +126,7 @@ impl Bracket {
     /// Divides every component by their common gcd to regain headroom;
     /// `false` when the components share no factor — the exact value
     /// genuinely leaves `i128`, exactly as plain [`Rational`] arithmetic
-    /// would (callers turn that into the panic or a planning stop).
+    /// would (the caller turns that into the panic).
     fn renormalize(&mut self) -> bool {
         let g = gcd(gcd(self.lo, self.hi), gcd(self.gap, self.den));
         if g <= 1 {
@@ -167,15 +149,11 @@ impl Bisect for Bracket {
     }
 
     fn split(&mut self) -> Rational {
-        self.try_split().expect(OVERFLOW)
-    }
-
-    fn try_split(&mut self) -> Option<Rational> {
         loop {
             if let Some(sum) = self.lo.checked_add(self.hi) {
                 if sum % 2 == 0 {
                     self.mid = sum / 2;
-                    return Some(Rational::new(self.mid, self.den));
+                    return Rational::new(self.mid, self.den);
                 }
                 // Odd sum: double every component so the midpoint is exact.
                 if let (Some(d), Some(l), Some(h), Some(g)) = (
@@ -189,11 +167,11 @@ impl Bisect for Bracket {
                     self.hi = h;
                     self.gap = g;
                     self.mid = sum; // (2·lo + 2·hi) / 2
-                    return Some(Rational::new(self.mid, self.den));
+                    return Rational::new(self.mid, self.den);
                 }
             }
             if !self.renormalize() {
-                return None;
+                panic!("{OVERFLOW}");
             }
         }
     }
@@ -228,7 +206,6 @@ fn lcm(a: i128, b: i128) -> Option<i128> {
 
 /// Theorem 8's integer bracket: loop while `hi - lo > 1`, so the accepted
 /// end is the smallest accepted integer and `lo` certifies `OPT >= lo + 1`.
-#[derive(Clone)]
 pub(crate) struct IntBracket {
     lo: u64,
     hi: u64,
@@ -253,10 +230,6 @@ impl Bisect for IntBracket {
         self.mid
     }
 
-    fn try_split(&mut self) -> Option<u64> {
-        Some(self.split())
-    }
-
     fn accept_mid(&mut self) {
         self.hi = self.mid;
     }
@@ -279,16 +252,14 @@ impl Bisect for IntBracket {
     }
 }
 
-/// Where a ladder's verdicts come from. `bracket` is the state the query
-/// bisects (`None` for the `t_lo`/`t_hi` seeds); speculative sources plan
-/// from it.
-pub(crate) trait Verdicts<B: Bisect> {
-    fn verdict(&mut self, t: B::Guess, bracket: Option<&B>) -> bool;
+/// Where a ladder's verdicts come from.
+pub(crate) trait Verdicts<G> {
+    fn verdict(&mut self, t: G) -> bool;
 }
 
 /// A direct probe is a verdict source.
-impl<B: Bisect, F: FnMut(B::Guess) -> bool> Verdicts<B> for F {
-    fn verdict(&mut self, t: B::Guess, _: Option<&B>) -> bool {
+impl<G, F: FnMut(G) -> bool> Verdicts<G> for F {
+    fn verdict(&mut self, t: G) -> bool {
         self(t)
     }
 }
@@ -317,7 +288,7 @@ pub(crate) struct Ladder<G> {
 ///
 /// `make` returns `None` on overflow; the bracket is built only after `t_lo`
 /// rejected, so an immediate accept never pays (or panics on) it.
-pub(crate) fn climb<B: Bisect, S: Verdicts<B> + ?Sized>(
+pub(crate) fn climb<B: Bisect, S: Verdicts<B::Guess> + ?Sized>(
     t_lo: B::Guess,
     t_hi: B::Guess,
     make: impl Fn() -> Option<B>,
@@ -336,7 +307,7 @@ pub(crate) fn climb<B: Bisect, S: Verdicts<B> + ?Sized>(
         return out;
     }
     out.probes = 1;
-    if src.verdict(t_lo, None) {
+    if src.verdict(t_lo) {
         out.accepted = t_lo;
         return out;
     }
@@ -348,7 +319,7 @@ pub(crate) fn climb<B: Bisect, S: Verdicts<B> + ?Sized>(
     }
     out.probes += 1;
     assert!(
-        src.verdict(t_hi, None),
+        src.verdict(t_hi),
         "the search's upper seed must be accepted"
     );
     while bracket.is_wide() {
@@ -358,7 +329,7 @@ pub(crate) fn climb<B: Bisect, S: Verdicts<B> + ?Sized>(
             break;
         }
         out.probes += 1;
-        if src.verdict(mid, Some(&bracket)) {
+        if src.verdict(mid) {
             bracket.accept_mid();
         } else {
             bracket.reject_mid();
@@ -433,15 +404,15 @@ impl<'s, G: Copy + Ord, S: ?Sized> Warm<'s, G, S> {
     }
 }
 
-impl<B: Bisect, S: Verdicts<B> + ?Sized> Verdicts<B> for Warm<'_, B::Guess, S> {
-    fn verdict(&mut self, t: B::Guess, bracket: Option<&B>) -> bool {
+impl<G: Copy + Ord, S: Verdicts<G> + ?Sized> Verdicts<G> for Warm<'_, G, S> {
+    fn verdict(&mut self, t: G) -> bool {
         if !self.seeded && self.reject.is_some() {
             self.seeded = true;
             let (lo, hi) = self.hint;
-            let seed = |w: &mut Self, g: B::Guess| {
+            let seed = |w: &mut Self, g: G| {
                 w.known(g).unwrap_or_else(|| {
                     w.seeds += 1;
-                    let ok = w.inner.verdict(g, None);
+                    let ok = w.inner.verdict(g);
                     w.record(g, ok)
                 })
             };
@@ -453,17 +424,16 @@ impl<B: Bisect, S: Verdicts<B> + ?Sized> Verdicts<B> for Warm<'_, B::Guess, S> {
             self.skipped += 1;
             return ok;
         }
-        let ok = self.inner.verdict(t, bracket);
+        let ok = self.inner.verdict(t);
         self.record(t, ok)
     }
 }
 
-/// How one solve runs its ladders: the budget, the speculative threads and
-/// the warm hint of its [`SolveOptions`], plus the stats they accumulate.
+/// How one solve runs its ladders: the budget and the warm hint of its
+/// [`SolveOptions`], plus the stats they accumulate.
 pub(crate) struct Search<'a> {
     budget: Option<&'a SolveBudget>,
     unlimited: SolveBudget,
-    threads: usize,
     hint: Option<(Rational, Rational)>,
     pub(crate) stats: SearchStats,
 }
@@ -475,7 +445,6 @@ impl<'a> Search<'a> {
         Search {
             budget: opts.budget,
             unlimited: SolveBudget::unlimited(),
-            threads: opts.threads,
             hint: opts.warm.filter(|_| monotone).map(|w| w.hint()),
             stats: SearchStats::default(),
         }
@@ -486,43 +455,25 @@ impl<'a> Search<'a> {
         self.budget.unwrap_or(&self.unlimited)
     }
 
-    /// Runs one ladder over `probe` on `[t_lo, t_hi]` (see [`climb`]):
-    /// speculative when more than one thread is available, warm when a hint
-    /// is.
-    pub(crate) fn run<B, P>(
+    /// Runs one ladder over `probe` on `[t_lo, t_hi]` (see [`climb`]),
+    /// warm when a hint is given.
+    pub(crate) fn run<B: Bisect>(
         &mut self,
         ws: &mut DualWorkspace,
         t_lo: B::Guess,
         t_hi: B::Guess,
         make: impl Fn() -> Option<B>,
-        probe: &P,
-    ) -> Ladder<B::Guess>
-    where
-        B: Bisect,
-        P: Fn(&mut DualWorkspace, B::Guess) -> bool + Sync,
-    {
-        let hint = self.hint.map(|(lo, hi)| B::hint(lo, hi));
+        probe: impl Fn(&mut DualWorkspace, B::Guess) -> bool,
+    ) -> Ladder<B::Guess> {
         let budget = self.budget.unwrap_or(&self.unlimited);
-        let stats = &mut self.stats;
-        let mut ladder = |src: &mut dyn Verdicts<B>| match hint {
-            Some(hint) => {
-                let mut warm = Warm::new(src, t_lo, t_hi, hint);
-                let out = climb(t_lo, t_hi, &make, budget, &mut warm);
-                stats.skipped += warm.skipped;
-                stats.seed_probes += warm.seeds;
-                out
-            }
-            None => climb(t_lo, t_hi, &make, budget, src),
+        let mut direct = |t: B::Guess| probe(ws, t);
+        let Some((lo, hi)) = self.hint else {
+            return climb(t_lo, t_hi, make, budget, &mut direct);
         };
-        if self.threads <= 1 {
-            return ladder(&mut |t: B::Guess| probe(ws, t));
-        }
-        let plan = make();
-        let (out, spec) =
-            crate::par::speculate(self.threads, budget, ws, probe, t_lo, t_hi, plan, |w| {
-                ladder(w)
-            });
-        self.stats += spec;
+        let mut warm = Warm::new(&mut direct, t_lo, t_hi, B::hint(lo, hi));
+        let out = climb(t_lo, t_hi, make, budget, &mut warm);
+        self.stats.skipped += warm.skipped;
+        self.stats.seed_probes += warm.seeds;
         out
     }
 }
@@ -608,7 +559,7 @@ mod tests {
         lo: Rational,
         hi: Rational,
         gap: Rational,
-        src: &mut impl Verdicts<Bracket>,
+        src: &mut impl Verdicts<Rational>,
     ) -> Ladder<Rational> {
         climb(lo, hi, || Bracket::try_new(lo, hi, gap), &unlimited(), src)
     }

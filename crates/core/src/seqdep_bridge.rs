@@ -3,7 +3,7 @@
 //! [`SeqDepProblem`] implements [`Problem`] for [`SeqDepInstance`]: seqdep
 //! instances are solved, validated and benchmarked through the same
 //! [`solve_problem`] driver (and the same [`Solution`] type) as the paper's
-//! batch-setup variants — budgets, threads and warm starts included.
+//! batch-setup variants — budgets and warm starts included.
 //!
 //! Two regimes, chosen automatically at construction:
 //!
@@ -160,7 +160,7 @@ impl Problem for SeqDepProblem<'_> {
 ///
 /// Uniform instances route through the batch-setup reduction (proven
 /// guarantees); general instances run the heuristic dual — see
-/// [`SeqDepProblem`]. Budgets, threads, warm starts and a reusable workspace
+/// [`SeqDepProblem`]. Budgets, warm starts and a reusable workspace
 /// go through [`solve_problem`] with a [`SeqDepProblem`].
 ///
 /// # Panics

@@ -1,19 +1,16 @@
 //! Property suite pinning every way of running the probe ladder — warm,
-//! speculative, budgeted — to the plain cold solve, bit for bit.
+//! budgeted — to the plain cold solve, bit for bit.
 //!
-//! The contract of `SolveOptions` is *determinism*: at every thread count,
-//! with or without a warm hint, the solve commits exactly the probe sequence
-//! the sequential cold search would run — same accepted bracket, same
-//! rejection certificate, same probe count, same solution bytes, and
-//! (because only committed queries charge the budget, in sequential order)
-//! the same interruption point for every work limit. These properties sweep
-//! random instances, algorithms, thread counts, hints and budget cut points
-//! to hold that line. (The raw ladder equivalences live in `bss-core`'s
-//! `par` unit tests.)
+//! The contract of `SolveOptions` is *determinism*: with or without a warm
+//! hint, the solve commits exactly the probe sequence the cold search would
+//! run — same accepted bracket, same rejection certificate, same probe
+//! count, same solution bytes, and (because only committed queries charge
+//! the budget, seeds are free) the same interruption point for every work
+//! limit. These properties sweep random instances, algorithms, hints and
+//! budget cut points to hold that line. (The raw ladder equivalences live in
+//! `bss-core`'s `search` unit tests.)
 //!
-//! Case count scales with `BSS_PROPTEST_CASES` (the nightly CI raises it);
-//! `BSS_PAR_THREADS=N` restricts the thread sweep to `{N}` so CI can pin
-//! specific counts per job.
+//! Case count scales with `BSS_PROPTEST_CASES` (the nightly CI raises it).
 
 use bss_budget::SolveBudget;
 use bss_core::{
@@ -23,18 +20,6 @@ use bss_core::{
 use bss_instance::Variant;
 use bss_rational::Rational;
 use proptest::prelude::*;
-
-/// The thread counts every property sweeps (each compared against the
-/// sequential search). `BSS_PAR_THREADS=N` pins the sweep to `{N}`.
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("BSS_PAR_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) if n > 0 => vec![n],
-        _ => vec![1, 2, 4, 8],
-    }
-}
 
 fn algorithm(idx: u8, eps_log2: u32) -> Algorithm {
     match idx % 3 {
@@ -68,9 +53,9 @@ fn assert_solutions_identical(label: &str, a: &Solution, b: &Solution) {
     );
 }
 
-/// Solves `problem` under every thread count and warm arm and checks each
-/// result against `want`.
-fn assert_options_agree<P: Problem + Sync>(
+/// Solves `problem` under every warm arm and checks each result against
+/// `want`.
+fn assert_warm_arms_agree<P: Problem>(
     label: &str,
     problem: &P,
     algo: Algorithm,
@@ -78,27 +63,24 @@ fn assert_options_agree<P: Problem + Sync>(
     warm: &[Option<WarmStart>],
 ) {
     let mut ws = DualWorkspace::new();
-    for threads in thread_counts() {
-        for (arm, &warm) in warm.iter().enumerate() {
-            let opts = SolveOptions {
-                threads,
-                warm,
-                ..SolveOptions::default()
-            };
-            let got = solve_problem(&mut ws, problem, algo, &opts)
-                .expect("unbudgeted solves do not panic");
-            assert_solutions_identical(&format!("{label} t={threads} warm#{arm}"), &got, want);
-        }
+    for (arm, &warm) in warm.iter().enumerate() {
+        let opts = SolveOptions {
+            warm,
+            ..SolveOptions::default()
+        };
+        let got =
+            solve_problem(&mut ws, problem, algo, &opts).expect("unbudgeted solves do not panic");
+        assert_solutions_identical(&format!("{label} warm#{arm}"), &got, want);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Full-solve bit-identity: every `(threads, warm)` option ≡ `solve`
-    /// for every variant and search-bearing algorithm.
+    /// Full-solve bit-identity: every warm arm ≡ `solve` for every variant
+    /// and search-bearing algorithm.
     #[test]
-    fn solve_par_is_bit_identical_to_solve(
+    fn warm_solve_is_bit_identical_to_solve(
         n in 20usize..70,
         c in 2usize..8,
         m in 2usize..6,
@@ -113,7 +95,7 @@ proptest! {
         let mut ws = DualWorkspace::new();
         let want = solve_with(&mut ws, &inst, variant, algo);
         let stale = solve_with(&mut ws, &bss_gen::uniform(n, c, m, seed + 1), variant, algo);
-        assert_options_agree(
+        assert_warm_arms_agree(
             &format!("{variant} {algo:?} seed={seed}"),
             &BssProblem::new(&inst, variant),
             algo,
@@ -123,12 +105,11 @@ proptest! {
     }
 
     /// Work-limit interruption points are deterministic: for *every* cut
-    /// point `w` up to the solve's full probe count, the parallel and warm
-    /// solves degrade at exactly the same place as the sequential cold one —
-    /// same completion tag, same (partial) certificate, same work
-    /// accounting.
+    /// point `w` up to the solve's full probe count, the warm solves degrade
+    /// at exactly the same place as the cold one — same completion tag,
+    /// same (partial) certificate, same work accounting.
     #[test]
-    fn work_limit_interruption_points_match(
+    fn warm_work_limit_interruption_points_match_cold(
         n in 20usize..60,
         c in 2usize..7,
         m in 2usize..5,
@@ -147,30 +128,27 @@ proptest! {
             let stale = solve_with(&mut ws, &bss_gen::uniform(n, c, m, seed + 1), variant, algo);
             let warm = hints(&full, &stale, seed);
             for w in 0..=(full.probes as u64 + 1) {
-                let seq_budget = SolveBudget::unlimited().with_work_limit(w);
-                let cold = SolveOptions { budget: Some(&seq_budget), ..SolveOptions::default() };
+                let cold_budget = SolveBudget::unlimited().with_work_limit(w);
+                let cold = SolveOptions { budget: Some(&cold_budget), ..SolveOptions::default() };
                 let want = solve_problem(&mut ws, &problem, algo, &cold)
                     .expect("budget expiry degrades, never errors");
-                for threads in thread_counts() {
-                    for (arm, &warm) in warm.iter().enumerate() {
-                        let par_budget = SolveBudget::unlimited().with_work_limit(w);
-                        let opts = SolveOptions { budget: Some(&par_budget), threads, warm };
-                        let got = solve_problem(&mut ws, &problem, algo, &opts)
-                            .expect("budget expiry degrades, never errors");
-                        assert_solutions_identical(
-                            &format!("{variant} {algo:?} w={w} t={threads} warm#{arm} seed={seed}"),
-                            &got,
-                            &want,
-                        );
-                        prop_assert_eq!(
-                            par_budget.work_used(),
-                            seq_budget.work_used(),
-                            "work accounting diverged at w={} t={} warm#{}",
-                            w,
-                            threads,
-                            arm
-                        );
-                    }
+                for (arm, &warm) in warm.iter().enumerate() {
+                    let warm_budget = SolveBudget::unlimited().with_work_limit(w);
+                    let opts = SolveOptions { budget: Some(&warm_budget), warm };
+                    let got = solve_problem(&mut ws, &problem, algo, &opts)
+                        .expect("budget expiry degrades, never errors");
+                    assert_solutions_identical(
+                        &format!("{variant} {algo:?} w={w} warm#{arm} seed={seed}"),
+                        &got,
+                        &want,
+                    );
+                    prop_assert_eq!(
+                        warm_budget.work_used(),
+                        cold_budget.work_used(),
+                        "work accounting diverged at w={} warm#{}",
+                        w,
+                        arm
+                    );
                 }
             }
         }
@@ -179,7 +157,7 @@ proptest! {
     /// Sequence-dependent instances, general (heuristic dual) and uniform
     /// (Theorem 8 on the reduction), obey the same contract.
     #[test]
-    fn seqdep_options_are_bit_identical_to_cold(
+    fn seqdep_warm_solves_are_bit_identical_to_cold(
         c in 3usize..12,
         m in 1usize..5,
         seed in 0u64..10_000,
@@ -196,7 +174,7 @@ proptest! {
             let stale_inst = bss_gen::seqdep::uniform_setups(c, m, seed + 1);
             let stale = solve_problem(&mut ws, &SeqDepProblem::new(&stale_inst), algo, &cold)
                 .expect("no panics");
-            assert_options_agree(
+            assert_warm_arms_agree(
                 &format!("{regime} seqdep {algo:?} seed={seed}"),
                 &problem,
                 algo,

@@ -1,11 +1,11 @@
 //! Batched multi-instance solving on a per-core workspace pool.
 //!
-//! [`bss_core`]'s speculative search parallelizes *one* solve's probe
-//! ladder; this crate parallelizes *across* solves. A [`SolvePool`] owns one
-//! long-lived [`DualWorkspace`] per worker, so a batch of instances — a
-//! sweep, a replay — is solved with warm buffers and zero
-//! per-item allocation churn: worker `i` always probes on workspace `i`
-//! (workspace affinity), and the pool outlives any number of batches.
+//! Each solve runs its probe ladder on one thread; this crate parallelizes
+//! *across* solves. A [`SolvePool`] owns one long-lived [`DualWorkspace`]
+//! per worker, so a batch of instances — a sweep, a replay — is solved with
+//! warm buffers and zero per-item allocation churn: worker `i` always
+//! probes on workspace `i` (workspace affinity), and the pool outlives any
+//! number of batches.
 //!
 //! Scheduling is [`bss_report::parallel_map_with`]'s chunked work-stealing
 //! loop with the pool's workspaces as the per-worker states: items are

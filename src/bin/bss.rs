@@ -51,7 +51,6 @@ USAGE:
   bss bounds   <instance.json> [--variant V]
   bss solve    <instance.json> [--variant V] [--algorithm A] [--render]
                [--schedule-out FILE] [--deadline-ms MS] [--budget PROBES]
-               [--threads N]
   bss batch    <instance.json>... [--variant V] [--algorithm A] [--threads N]
                [--deadline-ms MS] [--budget PROBES]
   bss validate <instance.json> <schedule.json> [--variant V]
@@ -68,13 +67,10 @@ USAGE:
   far is returned with an honestly widened ratio bound, and the summary gains
   a `completion` line saying which limit tripped.
 
-  `--threads N` (default: the machine's available parallelism) runs `solve`
-  with speculative parallel probing — bit-identical answers at every N — and
-  sizes `batch`'s per-core workspace pool. N must be at least 1.
-
   `batch` solves many batch-setup instances on one warm workspace pool,
   one result line per file; a budget covers the whole batch (finished items
-  keep their results, the tail is skipped).
+  keep their results, the tail is skipped). Its `--threads N` (default: the
+  machine's available parallelism, at least 1) sizes the pool.
 
   `--variant seqdep` reads a sequence-dependent instance (switch-cost matrix
   wire format); uniform instances route through the batch-setup reduction
@@ -83,7 +79,8 @@ USAGE:
   `serve` runs the solver as a long-lived TCP daemon (length-prefixed JSON
   frames, see bss-serve) with a content-hash solve cache: cache misses
   solve on warm workspaces, at most `--threads` at once, and once `--queue`
-  requests are waiting for a slot the rest are shed with a typed reply.
+  requests are waiting for a slot the rest are shed with a typed reply
+  (`--threads` defaults to one per core).
   `loadgen` drives a running server with a seeded request mix — closed-loop
   by default, open-loop at `--rate R` requests/s per connection — prints
   sustained solves/s with p50/p90/p99 latency, and fails when any request
@@ -168,9 +165,9 @@ fn parse_budget(args: &[String]) -> Result<Option<SolveBudget>, String> {
     Ok(Some(budget))
 }
 
-/// Parses `--threads`. Defaults to the machine's available parallelism
-/// (1 when the runtime cannot tell); zero is rejected — a solve needs at
-/// least the committed search thread.
+/// Parses `bss batch`'s `--threads`. Defaults to the machine's available
+/// parallelism (1 when the runtime cannot tell); zero is rejected — a batch
+/// needs at least one worker.
 fn parse_threads(args: &[String]) -> Result<usize, String> {
     match flag(args, "--threads") {
         Some(v) => match v.parse::<usize>() {
@@ -302,10 +299,8 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         Target::Bss(variant) => {
             let inst = load_instance(path)?;
             let budget = parse_budget(args)?;
-            let threads = parse_threads(args)?;
             let opts = SolveOptions {
                 budget: budget.as_ref(),
-                threads,
                 warm: None,
             };
             let start = std::time::Instant::now();
@@ -322,7 +317,6 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
                 return Err(format!("internal error: infeasible output: {violations:?}"));
             }
             print!("{}", solution_summary(&variant.to_string(), &sol));
-            println!("threads        {threads}");
             println!("solve time     {elapsed:.2?}");
             if has_flag(args, "--render") {
                 let opts = GanttOptions {
@@ -343,10 +337,8 @@ fn cmd_solve_seqdep(path: &str, algo: Algorithm, args: &[String]) -> Result<(), 
     let inst = load_seqdep(path)?;
     let problem = batch_setup_scheduling::core::SeqDepProblem::new(&inst);
     let budget = parse_budget(args)?;
-    let threads = parse_threads(args)?;
     let opts = SolveOptions {
         budget: budget.as_ref(),
-        threads,
         warm: None,
     };
     let start = std::time::Instant::now();
@@ -412,7 +404,6 @@ fn cmd_solve_seqdep(path: &str, algo: Algorithm, args: &[String]) -> Result<(), 
         }
     }
     print!("{}", solution_summary("seqdep", &sol));
-    println!("threads        {threads}");
     println!("solve time     {elapsed:.2?}");
     if has_flag(args, "--render") {
         // The seqdep schedule is a standard explicit schedule; render it
@@ -512,7 +503,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let server =
         batch_setup_scheduling::serve::spawn(config).map_err(|e| format!("bind failed: {e}"))?;
     println!("bss-serve listening on {}", server.addr());
-    println!("stop with a {{\"v\":1,\"id\":0,\"kind\":\"shutdown\"}} request or SIGKILL");
+    println!(
+        "stop with {} sent as one frame (4-byte big-endian length, then the JSON), or SIGKILL",
+        bss_json::encode(&batch_setup_scheduling::serve::Request::Shutdown { id: 0 })
+    );
     server.join();
     Ok(())
 }

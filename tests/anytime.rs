@@ -32,7 +32,7 @@ fn instances() -> Vec<(String, Instance)> {
 }
 
 /// A facade solve of `problem` under `budget`.
-fn budgeted<P: Problem + Sync>(
+fn budgeted<P: Problem>(
     problem: &P,
     algo: Algorithm,
     budget: &SolveBudget,

@@ -141,13 +141,12 @@ fn tsp_instances_stay_above_the_exact_oracle() {
 #[test]
 fn problem_trait_objects_unify_both_models() {
     // The same generic driver solves a batch-setup variant and a seqdep
-    // instance through `&dyn Problem` — one surface, two models. (`Sync`
-    // because the driver may fan probes out to worker threads.)
+    // instance through `&dyn Problem` — one surface, two models.
     let bss_inst = batch_setup_scheduling::gen::uniform(40, 6, 3, 1);
     let sd_inst = batch_setup_scheduling::gen::seqdep::triangle_violating(10, 3, 1);
     let bss_problem = batch_setup_scheduling::core::BssProblem::new(&bss_inst, Variant::Preemptive);
     let sd_problem = SeqDepProblem::new(&sd_inst);
-    let problems: [&(dyn Problem + Sync); 2] = [&bss_problem, &sd_problem];
+    let problems: [&dyn Problem; 2] = [&bss_problem, &sd_problem];
     let mut ws = DualWorkspace::new();
     for p in problems {
         let sol = solve_problem(&mut ws, p, Algorithm::ThreeHalves, &SolveOptions::default())
