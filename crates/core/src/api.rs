@@ -161,6 +161,31 @@ pub enum ScheduleRepr {
     Compact(CompactSchedule),
 }
 
+/// A builder's output: the schedule in its native representation and the
+/// makespan the builder reports for it. Builders track their largest end as
+/// they place items (the wrap folds it in once per gap, the stacking loops
+/// keep their last ends, the non-preemptive builder its machine loads), so
+/// no [`Solution`] rescans its placements for the makespan.
+#[derive(Debug, Clone)]
+pub struct Built {
+    /// The schedule.
+    pub repr: ScheduleRepr,
+    /// Its makespan, as the builder reports it.
+    pub makespan: Rational,
+}
+
+impl Built {
+    /// An explicit schedule with its makespan read off the placements, for
+    /// the producers that report none: the exact oracle and the seqdep
+    /// heuristic, whose schedules are small.
+    pub(crate) fn rescanned(schedule: Schedule) -> Self {
+        Built {
+            makespan: schedule.makespan(),
+            repr: ScheduleRepr::Explicit(schedule),
+        }
+    }
+}
+
 /// A solved instance.
 ///
 /// The schedule is kept in the representation the algorithm produced
@@ -173,7 +198,9 @@ pub struct Solution {
     repr: ScheduleRepr,
     /// Lazily expanded explicit form of a compact `repr`.
     expanded: OnceLock<Schedule>,
-    /// The schedule's makespan.
+    /// The schedule's makespan, as the builder that produced the schedule
+    /// reports it (see [`Built`]); it equals the largest end of
+    /// [`Solution::schedule`]'s placements.
     pub makespan: Rational,
     /// The accepted makespan guess; `makespan <= ratio_bound · accepted`.
     pub accepted: Rational,
@@ -384,17 +411,24 @@ pub fn solve_warm(
     .unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// The [`Solution`] of a built schedule: its makespan is the one the builder
+/// reported, checked against a rescan of the schedule in debug builds only.
 pub(crate) fn finish(
-    repr: ScheduleRepr,
+    built: Built,
     accepted: Rational,
     ratio_bound: Rational,
     certificate: Rational,
     probes: usize,
 ) -> Solution {
-    let makespan = match &repr {
-        ScheduleRepr::Explicit(s) => s.makespan(),
-        ScheduleRepr::Compact(c) => c.makespan(),
-    };
+    let Built { repr, makespan } = built;
+    debug_assert_eq!(
+        makespan,
+        match &repr {
+            ScheduleRepr::Explicit(s) => s.makespan(),
+            ScheduleRepr::Compact(c) => c.makespan(),
+        },
+        "a builder reported a makespan that is not its schedule's"
+    );
     Solution {
         repr,
         expanded: OnceLock::new(),

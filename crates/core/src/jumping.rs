@@ -15,7 +15,7 @@ use bss_budget::{Interrupt, SolveBudget};
 use bss_instance::{ClassId, Instance, LowerBounds, Variant};
 use bss_rational::Rational;
 
-use crate::api::ScheduleRepr;
+use crate::api::Built;
 use crate::classify::{classify_into, Classification};
 use crate::search::{refine_right_interval, refine_sorted, SearchOutcome};
 use crate::workspace::DualWorkspace;
@@ -29,7 +29,7 @@ pub(crate) trait Jumps {
     /// The dual accept test at guess `t`.
     fn accepts(ws: &mut DualWorkspace, inst: &Instance, t: Rational) -> bool;
     /// The dual build at an accepted guess `t`.
-    fn build(ws: &mut DualWorkspace, inst: &Instance, t: Rational) -> Option<ScheduleRepr>;
+    fn build(ws: &mut DualWorkspace, inst: &Instance, t: Rational) -> Option<Built>;
     /// Pushes every guess at which the class partition may change.
     fn thresholds(inst: &Instance, out: &mut Vec<Rational>);
     /// Pushes the jumping classes of the partition `cls`.
@@ -197,7 +197,7 @@ fn outcome<J: Jumps>(
     p: &Prober<'_>,
 ) -> SearchOutcome {
     SearchOutcome {
-        repr: J::build(ws, inst, accepted).expect("Class Jumping builds at an accepted guess"),
+        built: J::build(ws, inst, accepted).expect("Class Jumping builds at an accepted guess"),
         accepted,
         rejected,
         probes: p.probes,

@@ -68,8 +68,8 @@ mod trace;
 mod workspace;
 
 pub use api::{
-    solve, solve_warm, solve_with, Algorithm, Completion, ScheduleRepr, Solution, SolveError,
-    SolveOptions, WarmStart,
+    solve, solve_warm, solve_with, Algorithm, Built, Completion, ScheduleRepr, Solution,
+    SolveError, SolveOptions, WarmStart,
 };
 pub use bss_budget::{CancelToken, Interrupt, SolveBudget};
 pub use problem::{solve_problem, BssProblem, DirectSolve, Problem};

@@ -34,7 +34,7 @@ use bss_rational::Rational;
 use bss_schedule::Schedule;
 
 use crate::workspace::{DualWorkspace, NpClassRange, NpItem};
-use crate::Trace;
+use crate::{Built, ScheduleRepr, Trace};
 
 /// The `O(n)` dual test of Theorem 9: `true` iff `T` is accepted.
 #[must_use]
@@ -201,14 +201,31 @@ pub fn dual_in(
     trace: &mut Trace,
 ) -> Option<Schedule> {
     let mut out = Schedule::new(inst.machines());
-    dual_into(ws, inst, t, trace, &mut out).then_some(out)
+    dual_into(ws, inst, t, trace, &mut out).map(|_| out)
+}
+
+/// [`dual_in`] with the makespan the build reports.
+pub(crate) fn build_in(
+    ws: &mut DualWorkspace,
+    inst: &Instance,
+    t: u64,
+    trace: &mut Trace,
+) -> Option<Built> {
+    let mut out = Schedule::new(inst.machines());
+    let makespan = dual_into(ws, inst, t, trace, &mut out)?;
+    Some(Built {
+        repr: ScheduleRepr::Explicit(out),
+        makespan,
+    })
 }
 
 /// [`dual_in`] that emits the repaired schedule into a caller-provided `out`
 /// (reset at entry). After workspace warm-up a build allocates nothing
 /// beyond `out`'s own growth.
 ///
-/// Returns `false` on rejection (`T < OPT`).
+/// Returns the makespan of the built schedule — its largest machine load,
+/// since every machine's stack runs contiguously from time 0; `out` is not
+/// rescanned — or `None` on rejection (`T < OPT`).
 #[must_use]
 pub fn dual_into(
     ws: &mut DualWorkspace,
@@ -216,10 +233,10 @@ pub fn dual_into(
     t: u64,
     trace: &mut Trace,
     out: &mut Schedule,
-) -> bool {
+) -> Option<Rational> {
     out.reset(inst.machines());
     if !accepts(inst, t) {
-        return false;
+        return None;
     }
     ws.prepare_for(inst);
     let c = inst.num_classes();
@@ -300,7 +317,7 @@ pub fn dual_into(
         np_fill_ranges.push((fill_start, np_fillable.len() as u32));
     }
     if b.used > inst.machines() {
-        return false; // defensive; excluded by the m' test
+        return None; // defensive; excluded by the m' test
     }
     if trace.is_enabled() {
         trace.snap("step 1: schedule L", &b.to_schedule());
@@ -369,7 +386,7 @@ pub fn dual_into(
     while qi < np_queue.len() {
         if u >= b.used {
             if b.used >= inst.machines() {
-                return false; // defensive; excluded by the load test
+                return None; // defensive; excluded by the load test
             }
             b.open_machine();
         }
@@ -506,7 +523,7 @@ pub fn dual_into(
             (0..b.used).find(|&u| b.loads[u] + need <= b.t + b.t / 2)
         });
         let Some(eu) = target else {
-            return false; // defensive: excluded by the load test
+            return None; // defensive: excluded by the load test
         };
         let class = item.class;
         if item.pos.is_some() {
@@ -567,12 +584,12 @@ pub fn dual_into(
 
     b.emit_into(out);
     trace.snap("step 4: repaired", out);
+    let makespan = Rational::from(b.loads[..b.used].iter().copied().max().unwrap_or(0));
     debug_assert!(
-        out.makespan() <= Rational::from(3 * t).half(),
-        "makespan {} exceeds 3T/2 at T={t}",
-        out.makespan()
+        makespan <= Rational::from(3 * t).half(),
+        "makespan {makespan} exceeds 3T/2 at T={t}"
     );
-    true
+    Some(makespan)
 }
 
 #[cfg(test)]
@@ -699,10 +716,10 @@ mod tests {
                 let reused = dual_into(&mut ws, &inst, t, &mut Trace::disabled(), &mut out);
                 match fresh {
                     Some(s) => {
-                        assert!(reused, "seed {seed} T={t}");
+                        assert_eq!(reused, Some(s.makespan()), "seed {seed} T={t}");
                         assert_eq!(s, out, "seed {seed} T={t}");
                     }
-                    None => assert!(!reused, "seed {seed} T={t}"),
+                    None => assert!(reused.is_none(), "seed {seed} T={t}"),
                 }
             }
         }

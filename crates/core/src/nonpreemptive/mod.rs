@@ -9,5 +9,6 @@
 mod dual;
 mod search;
 
+pub(crate) use dual::build_in;
 pub use dual::{accepts, dual, dual_in, dual_into};
 pub(crate) use search::three_halves_search;

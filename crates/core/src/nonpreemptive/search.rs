@@ -3,12 +3,11 @@
 use bss_instance::{Instance, LowerBounds, Variant};
 use bss_rational::Rational;
 
-use crate::api::ScheduleRepr;
 use crate::search::{IntBracket, Search, SearchOutcome};
 use crate::workspace::DualWorkspace;
 use crate::Trace;
 
-use super::{accepts, dual_in};
+use super::{accepts, build_in};
 
 /// Runs the exact integer binary search over the 3/2-dual of Theorem 9 on
 /// `search`'s ladder settings (budget, warm hint).
@@ -45,9 +44,9 @@ pub(crate) fn three_halves_search(
         |_, t| accepts(inst, t),
     );
     let mut accepted = out.accepted;
-    let schedule = loop {
-        if let Some(s) = dual_in(ws, inst, accepted, &mut Trace::disabled()) {
-            break s;
+    let built = loop {
+        if let Some(b) = build_in(ws, inst, accepted, &mut Trace::disabled()) {
+            break b;
         }
         assert!(
             accepted < 2 * t_min,
@@ -56,7 +55,7 @@ pub(crate) fn three_halves_search(
         accepted += 1;
     };
     SearchOutcome {
-        repr: ScheduleRepr::Explicit(schedule),
+        built,
         accepted: Rational::from(accepted),
         rejected: out.rejected.map(Rational::from),
         probes: out.probes,
@@ -70,14 +69,14 @@ mod tests {
     use bss_schedule::{validate, Schedule};
 
     use super::*;
-    use crate::SolveOptions;
+    use crate::{ScheduleRepr, SolveOptions};
 
     /// The integer search on a fresh workspace, unbudgeted and sequential,
     /// with its schedule.
     fn three_halves(inst: &Instance) -> (SearchOutcome, Schedule) {
         let search = &mut Search::new(&SolveOptions::default(), true);
         let out = three_halves_search(&mut DualWorkspace::new(), inst, search);
-        let ScheduleRepr::Explicit(s) = &out.repr else {
+        let ScheduleRepr::Explicit(s) = &out.built.repr else {
             panic!("non-preemptive schedules are explicit");
         };
         let s = s.clone();
@@ -89,6 +88,10 @@ mod tests {
         let v = validate(&schedule, inst, Variant::NonPreemptive);
         assert!(v.is_empty(), "{v:?}");
         let makespan = schedule.makespan();
+        assert_eq!(
+            out.built.makespan, makespan,
+            "the build reports its makespan"
+        );
         assert!(
             makespan <= out.accepted * Rational::new(3, 2),
             "makespan {makespan} > 3/2 · {}",

@@ -26,7 +26,7 @@ use bss_wrap::{wrap_into, GapRun};
 
 use crate::classify::{class_items, classify_into};
 use crate::workspace::{DualWorkspace, IstarAgg, KPiece};
-use crate::Trace;
+use crate::{Built, ScheduleRepr, Trace};
 
 use super::nice::{build_nice, Batch, BatchJobs, NiceParts};
 use super::CountMode;
@@ -417,7 +417,23 @@ pub fn dual_in(
     trace: &mut Trace,
 ) -> Option<Schedule> {
     let mut out = Schedule::new(inst.machines());
-    dual_into(ws, inst, t, mode, trace, &mut out).then_some(out)
+    dual_into(ws, inst, t, mode, trace, &mut out).map(|_| out)
+}
+
+/// [`dual_in`] with the makespan the build reports.
+pub(crate) fn build_in(
+    ws: &mut DualWorkspace,
+    inst: &Instance,
+    t: Rational,
+    mode: CountMode,
+    trace: &mut Trace,
+) -> Option<Built> {
+    let mut out = Schedule::new(inst.machines());
+    let makespan = dual_into(ws, inst, t, mode, trace, &mut out)?;
+    Some(Built {
+        repr: ScheduleRepr::Explicit(out),
+        makespan,
+    })
 }
 
 /// [`dual_in`] that streams the schedule into a caller-provided `out`
@@ -426,8 +442,10 @@ pub fn dual_in(
 /// final destination, and a warm workspace build performs **zero** heap
 /// allocations beyond `out`'s own growth.
 ///
-/// Returns `false` on rejection (`T < OPT`); `out` then holds a partial
-/// schedule the caller must discard (or reset).
+/// Returns the makespan of the built schedule — the largest of the stacked
+/// machines' last ends and the ends the wraps report; `out` is not
+/// rescanned — or `None` on rejection (`T < OPT`); `out` then holds a
+/// partial schedule the caller must discard (or reset).
 #[must_use]
 pub fn dual_into(
     ws: &mut DualWorkspace,
@@ -436,15 +454,14 @@ pub fn dual_into(
     mode: CountMode,
     trace: &mut Trace,
     out: &mut Schedule,
-) -> bool {
+) -> Option<Rational> {
     let m = inst.machines();
     out.reset(m);
-    let Some(plan) = prepare_in(ws, inst, t, mode) else {
-        return false;
-    };
+    let plan = prepare_in(ws, inst, t, mode)?;
     let half = t.half();
     let quarter = half.half();
     let l = ws.cls.iexp_zero.len();
+    let mut makespan = Rational::ZERO;
 
     // Step 1: large machines — each I0exp batch starts at T/2 (Lemma 11).
     for (u, &i) in ws.cls.iexp_zero.iter().enumerate() {
@@ -457,6 +474,7 @@ pub fn dual_into(
             at += len;
         }
         debug_assert!(at <= t * Rational::new(3, 2));
+        makespan = makespan.max(at);
     }
     trace.snap("step 1: large machines", out);
 
@@ -474,7 +492,7 @@ pub fn dual_into(
     // Not enough large-machine room is excluded by Theorem 5 when the tests
     // pass; treat it defensively as a rejection.
     if ws.k_big.len() > l || (l == 0 && !ws.k_pieces.is_empty()) {
-        return false;
+        return None;
     }
 
     // K+ : one piece at the bottom of each of the first l' large machines.
@@ -485,12 +503,13 @@ pub fn dual_into(
         debug_assert!(s + p.len <= half, "Note 3: s + t <= T/2");
         out.push_setup(u, Rational::ZERO, s, p.class);
         out.push_piece(u, s, p.len, p.job, p.class);
+        makespan = makespan.max(s + p.len);
     }
 
     // K− : wrapped over the remaining large machines below T/2.
     if !ws.k_small.is_empty() {
         if l_prime >= l {
-            return false;
+            return None;
         }
         // Group by class, split-item class first (its setup leads the wrap).
         let k_first_class = plan.k_first_class;
@@ -521,9 +540,8 @@ pub fn dual_into(
                 b: half,
             });
         }
-        if wrap_into(&ws.scratch.seq, &ws.scratch.runs, inst.setups(), out).is_err() {
-            return false;
-        }
+        let end = wrap_into(&ws.scratch.seq, &ws.scratch.runs, inst.setups(), out).ok()?;
+        makespan = makespan.max(end);
     }
     trace.snap("step 2: bottom of large machines (K)", out);
 
@@ -535,17 +553,15 @@ pub fn dual_into(
         cheap: &ws.cheap,
         arena: &ws.arena,
     };
-    if build_nice(inst, t, mode, parts, l, m - l, &mut ws.scratch, out).is_err() {
-        return false;
-    }
+    let end = build_nice(inst, t, mode, parts, l, m - l, &mut ws.scratch, out).ok()?;
+    makespan = makespan.max(end);
     trace.snap("step 3: nice residual instance", out);
 
     debug_assert!(
-        out.makespan() <= t * Rational::new(3, 2),
-        "makespan {} > 3T/2 at T={t}",
-        out.makespan()
+        makespan <= t * Rational::new(3, 2),
+        "makespan {makespan} > 3T/2 at T={t}"
     );
-    true
+    Some(makespan)
 }
 
 #[cfg(test)]

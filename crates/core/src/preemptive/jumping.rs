@@ -21,13 +21,13 @@
 use bss_instance::{ClassId, Instance, Variant};
 use bss_rational::Rational;
 
-use crate::api::ScheduleRepr;
+use crate::api::Built;
 use crate::classify::{gamma, Classification};
 use crate::jumping::{Jumps, Prober};
 use crate::workspace::DualWorkspace;
 use crate::Trace;
 
-use super::dual::{accepts_in, aggregates_in, dual_in};
+use super::dual::{accepts_in, aggregates_in, build_in};
 use super::CountMode;
 
 const MODE: CountMode = CountMode::Gamma;
@@ -45,8 +45,8 @@ impl Jumps for Pmtn {
         accepts_in(ws, inst, t, MODE)
     }
 
-    fn build(ws: &mut DualWorkspace, inst: &Instance, t: Rational) -> Option<ScheduleRepr> {
-        dual_in(ws, inst, t, MODE, &mut Trace::disabled()).map(ScheduleRepr::Explicit)
+    fn build(ws: &mut DualWorkspace, inst: &Instance, t: Rational) -> Option<Built> {
+        build_in(ws, inst, t, MODE, &mut Trace::disabled())
     }
 
     fn thresholds(inst: &Instance, out: &mut Vec<Rational>) {
@@ -173,6 +173,7 @@ mod tests {
     use bss_schedule::{validate, Schedule};
 
     use super::*;
+    use crate::api::ScheduleRepr;
     use crate::search::SearchOutcome;
 
     /// Class Jumping on a fresh workspace, unbudgeted, with its schedule.
@@ -182,7 +183,7 @@ mod tests {
             inst,
             &SolveBudget::unlimited(),
         );
-        let ScheduleRepr::Explicit(s) = &out.repr else {
+        let ScheduleRepr::Explicit(s) = &out.built.repr else {
             panic!("preemptive schedules are explicit");
         };
         let s = s.clone();
@@ -194,6 +195,10 @@ mod tests {
         let v = validate(&schedule, inst, Variant::Preemptive);
         assert!(v.is_empty(), "{v:?}");
         let makespan = schedule.makespan();
+        assert_eq!(
+            out.built.makespan, makespan,
+            "the build reports its makespan"
+        );
         assert!(
             makespan <= out.accepted * Rational::new(3, 2),
             "makespan {makespan} > 3/2 · {}",

@@ -15,6 +15,7 @@ pub(crate) mod dual;
 mod jumping;
 pub(crate) mod nice;
 
+pub(crate) use dual::build_in;
 pub use dual::{accepts, accepts_in, dual, dual_in, dual_into};
 pub(crate) use jumping::Pmtn;
 pub use nice::{is_nice, nice_dual, CountMode};

@@ -137,9 +137,10 @@ pub(crate) struct NiceParts<'a> {
 /// through the same [`PlacementSink`]). `scratch` provides the reusable
 /// sequence/run buffers, so a warm build performs no allocations here.
 ///
-/// Returns `Err(())` when the machines or the wrap capacity do not suffice —
-/// the caller treats this as a dual rejection (and discards whatever was
-/// already emitted).
+/// Returns the makespan of what it placed — the ends the wraps report and
+/// the paired machines' last ends — or `Err(())` when the machines or the
+/// wrap capacity do not suffice; the caller treats that as a dual rejection
+/// (and discards whatever was already emitted).
 #[allow(clippy::too_many_arguments)] // mirrors the paper's builder inputs
 pub(crate) fn build_nice<S: PlacementSink>(
     inst: &Instance,
@@ -150,11 +151,12 @@ pub(crate) fn build_nice<S: PlacementSink>(
     avail: usize,
     scratch: &mut WrapScratch,
     sink: &mut S,
-) -> Result<(), ()> {
+) -> Result<Rational, ()> {
     let half = t.half();
     let top = t + half; // 3T/2
     let end = base + avail;
     let mut cursor = base;
+    let mut makespan = Rational::ZERO;
 
     // Step 1: I+exp classes.
     for (&i, &a) in parts.plus_classes.iter().zip(parts.plus_counts) {
@@ -191,7 +193,9 @@ pub(crate) fn build_nice<S: PlacementSink>(
             scratch.runs.push(GapRun::single(cursor + a - 1, s, top));
         }
         batch.sequence_into(inst, parts.arena, &mut scratch.seq);
-        wrap_into(&scratch.seq, &scratch.runs, inst.setups(), sink).map_err(|_| ())?;
+        let wrapped =
+            wrap_into(&scratch.seq, &scratch.runs, inst.setups(), sink).map_err(|_| ())?;
+        makespan = makespan.max(wrapped);
         cursor += a;
     }
 
@@ -211,6 +215,7 @@ pub(crate) fn build_nice<S: PlacementSink>(
                 at += len;
             }
         }
+        makespan = makespan.max(at);
         if pair.len() == 1 {
             lone_machine = Some(cursor);
         }
@@ -219,7 +224,7 @@ pub(crate) fn build_nice<S: PlacementSink>(
 
     // Step 3: wrap the cheap load between T/2 and 3T/2.
     if parts.cheap.iter().all(|b| !b.has_pieces(inst)) {
-        return Ok(());
+        return Ok(makespan);
     }
     scratch.clear();
     if let Some(mu) = lone_machine {
@@ -247,8 +252,8 @@ pub(crate) fn build_nice<S: PlacementSink>(
             });
         }
     }
-    wrap_into(&scratch.seq, &scratch.runs, inst.setups(), sink).map_err(|_| ())?;
-    Ok(())
+    let wrapped = wrap_into(&scratch.seq, &scratch.runs, inst.setups(), sink).map_err(|_| ())?;
+    Ok(makespan.max(wrapped))
 }
 
 /// The standalone 3/2-dual approximation for nice instances (Theorem 4).
@@ -305,7 +310,7 @@ pub fn nice_dual(inst: &Instance, t: Rational, mode: CountMode) -> Option<Schedu
     };
     let mut out = Schedule::new(inst.machines());
     let mut scratch = WrapScratch::default();
-    build_nice(
+    let makespan = build_nice(
         inst,
         t,
         mode,
@@ -316,7 +321,8 @@ pub fn nice_dual(inst: &Instance, t: Rational, mode: CountMode) -> Option<Schedu
         &mut out,
     )
     .ok()?;
-    debug_assert!(out.makespan() <= t * Rational::new(3, 2));
+    debug_assert_eq!(makespan, out.makespan());
+    debug_assert!(makespan <= t * Rational::new(3, 2));
     Some(out)
 }
 

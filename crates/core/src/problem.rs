@@ -39,7 +39,7 @@ use bss_instance::{Instance, LowerBounds, Variant};
 use bss_rational::Rational;
 use bss_schedule::Schedule;
 
-use crate::api::{finish, Algorithm, Completion, ScheduleRepr, Solution, SolveError};
+use crate::api::{finish, Algorithm, Built, Completion, ScheduleRepr, Solution, SolveError};
 use crate::jumping::class_jumping;
 use crate::search::{Bracket, Search, SearchOutcome, SearchStats};
 use crate::workspace::DualWorkspace;
@@ -48,8 +48,9 @@ use crate::{nonpreemptive, preemptive, splittable, two_approx, SolveOptions, Tra
 /// Outcome of a problem's best direct search ([`Algorithm::ThreeHalves`]).
 #[derive(Debug)]
 pub struct DirectSolve {
-    /// The schedule, in the solver's native representation.
-    pub repr: ScheduleRepr,
+    /// The schedule, in the solver's native representation, with the
+    /// makespan its builder reports.
+    pub built: Built,
     /// The accepted guess: `makespan <= ratio · accepted`.
     pub accepted: Rational,
     /// A certified lower bound on `OPT` established by the search (at least
@@ -60,7 +61,7 @@ pub struct DirectSolve {
     /// The proven factor of this run relative to `accepted`.
     pub ratio: Rational,
     /// Why the search stopped early, if it did. The result must still be
-    /// *valid*: `repr` realized at an accepted `accepted`, `certificate`
+    /// *valid*: `built` realized at an accepted `accepted`, `certificate`
     /// restricted to genuinely certified rejections.
     pub interrupt: Option<Interrupt>,
     /// The ladders' warm-start counters (the driver fills in
@@ -103,14 +104,15 @@ pub trait Problem {
     fn probe(&self, ws: &mut DualWorkspace, t: Rational) -> bool;
 
     /// Builds a schedule at an accepted guess; `None` signals a defensive
-    /// rejection (callers retry at [`Problem::t_safe`]).
-    fn build(&self, ws: &mut DualWorkspace, t: Rational, trace: &mut Trace)
-        -> Option<ScheduleRepr>;
+    /// rejection (callers retry at [`Problem::t_safe`]). The builder reports
+    /// the makespan of what it built ([`Built::makespan`]); the driver takes
+    /// it as the solution's makespan instead of rescanning the schedule.
+    fn build(&self, ws: &mut DualWorkspace, t: Rational, trace: &mut Trace) -> Option<Built>;
 
     /// The `O(n)` direct fallback ([`Algorithm::TwoApprox`]): a schedule
-    /// plus the proven (possibly a-posteriori) factor of its makespan
-    /// relative to `T_min`.
-    fn fallback(&self, ws: &mut DualWorkspace) -> (ScheduleRepr, Rational);
+    /// with its reported makespan, plus the proven (possibly a-posteriori)
+    /// factor of that makespan relative to `T_min`.
+    fn fallback(&self, ws: &mut DualWorkspace) -> (Built, Rational);
 
     /// The problem's best direct algorithm ([`Algorithm::ThreeHalves`]):
     /// Class Jumping, the exact integer search, or — for problems without a
@@ -250,7 +252,7 @@ fn drive<P: Problem + ?Sized>(
                 Some(ex) if ex.status == bss_exact::ExactStatus::Closed => {
                     let opt = ex.upper;
                     finish(
-                        ScheduleRepr::Explicit(ex.schedule),
+                        Built::rescanned(ex.schedule),
                         opt,
                         Rational::ONE,
                         opt,
@@ -259,16 +261,15 @@ fn drive<P: Problem + ?Sized>(
                 }
                 Some(ex) => {
                     best.certificate = best.certificate.max(ex.lower);
-                    let incumbent = ex.schedule.makespan();
-                    if incumbent < best.makespan {
+                    let incumbent = Built::rescanned(ex.schedule);
+                    if incumbent.makespan < best.makespan {
                         let mut sol = finish(
-                            ScheduleRepr::Explicit(ex.schedule),
+                            incumbent,
                             best.accepted,
                             best.ratio_bound,
                             best.certificate,
                             best.probes,
                         );
-                        debug_assert_eq!(sol.makespan, incumbent);
                         sol.certificate = sol.certificate.min(sol.makespan);
                         sol
                     } else {
@@ -292,8 +293,8 @@ fn drive<P: Problem + ?Sized>(
         Algorithm::TwoApprox => {
             // The `O(n)` fallback is the floor everything else degrades to;
             // it runs to completion regardless of the budget.
-            let (repr, ratio) = problem.fallback(ws);
-            finish(repr, t_min, ratio, t_min, 0)
+            let (built, ratio) = problem.fallback(ws);
+            finish(built, t_min, ratio, t_min, 0)
         }
         Algorithm::EpsilonSearch { eps_log2 } => {
             let d = epsilon_direct(ws, problem, eps_log2, opts);
@@ -340,16 +341,16 @@ pub(crate) fn epsilon_direct<P: Problem + ?Sized>(
         |w, t| problem.probe(w, t),
     );
     let trace = &mut Trace::disabled();
-    let (accepted, repr) = match problem.build(ws, out.accepted, trace) {
-        Some(r) => (out.accepted, r),
+    let (accepted, built) = match problem.build(ws, out.accepted, trace) {
+        Some(b) => (out.accepted, b),
         None => {
             let hi = problem.t_safe();
-            let r = problem.build(ws, hi, trace);
-            (hi, r.expect("t_safe is accepted and builds"))
+            let b = problem.build(ws, hi, trace);
+            (hi, b.expect("t_safe is accepted and builds"))
         }
     };
     DirectSolve {
-        repr,
+        built,
         accepted,
         certificate: match out.rejected {
             Some(rejected) if certifies => rejected.max(t_min),
@@ -372,7 +373,7 @@ fn settle<P: Problem + ?Sized>(
 ) -> Solution {
     *stats += d.stats;
     let certificate = d.certificate.max(problem.t_min());
-    let sol = finish(d.repr, d.accepted, d.ratio, certificate, d.probes);
+    let sol = finish(d.built, d.accepted, d.ratio, certificate, d.probes);
     degraded(ws, problem, sol, d.interrupt)
 }
 
@@ -407,8 +408,8 @@ fn degraded<P: Problem + ?Sized>(
         sol.ratio_bound = sol.ratio_bound * sol.accepted / sol.certificate;
     }
     let t_min = problem.t_min();
-    let (repr, ratio) = problem.fallback(ws);
-    let net = finish(repr, t_min, ratio, t_min, 0);
+    let (built, ratio) = problem.fallback(ws);
+    let net = finish(built, t_min, ratio, t_min, 0);
     let cert = sol.certificate.max(net.certificate);
     if net.makespan < sol.makespan {
         let probes = sol.probes;
@@ -492,38 +493,37 @@ impl Problem for BssProblem<'_> {
         }
     }
 
-    fn build(
-        &self,
-        ws: &mut DualWorkspace,
-        t: Rational,
-        trace: &mut Trace,
-    ) -> Option<ScheduleRepr> {
+    fn build(&self, ws: &mut DualWorkspace, t: Rational, trace: &mut Trace) -> Option<Built> {
         match self.variant {
-            Variant::Splittable => {
-                splittable::dual_traced_in(ws, self.inst, t, trace).map(ScheduleRepr::Compact)
-            }
+            Variant::Splittable => splittable::build_in(ws, self.inst, t, trace),
             Variant::Preemptive => {
-                preemptive::dual_in(ws, self.inst, t, preemptive::CountMode::AlphaPrime, trace)
-                    .map(ScheduleRepr::Explicit)
+                preemptive::build_in(ws, self.inst, t, preemptive::CountMode::AlphaPrime, trace)
             }
             Variant::NonPreemptive => {
-                nonpreemptive::dual_in(ws, self.inst, Self::int_guess(t), trace)
-                    .map(ScheduleRepr::Explicit)
+                nonpreemptive::build_in(ws, self.inst, Self::int_guess(t), trace)
             }
         }
     }
 
-    fn fallback(&self, ws: &mut DualWorkspace) -> (ScheduleRepr, Rational) {
-        let repr = match self.variant {
+    fn fallback(&self, ws: &mut DualWorkspace) -> (Built, Rational) {
+        let built = match self.variant {
             Variant::Splittable => {
-                ScheduleRepr::Compact(two_approx::splittable_two_approx_in(ws, self.inst))
+                let (c, makespan) = two_approx::splittable_with_makespan(ws, self.inst);
+                Built {
+                    repr: ScheduleRepr::Compact(c),
+                    makespan,
+                }
             }
-            _ => ScheduleRepr::Explicit(two_approx::greedy_two_approx(
-                self.inst,
-                &mut Trace::disabled(),
-            )),
+            _ => {
+                let (s, makespan) =
+                    two_approx::greedy_with_makespan(self.inst, &mut Trace::disabled());
+                Built {
+                    repr: ScheduleRepr::Explicit(s),
+                    makespan,
+                }
+            }
         };
-        (repr, Rational::from(2u64))
+        (built, Rational::from(2u64))
     }
 
     fn direct_search(&self, ws: &mut DualWorkspace, opts: &SolveOptions<'_>) -> DirectSolve {
@@ -539,7 +539,7 @@ impl Problem for BssProblem<'_> {
         };
         let t_min = self.t_min();
         DirectSolve {
-            repr: out.repr,
+            built: out.built,
             accepted: out.accepted,
             certificate: out.rejected.unwrap_or(t_min).max(t_min),
             probes: out.probes,
@@ -577,9 +577,11 @@ fn one_job_per_machine(inst: &Instance) -> SearchOutcome {
         s.push_piece(j, setup, Rational::from(job.time), j, job.class);
     }
     let opt = Rational::from(inst.max_setup_plus_tmax());
-    debug_assert_eq!(s.makespan(), opt);
     SearchOutcome {
-        repr: ScheduleRepr::Explicit(s),
+        built: Built {
+            repr: ScheduleRepr::Explicit(s),
+            makespan: opt,
+        },
         accepted: opt,
         rejected: None,
         probes: 0,
@@ -632,12 +634,18 @@ mod tests {
             assert!(p.t_min() <= p.t_safe());
             assert!(p.t_min() <= p.search_hi());
             assert_eq!(p.dual_ratio(), Rational::new(3, 2));
-            // The safe guess really is accepted and buildable.
+            // The safe guess really is accepted and buildable, and the
+            // builder reports its schedule's makespan.
             let mut ws = DualWorkspace::new();
             assert!(p.probe(&mut ws, p.t_safe()));
-            assert!(p
+            let built = p
                 .build(&mut ws, p.t_safe(), &mut Trace::disabled())
-                .is_some());
+                .expect("t_safe builds");
+            let rescan = match &built.repr {
+                ScheduleRepr::Explicit(s) => s.makespan(),
+                ScheduleRepr::Compact(c) => c.makespan(),
+            };
+            assert_eq!(built.makespan, rescan, "{variant}");
         }
     }
 }

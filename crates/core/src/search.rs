@@ -27,15 +27,15 @@
 use bss_budget::{Interrupt, SolveBudget};
 use bss_rational::{gcd, Rational};
 
-use crate::api::{ScheduleRepr, SolveOptions};
+use crate::api::{Built, SolveOptions};
 use crate::workspace::DualWorkspace;
 
 /// Outcome of one of the 3/2 searches (Class Jumping, Theorem 8's integer
 /// search, or the `m >= n` schedule).
 #[derive(Debug)]
 pub(crate) struct SearchOutcome {
-    /// The schedule built at `accepted`.
-    pub repr: ScheduleRepr,
+    /// The schedule built at `accepted`, with its reported makespan.
+    pub built: Built,
     /// The accepted guess; the schedule's makespan is at most `3/2 ·
     /// accepted`.
     pub accepted: Rational,

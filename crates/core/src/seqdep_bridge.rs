@@ -27,7 +27,7 @@ use bss_rational::Rational;
 use bss_schedule::Schedule;
 use bss_seqdep::{solver, SeqDepInstance};
 
-use crate::api::{Algorithm, ScheduleRepr, Solution};
+use crate::api::{Algorithm, Built, Solution};
 use crate::problem::{epsilon_direct, solve_problem, BssProblem, DirectSolve, Problem};
 use crate::workspace::DualWorkspace;
 use crate::{SolveOptions, Trace};
@@ -66,10 +66,10 @@ impl<'a> SeqDepProblem<'a> {
 
     /// Emits `orders` as an explicit schedule through the solver's single
     /// emission convention ([`solver::emit_orders`]).
-    fn orders_to_repr(&self, orders: &[Vec<usize>]) -> ScheduleRepr {
+    fn orders_to_built(&self, orders: &[Vec<usize>]) -> Built {
         let mut out = Schedule::new(self.inst.machines());
         solver::emit_orders(self.inst, orders, &mut out);
-        ScheduleRepr::Explicit(out)
+        Built::rescanned(out)
     }
 }
 
@@ -110,18 +110,12 @@ impl Problem for SeqDepProblem<'_> {
         solver::probe_in(&mut ws.seqdep, self.inst, t)
     }
 
-    fn build(
-        &self,
-        ws: &mut DualWorkspace,
-        t: Rational,
-        _trace: &mut Trace,
-    ) -> Option<ScheduleRepr> {
+    fn build(&self, ws: &mut DualWorkspace, t: Rational, _trace: &mut Trace) -> Option<Built> {
         let mut out = Schedule::new(self.inst.machines());
-        solver::build_into(&mut ws.seqdep, self.inst, t, &mut out)
-            .then_some(ScheduleRepr::Explicit(out))
+        solver::build_into(&mut ws.seqdep, self.inst, t, &mut out).then(|| Built::rescanned(out))
     }
 
-    fn fallback(&self, _ws: &mut DualWorkspace) -> (ScheduleRepr, Rational) {
+    fn fallback(&self, _ws: &mut DualWorkspace) -> (Built, Rational) {
         // The nearest-neighbour + LPT list heuristic; no constant-factor
         // proof exists (APX-hardness), so the factor is certified
         // a-posteriori against T_min — exact rational arithmetic, the
@@ -129,9 +123,9 @@ impl Problem for SeqDepProblem<'_> {
         // construction of the ratio.
         let orders = bss_seqdep::nearest_neighbor_schedule(self.inst);
         let makespan = Rational::from(self.inst.makespan(&orders));
-        let repr = self.orders_to_repr(&orders);
+        let built = self.orders_to_built(&orders);
         let ratio = makespan / self.t_min();
-        (repr, ratio.max(Rational::from(1u64)))
+        (built, ratio.max(Rational::from(1u64)))
     }
 
     fn direct_search(&self, ws: &mut DualWorkspace, opts: &SolveOptions<'_>) -> DirectSolve {

@@ -16,7 +16,7 @@ use bss_wrap::{batch_items, wrap_iter_append, GapRun, SeqItem};
 
 use crate::classify::{beta, class_items, classify_into};
 use crate::workspace::DualWorkspace;
-use crate::Trace;
+use crate::{Built, ScheduleRepr, Trace};
 
 /// The `O(c)` dual test of Theorem 7: `true` iff `T` is accepted.
 #[must_use]
@@ -88,7 +88,22 @@ pub fn dual_traced_in(
     trace: &mut Trace,
 ) -> Option<CompactSchedule> {
     let mut out = CompactSchedule::new(inst.machines());
-    dual_into(ws, inst, t, trace, &mut out).then_some(out)
+    dual_into(ws, inst, t, trace, &mut out).map(|_| out)
+}
+
+/// [`dual_traced_in`] with the makespan the build reports.
+pub(crate) fn build_in(
+    ws: &mut DualWorkspace,
+    inst: &Instance,
+    t: Rational,
+    trace: &mut Trace,
+) -> Option<Built> {
+    let mut out = CompactSchedule::new(inst.machines());
+    let makespan = dual_into(ws, inst, t, trace, &mut out)?;
+    Some(Built {
+        repr: ScheduleRepr::Compact(out),
+        makespan,
+    })
 }
 
 /// [`dual_in`] that assembles the compact schedule in a caller-provided
@@ -96,8 +111,9 @@ pub fn dual_traced_in(
 /// directly — no per-wrap `CompactSchedule` and no group cloning. A warm
 /// workspace build allocates only `out`'s own group storage.
 ///
-/// Returns `false` on rejection (`T < OPT`); `out` then holds a partial
-/// schedule the caller must discard (or reset).
+/// Returns the makespan of the built schedule, the largest end the wraps
+/// report (`out` is not rescanned), or `None` on rejection (`T < OPT`);
+/// `out` then holds a partial schedule the caller must discard (or reset).
 #[must_use]
 pub fn dual_into(
     ws: &mut DualWorkspace,
@@ -105,13 +121,14 @@ pub fn dual_into(
     t: Rational,
     trace: &mut Trace,
     out: &mut CompactSchedule,
-) -> bool {
+) -> Option<Rational> {
     let m = inst.machines();
     out.reset(m);
     if !accepts_in(ws, inst, t) {
-        return false;
+        return None;
     }
     let half = t.half();
+    let mut makespan = Rational::ZERO;
 
     // Step 1: expensive classes, β_i machines each, gaps of job capacity T/2
     // above the setups. The expensive cells are walked in sorted class order
@@ -151,8 +168,9 @@ pub fn dual_into(
             });
         }
         // The batch streams lazily from the instance — no WrapSequence.
-        wrap_iter_append(class_batch(inst, i), &ws.scratch.runs, inst.setups(), out)
+        let end = wrap_iter_append(class_batch(inst, i), &ws.scratch.runs, inst.setups(), out)
             .expect("Theorem 7: expensive template capacity suffices");
+        makespan = makespan.max(end);
         // Load of the last machine: s_i + (P_i - (β_i - 1)·T/2).
         let last_load = s + (p - half * (b - 1) as u64);
         let last_machine = next_machine + b - 1;
@@ -189,7 +207,7 @@ pub fn dual_into(
         if ws.scratch.runs.is_empty() {
             // All machines exactly full of expensive load but cheap load
             // remains: impossible under the accept test.
-            return false;
+            return None;
         }
         // Cheap classes in sorted class order (two-way merge of the cells),
         // streamed lazily batch by batch — the wrap consumes the items as
@@ -198,13 +216,14 @@ pub fn dual_into(
             a: ws.cls.ichp_plus.as_slice(),
             b: ws.cls.ichp_minus.as_slice(),
         };
-        wrap_iter_append(
+        let end = wrap_iter_append(
             merged.flat_map(|i| class_batch(inst, i)),
             &ws.scratch.runs,
             inst.setups(),
             out,
         )
         .expect("Theorem 7: cheap template capacity suffices");
+        makespan = makespan.max(end);
     }
     if trace.is_enabled() {
         trace.snap(
@@ -212,8 +231,8 @@ pub fn dual_into(
             &out.expand().expect("builder emits in-range groups"),
         );
     }
-    debug_assert!(out.makespan() <= t + half);
-    true
+    debug_assert!(makespan <= t + half);
+    Some(makespan)
 }
 
 /// All of class `i` as a lazy wrap stream: its setup, then its jobs, read

@@ -13,12 +13,13 @@
 use bss_instance::{ClassId, Instance, Variant};
 use bss_rational::Rational;
 
-use crate::api::ScheduleRepr;
+use crate::api::Built;
 use crate::classify::{beta, classify_into, Classification};
 use crate::jumping::{Jumps, Prober};
 use crate::workspace::DualWorkspace;
+use crate::Trace;
 
-use super::{accepts_in, dual_in};
+use super::{accepts_in, build_in};
 
 /// The splittable hooks: the partition moves only at `2s_i`, every
 /// expensive class jumps, at `2P_i/β_i`.
@@ -32,8 +33,8 @@ impl Jumps for Split {
         accepts_in(ws, inst, t)
     }
 
-    fn build(ws: &mut DualWorkspace, inst: &Instance, t: Rational) -> Option<ScheduleRepr> {
-        dual_in(ws, inst, t).map(ScheduleRepr::Compact)
+    fn build(ws: &mut DualWorkspace, inst: &Instance, t: Rational) -> Option<Built> {
+        build_in(ws, inst, t, &mut Trace::disabled())
     }
 
     fn thresholds(inst: &Instance, out: &mut Vec<Rational>) {
@@ -110,6 +111,7 @@ mod tests {
     use bss_schedule::{validate, Schedule};
 
     use super::*;
+    use crate::api::ScheduleRepr;
     use crate::search::SearchOutcome;
 
     /// Class Jumping on a fresh workspace, unbudgeted, with its schedule
@@ -120,7 +122,7 @@ mod tests {
             inst,
             &SolveBudget::unlimited(),
         );
-        let ScheduleRepr::Compact(c) = &out.repr else {
+        let ScheduleRepr::Compact(c) = &out.built.repr else {
             panic!("splittable schedules are compact");
         };
         let s = c.expand().expect("in range");
@@ -132,6 +134,10 @@ mod tests {
         let v = validate(&s, inst, Variant::Splittable);
         assert!(v.is_empty(), "{v:?}");
         let makespan = s.makespan();
+        assert_eq!(
+            out.built.makespan, makespan,
+            "the build reports its makespan"
+        );
         assert!(
             makespan <= out.accepted * Rational::new(3, 2),
             "makespan {makespan} > 3/2 * {}",

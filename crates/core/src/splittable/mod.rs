@@ -10,7 +10,7 @@
 //!   search itself is shared with the preemptive variant.
 
 mod dual;
-pub(crate) use dual::class_batch;
+pub(crate) use dual::{build_in, class_batch};
 mod jumping;
 
 pub use dual::{accepts, accepts_in, dual, dual_in, dual_into, dual_traced, dual_traced_in};

@@ -25,6 +25,14 @@ pub fn splittable_two_approx(inst: &Instance) -> CompactSchedule {
 /// `O(n)` wrap sequence is ever materialized).
 #[must_use]
 pub fn splittable_two_approx_in(ws: &mut DualWorkspace, inst: &Instance) -> CompactSchedule {
+    splittable_with_makespan(ws, inst).0
+}
+
+/// [`splittable_two_approx_in`] and the makespan its wrap reports.
+pub(crate) fn splittable_with_makespan(
+    ws: &mut DualWorkspace,
+    inst: &Instance,
+) -> (CompactSchedule, Rational) {
     let m = inst.machines();
     let smax = Rational::from(inst.smax());
     let per_machine = Rational::from(inst.total_load_once()) / m;
@@ -38,9 +46,9 @@ pub fn splittable_two_approx_in(ws: &mut DualWorkspace, inst: &Instance) -> Comp
     // Capacity S(ω) = N = L(Q) exactly; Lemma 6 applies.
     let mut out = CompactSchedule::new(m);
     let batches = (0..inst.num_classes()).flat_map(|i| crate::splittable::class_batch(inst, i));
-    wrap_iter_append(batches, &ws.scratch.runs, inst.setups(), &mut out)
+    let makespan = wrap_iter_append(batches, &ws.scratch.runs, inst.setups(), &mut out)
         .expect("Lemma 8: template capacity equals load");
-    out
+    (out, makespan)
 }
 
 /// Lemma 9: non-preemptive (and hence preemptive) 2-approximation in `O(n)`.
@@ -55,6 +63,11 @@ pub fn splittable_two_approx_in(ws: &mut DualWorkspace, inst: &Instance) -> Comp
 /// schedule (Figure 7 right).
 #[must_use]
 pub fn greedy_two_approx(inst: &Instance, trace: &mut Trace) -> Schedule {
+    greedy_with_makespan(inst, trace).0
+}
+
+/// [`greedy_two_approx`] and its makespan, the largest machine end.
+pub(crate) fn greedy_with_makespan(inst: &Instance, trace: &mut Trace) -> (Schedule, Rational) {
     #[derive(Clone, Copy)]
     enum It {
         Setup(usize),
@@ -87,7 +100,7 @@ pub fn greedy_two_approx(inst: &Instance, trace: &mut Trace) -> Schedule {
         }
     }
     if trace.is_enabled() {
-        trace.snap("phase 1: next-fit", &stacks_to_schedule(inst, &stacks));
+        trace.snap("phase 1: next-fit", &stacks_to_schedule(inst, &stacks).0);
     }
 
     // Phase 2: move each machine's border-crossing last item to the next
@@ -140,12 +153,14 @@ pub fn greedy_two_approx(inst: &Instance, trace: &mut Trace) -> Schedule {
             stack.pop();
         }
     }
-    let schedule = stacks_to_schedule(inst, &stacks);
+    let (schedule, makespan) = stacks_to_schedule(inst, &stacks);
     trace.snap("phase 2: repaired", &schedule);
-    return schedule;
+    return (schedule, makespan);
 
-    fn stacks_to_schedule(inst: &Instance, stacks: &[Vec<It>]) -> Schedule {
+    /// The schedule of `stacks` and its makespan, the largest machine end.
+    fn stacks_to_schedule(inst: &Instance, stacks: &[Vec<It>]) -> (Schedule, Rational) {
         let mut s = Schedule::new(inst.machines());
+        let mut makespan = Rational::ZERO;
         for (u, stack) in stacks.iter().enumerate() {
             let mut t = Rational::ZERO;
             for it in stack {
@@ -162,8 +177,9 @@ pub fn greedy_two_approx(inst: &Instance, trace: &mut Trace) -> Schedule {
                     }
                 }
             }
+            makespan = makespan.max(t);
         }
-        s
+        (s, makespan)
     }
 }
 

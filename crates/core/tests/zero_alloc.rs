@@ -154,22 +154,11 @@ fn warm_builds_allocate_only_output(inst: &Instance, ws: &mut DualWorkspace) {
         preemptive::CountMode::AlphaPrime,
         &mut trace,
         &mut schedule_out,
-    ));
+    )
+    .is_some());
     let mut nonp_out = Schedule::new(inst.machines());
-    assert!(nonpreemptive::dual_into(
-        ws,
-        inst,
-        nonp_t,
-        &mut trace,
-        &mut nonp_out
-    ));
-    assert!(splittable::dual_into(
-        ws,
-        inst,
-        split_t,
-        &mut trace,
-        &mut compact_out
-    ));
+    assert!(nonpreemptive::dual_into(ws, inst, nonp_t, &mut trace, &mut nonp_out).is_some());
+    assert!(splittable::dual_into(ws, inst, split_t, &mut trace, &mut compact_out).is_some());
 
     // Preemptive warm build: zero allocations.
     let before = allocations();
@@ -180,20 +169,15 @@ fn warm_builds_allocate_only_output(inst: &Instance, ws: &mut DualWorkspace) {
         preemptive::CountMode::AlphaPrime,
         &mut trace,
         &mut schedule_out,
-    ));
+    )
+    .is_some());
     let delta = allocations() - before;
     assert_eq!(delta, 0, "warm preemptive build allocated {delta} times");
 
     // Non-preemptive warm build: zero allocations (partitions, stacks,
     // queues and repair maps all live in the workspace).
     let before = allocations();
-    assert!(nonpreemptive::dual_into(
-        ws,
-        inst,
-        nonp_t,
-        &mut trace,
-        &mut nonp_out
-    ));
+    assert!(nonpreemptive::dual_into(ws, inst, nonp_t, &mut trace, &mut nonp_out).is_some());
     let delta = allocations() - before;
     assert_eq!(
         delta, 0,
@@ -204,13 +188,7 @@ fn warm_builds_allocate_only_output(inst: &Instance, ws: &mut DualWorkspace) {
     // the only allocations (genuine output storage; the group list itself is
     // recycled).
     let before = allocations();
-    assert!(splittable::dual_into(
-        ws,
-        inst,
-        split_t,
-        &mut trace,
-        &mut compact_out
-    ));
+    assert!(splittable::dual_into(ws, inst, split_t, &mut trace, &mut compact_out).is_some());
     let delta = allocations() - before;
     // Groups are built in place inside the output: each group costs its item
     // vector's doubling growth (≤ stored items) plus at most one push — all

@@ -6,7 +6,28 @@
 //! [`CompactSchedule`] ([`wrap`], [`wrap_append`]) or streams explicit
 //! placements straight into a [`PlacementSink`] ([`wrap_into`]) — the
 //! compact-first pipeline's way of writing a wrap result into its final
-//! destination exactly once, with no intermediate `Schedule`.
+//! destination exactly once, with no intermediate `Schedule`. Every entry
+//! point that appends or streams returns the largest end of what it
+//! emitted, so builders know their makespan without rescanning the output.
+//!
+//! ## The cursor
+//!
+//! The fill time of the current gap is stored as `border + off`: `border` is
+//! a reduced [`Rational`] — the gap's lower border `a`, or the end of the
+//! last fractional item placed in the gap — and `off` is an `i128` offset,
+//! the integral length placed since. The cursor also keeps the exact room
+//! `b - border` and its floor. Setups and whole jobs are integral, so they
+//! take the integer path: an item of length `len` fits iff
+//! `off + len <= ⌊b - border⌋`, and placing it adds `len` to `off`. Its
+//! start `border + off` is an integer added to a reduced fraction, which is
+//! reduced as built, so no item pays a gcd. Only fractional items (the
+//! remainders of pieces split at a border, and the knapsack pieces of the
+//! preemptive build) and the piece that fills a gap up to its border take
+//! the exact [`Rational`] path; they rebase the cursor to their end, which
+//! costs one subtraction and one floor. Offsets are checked and panic with
+//! a message containing "overflow", like [`Rational`] itself. The largest
+//! end is folded in once per gap, when the cursor leaves it: every item of
+//! a gap ends at or below the gap's final fill time.
 
 use bss_instance::ClassId;
 use bss_rational::Rational;
@@ -148,37 +169,60 @@ impl<S: PlacementSink> WrapEmit for StreamEmit<'_, S> {
 }
 
 /// Cursor state of the wrapper: which gap we are in and what has been emitted.
+///
+/// The fill time is `border + off` (see the module docs): `border` is a
+/// reduced rational, `off` an integral offset above it, and `room` the exact
+/// height `b - border` left above the border, with its floor cached so that
+/// integral items fit-test and advance with integer arithmetic only.
 struct Wrapper<'a, E: WrapEmit> {
     runs: &'a [GapRun],
     setups: &'a [u64],
     emit: E,
     /// Index of the current run.
     run: usize,
-    /// Gap offset within the current run.
-    offset: usize,
+    /// Gap index within the current run.
+    gap: usize,
     /// Whether anything was emitted into the current gap yet (guards the
-    /// parallel-gap fast path).
+    /// parallel-gap fast path, and says whether the gap's fill time counts
+    /// towards the largest end).
     gap_dirty: bool,
-    /// Current fill time within the current gap.
-    t: Rational,
+    /// The gap's lower border, or the end of the last fractional item
+    /// placed in the gap.
+    border: Rational,
+    /// Integral length placed since `border`.
+    off: i128,
+    /// `b - border` of the current gap, exact.
+    room: Rational,
+    /// `⌊room⌋`: an integral item of length `len` fits iff
+    /// `off + len <= room_floor`.
+    room_floor: i128,
     /// Class the current gap's machine is configured for (reset per gap —
     /// every gap lives on its own machine).
     configured: Option<ClassId>,
+    /// Largest end of the items emitted so far, folded in once per gap.
+    max_end: Rational,
 }
 
 impl<'a, E: WrapEmit> Wrapper<'a, E> {
     fn new(runs: &'a [GapRun], setups: &'a [u64], emit: E) -> Self {
-        let t = runs.first().map(|r| r.a).unwrap_or(Rational::ZERO);
-        Wrapper {
+        let mut w = Wrapper {
             runs,
             setups,
             emit,
             run: 0,
-            offset: 0,
+            gap: 0,
             gap_dirty: false,
-            t,
+            border: Rational::ZERO,
+            off: 0,
+            room: Rational::ZERO,
+            room_floor: 0,
             configured: None,
+            max_end: Rational::ZERO,
+        };
+        if !w.exhausted() {
+            w.rebase(w.gap_a());
         }
+        w
     }
 
     fn exhausted(&self) -> bool {
@@ -195,7 +239,43 @@ impl<'a, E: WrapEmit> Wrapper<'a, E> {
 
     fn machine(&self) -> usize {
         let r = &self.runs[self.run];
-        r.first_machine + self.offset
+        r.first_machine + self.gap
+    }
+
+    /// Moves the fill time to `at` within the current gap and recomputes
+    /// the room above it exactly (one subtraction, one floor).
+    fn rebase(&mut self, at: Rational) {
+        self.border = at;
+        self.off = 0;
+        self.room = self.gap_b() - at;
+        self.room_floor = self.room.floor();
+    }
+
+    /// The fill time. An integer added to a reduced fraction stays reduced,
+    /// so this needs no gcd.
+    fn t(&self) -> Rational {
+        self.border + Rational::from(self.off)
+    }
+
+    /// `off + len`, checked.
+    fn offset_by(&self, len: i128) -> i128 {
+        self.off
+            .checked_add(len)
+            .expect("wrap cursor offset overflow")
+    }
+
+    /// Exact time left in the current gap above the fill time.
+    fn room_left(&self) -> Rational {
+        self.room - Rational::from(self.off)
+    }
+
+    /// Whether an item of length `len` fits below the gap's upper border.
+    fn fits(&self, len: Rational) -> bool {
+        if len.is_integer() {
+            self.offset_by(len.numer()) <= self.room_floor
+        } else {
+            len <= self.room_left()
+        }
     }
 
     fn push(&mut self, item: ConfigItem) {
@@ -204,19 +284,41 @@ impl<'a, E: WrapEmit> Wrapper<'a, E> {
         self.gap_dirty = true;
     }
 
+    /// Emits an item of length `len` at the fill time and moves the fill
+    /// time past it: an integer add for integral lengths, a rebase for
+    /// fractional ones.
+    fn place(&mut self, len: Rational, kind: ItemKind) {
+        let start = self.t();
+        self.push(ConfigItem { start, len, kind });
+        if len.is_integer() {
+            self.off = self.offset_by(len.numer());
+        } else {
+            self.rebase(start + len);
+        }
+    }
+
+    /// Folds the current gap's fill time into the largest end. Every item of
+    /// a gap ends at or below its fill time, so once per gap suffices.
+    fn close_gap(&mut self) {
+        if self.gap_dirty {
+            self.max_end = self.max_end.max(self.t());
+        }
+    }
+
     /// Moves to the next gap; `false` if the template is exhausted.
     fn advance(&mut self) -> bool {
+        self.close_gap();
         self.configured = None;
         self.gap_dirty = false;
-        self.offset += 1;
-        if self.offset >= self.runs[self.run].count {
+        self.gap += 1;
+        if self.gap >= self.runs[self.run].count {
             self.run += 1;
-            self.offset = 0;
+            self.gap = 0;
         }
         if self.exhausted() {
             false
         } else {
-            self.t = self.gap_a();
+            self.rebase(self.gap_a());
             true
         }
     }
@@ -238,48 +340,42 @@ impl<'a, E: WrapEmit> Wrapper<'a, E> {
     }
 
     fn place_setup(&mut self, class: ClassId, len: Rational) -> Result<(), WrapError> {
-        if self.t + len > self.gap_b() {
+        if self.fits(len) {
+            self.place(len, ItemKind::Setup(class));
+            self.configured = Some(class);
+        } else {
             // Crossing setup: move it below the next gap.
             if !self.advance() {
                 return Err(WrapError::OutOfSpace { unplaced: len });
             }
             self.setup_below(class)?;
-        } else {
-            self.push(ConfigItem {
-                start: self.t,
-                len,
-                kind: ItemKind::Setup(class),
-            });
-            self.t += len;
-            self.configured = Some(class);
         }
         Ok(())
     }
 
     fn place_piece(&mut self, class: ClassId, job: usize, len: Rational) -> Result<(), WrapError> {
+        let kind = ItemKind::Piece { job, class };
         let mut remaining = len;
         loop {
             // A piece entering a fresh gap mid-class needs its setup below.
             if self.configured != Some(class) {
                 self.setup_below(class)?;
             }
-            let avail = self.gap_b() - self.t;
-            if remaining <= avail {
-                self.push(ConfigItem {
-                    start: self.t,
-                    len: remaining,
-                    kind: ItemKind::Piece { job, class },
-                });
-                self.t += remaining;
+            if self.fits(remaining) {
+                self.place(remaining, kind);
                 return Ok(());
             }
+            let avail = self.room_left();
             if avail.is_positive() {
+                // Split at the border: the piece fills the gap.
+                let start = self.t();
                 self.push(ConfigItem {
-                    start: self.t,
+                    start,
                     len: avail,
-                    kind: ItemKind::Piece { job, class },
+                    kind,
                 });
                 remaining -= avail;
+                self.rebase(self.gap_b());
             }
             if !self.advance() {
                 return Err(WrapError::OutOfSpace {
@@ -288,11 +384,12 @@ impl<'a, E: WrapEmit> Wrapper<'a, E> {
             }
             // Parallel-gap fast path: if the piece covers >= 1 whole gap and
             // the current run still has identical gaps left, emit them as one
-            // configuration group with a multiplicity.
+            // configuration group with a multiplicity. The cursor sits on a
+            // fresh gap, so `room` is its full height.
             let run = &self.runs[self.run];
-            let full = run.b - run.a;
+            let full = self.room;
             if remaining >= full && !self.gap_dirty {
-                let gaps_left = run.count - self.offset;
+                let gaps_left = run.count - self.gap;
                 let needed = (remaining / full).floor() as usize;
                 let mult = needed.min(gaps_left);
                 if mult >= 1 {
@@ -302,7 +399,7 @@ impl<'a, E: WrapEmit> Wrapper<'a, E> {
                         return Err(WrapError::SetupBelowZero { class });
                     }
                     self.emit.group(
-                        run.first_machine + self.offset,
+                        run.first_machine + self.gap,
                         mult,
                         ConfigItem {
                             start: below_start,
@@ -312,28 +409,25 @@ impl<'a, E: WrapEmit> Wrapper<'a, E> {
                         ConfigItem {
                             start: run.a,
                             len: full,
-                            kind: ItemKind::Piece { job, class },
+                            kind,
                         },
                     );
+                    self.max_end = self.max_end.max(run.b);
                     remaining -= full * mult;
-                    // Skip the covered gaps.
-                    self.offset += mult;
+                    // Skip the covered gaps and position the cursor on the
+                    // next one (if any) for the rest of the piece or the
+                    // following sequence item.
+                    self.gap += mult;
                     self.configured = None;
                     self.gap_dirty = false;
-                    if self.offset >= run.count {
+                    if self.gap >= run.count {
                         self.run += 1;
-                        self.offset = 0;
+                        self.gap = 0;
+                    }
+                    if !self.exhausted() {
+                        self.rebase(self.gap_a());
                     }
                     if remaining.is_zero() {
-                        // Position the cursor on the next gap (if any) for the
-                        // following sequence item.
-                        if !self.exhausted() {
-                            self.t = self.gap_a();
-                        } else {
-                            // Fully used the template with an exact fit: mark
-                            // the cursor exhausted-but-done.
-                            self.t = Rational::ZERO;
-                        }
                         return Ok(());
                     }
                     if self.exhausted() {
@@ -341,14 +435,14 @@ impl<'a, E: WrapEmit> Wrapper<'a, E> {
                             unplaced: remaining,
                         });
                     }
-                    self.t = self.gap_a();
                 }
             }
         }
     }
 }
 
-/// The shared driver behind every public entry point.
+/// The shared driver behind every public entry point; returns the largest
+/// end of the emitted items (zero when nothing was emitted).
 ///
 /// Generic over the item *source*: a materialized [`WrapSequence`]'s items
 /// or any lazy iterator (the splittable builders stream their batches
@@ -358,7 +452,7 @@ fn run_wrap<E: WrapEmit>(
     runs: &[GapRun],
     setups: &[u64],
     emit: E,
-) -> Result<(), WrapError> {
+) -> Result<Rational, WrapError> {
     Template::check(runs);
     let mut w = Wrapper::new(runs, setups, emit);
     for item in items {
@@ -370,8 +464,9 @@ fn run_wrap<E: WrapEmit>(
             SeqKind::Piece(job) => w.place_piece(item.class, job, item.len)?,
         }
     }
+    w.close_gap();
     w.emit.finish();
-    Ok(())
+    Ok(w.max_end)
 }
 
 /// One batch as a lazy item stream: the setup of `class` followed by its
@@ -425,6 +520,9 @@ pub fn wrap(
 /// `runs` must satisfy the [`Template`] invariants (checked; machine indices
 /// of *this call* strictly increase — different calls may revisit machines).
 ///
+/// Returns the largest end of the items this call emitted (zero when it
+/// emitted none), so a builder knows its makespan without rescanning `out`.
+///
 /// # Errors
 /// On [`WrapError`] the groups emitted so far remain in `out`; callers treat
 /// wrap errors as a dual rejection and discard the whole output.
@@ -433,13 +531,14 @@ pub fn wrap_append(
     runs: &[GapRun],
     setups: &[u64],
     out: &mut CompactSchedule,
-) -> Result<(), WrapError> {
+) -> Result<Rational, WrapError> {
     wrap_iter_append(seq.items().iter().copied(), runs, setups, out)
 }
 
 /// [`wrap_append`] over a lazy item stream (see [`batch_items`]): wraps the
 /// items without ever materializing a [`WrapSequence`] — the splittable
 /// builders' hot path, where sequence assembly used to dominate the build.
+/// Returns the largest end of the emitted items, like [`wrap_append`].
 ///
 /// # Errors
 /// As [`wrap_append`]; on error the groups emitted so far remain in `out`.
@@ -448,13 +547,14 @@ pub fn wrap_iter_append(
     runs: &[GapRun],
     setups: &[u64],
     out: &mut CompactSchedule,
-) -> Result<(), WrapError> {
+) -> Result<Rational, WrapError> {
     run_wrap(items, runs, setups, GroupEmit::new(out))
 }
 
 /// Like [`wrap`], but streams the explicit placements of the wrap straight
 /// into `sink` — one copy, no intermediate schedule. Parallel-gap groups are
-/// unrolled per machine, so the cost is `O(|Q| + gaps touched)`.
+/// unrolled per machine, so the cost is `O(|Q| + gaps touched)`. Returns the
+/// largest end of the emitted placements, like [`wrap_append`].
 ///
 /// # Errors
 /// On [`WrapError`] the placements emitted so far remain in `sink`; callers
@@ -464,7 +564,7 @@ pub fn wrap_into<S: PlacementSink>(
     runs: &[GapRun],
     setups: &[u64],
     sink: &mut S,
-) -> Result<(), WrapError> {
+) -> Result<Rational, WrapError> {
     // A template past the sink's machine bound is a programming error in
     // the calling algorithm; fail as loudly as the old expand() assert did.
     if let Some(m) = sink.machine_bound() {
@@ -670,6 +770,69 @@ mod tests {
             .map(|p| p.len)
             .fold(Rational::ZERO, |a, b| a + b);
         assert_eq!(total, r(12));
+    }
+
+    /// From a fractional border, integral items advance the cursor by
+    /// integer offsets and a fractional item rebases it; every start is
+    /// exact, a piece crossing the border splits there, and the reported
+    /// largest end is the makespan.
+    #[test]
+    fn fractional_border_cursor_is_exact() {
+        let q_ = |n, d| Rational::new(n, d);
+        let mut q = WrapSequence::new();
+        q.push_batch(0, r(1), [(0, r(2)), (1, q_(1, 2)), (2, r(1)), (3, r(2))]);
+        let template = Template::from_gaps(vec![(0, q_(4, 3), q_(19, 3)), (1, r(2), r(9))]);
+        let mut out = CompactSchedule::new(2);
+        let end = wrap_append(&q, template.runs(), &[1], &mut out).unwrap();
+        let s = out.expand().unwrap();
+        let spans = |u| -> Vec<(Rational, Rational)> {
+            s.machine_timeline(u)
+                .iter()
+                .map(|p| (p.start, p.len))
+                .collect()
+        };
+        assert_eq!(
+            spans(0),
+            [
+                (q_(4, 3), r(1)),
+                (q_(7, 3), r(2)),
+                (q_(13, 3), q_(1, 2)),
+                (q_(29, 6), r(1)),
+                (q_(35, 6), q_(1, 2)),
+            ]
+        );
+        // The split's remainder continues above a fresh setup below gap 2.
+        assert_eq!(spans(1), [(r(1), r(1)), (r(2), q_(3, 2))]);
+        assert_eq!(end, q_(19, 3));
+        assert_eq!(end, s.makespan());
+    }
+
+    /// The cursor's integer offset is checked: an offset past `i128` panics
+    /// with an overflow message (which the solvers' API boundary reports as
+    /// an overflow error) instead of wrapping in release builds.
+    #[test]
+    #[should_panic(expected = "offset overflow")]
+    fn offset_overflow_panics() {
+        let huge = r(1 << 126);
+        let items = [
+            SeqItem {
+                class: 0,
+                kind: SeqKind::Setup,
+                len: r(1),
+            },
+            SeqItem {
+                class: 0,
+                kind: SeqKind::Piece(0),
+                len: huge,
+            },
+            SeqItem {
+                class: 0,
+                kind: SeqKind::Piece(1),
+                len: huge,
+            },
+        ];
+        let runs = [GapRun::single(0, r(0), r(i128::MAX))];
+        let _ = wrap_iter_append(items, &runs, &[1], &mut CompactSchedule::new(1));
     }
 
     #[test]

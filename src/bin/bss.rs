@@ -19,18 +19,16 @@ use batch_setup_scheduling::seqdep::{self as seqdep, SeqDepInstance};
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("solve") => cmd_solve(&args[1..]),
-        Some("batch") => cmd_batch(&args[1..]),
-        Some("validate") => cmd_validate(&args[1..]),
-        Some("bounds") => cmd_bounds(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("loadgen") => cmd_loadgen(&args[1..]),
         Some("--help") | Some("-h") | None => {
             eprintln!("{USAGE}");
             return ExitCode::SUCCESS;
         }
-        Some(other) => Err(format!("unknown command `{other}`\n{USAGE}")),
+        Some(name) => match COMMANDS.iter().find(|c| c.name == name) {
+            Some(cmd) => cmd
+                .check_flags(&args[1..])
+                .and_then(|()| (cmd.run)(&args[1..])),
+            None => Err(format!("unknown command `{name}`\n{USAGE}")),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -85,6 +83,111 @@ USAGE:
   by default, open-loop at `--rate R` requests/s per connection — prints
   sustained solves/s with p50/p90/p99 latency, and fails when any request
   was shed or failed.";
+
+/// A subcommand and the flags its usage line lists.
+struct Command {
+    name: &'static str,
+    run: fn(&[String]) -> Result<(), String>,
+    /// Flags that take a value.
+    values: &'static [&'static str],
+    /// Flags that take none.
+    switches: &'static [&'static str],
+}
+
+impl Command {
+    /// Rejects a `--` argument the usage line does not list, and a value
+    /// flag given without a value: a misspelled `--deadline-ms` must not
+    /// quietly solve without a budget.
+    fn check_flags(&self, args: &[String]) -> Result<(), String> {
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            if self.values.contains(&arg.as_str()) {
+                if rest.next().is_none() {
+                    return Err(format!(
+                        "`{arg}` of `bss {}` needs a value\n{USAGE}",
+                        self.name
+                    ));
+                }
+            } else if arg.starts_with("--") && !self.switches.contains(&arg.as_str()) {
+                return Err(format!(
+                    "unknown flag `{arg}` for `bss {}`\n{USAGE}",
+                    self.name
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        run: cmd_generate,
+        values: &["--preset", "--jobs", "--classes", "--machines", "--seed"],
+        switches: &[],
+    },
+    Command {
+        name: "bounds",
+        run: cmd_bounds,
+        values: &["--variant"],
+        switches: &[],
+    },
+    Command {
+        name: "solve",
+        run: cmd_solve,
+        values: &[
+            "--variant",
+            "--algorithm",
+            "--schedule-out",
+            "--deadline-ms",
+            "--budget",
+        ],
+        switches: &["--render"],
+    },
+    Command {
+        name: "batch",
+        run: cmd_batch,
+        values: &[
+            "--variant",
+            "--algorithm",
+            "--threads",
+            "--deadline-ms",
+            "--budget",
+        ],
+        switches: &[],
+    },
+    Command {
+        name: "validate",
+        run: cmd_validate,
+        values: &["--variant"],
+        switches: &[],
+    },
+    Command {
+        name: "serve",
+        run: cmd_serve,
+        values: &["--addr", "--threads", "--cache", "--queue"],
+        switches: &[],
+    },
+    Command {
+        name: "loadgen",
+        run: cmd_loadgen,
+        values: &[
+            "--addr",
+            "--connections",
+            "--requests",
+            "--distinct",
+            "--jobs",
+            "--classes",
+            "--machines",
+            "--seed",
+            "--variant",
+            "--algorithm",
+            "--deadline-ms",
+            "--rate",
+        ],
+        switches: &[],
+    },
+];
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()

@@ -64,7 +64,7 @@ pub use bss_wrap as wrap;
 /// Most-used items in one import.
 pub mod prelude {
     pub use bss_core::{
-        solve, solve_problem, solve_seqdep, solve_warm, solve_with, Algorithm, BssProblem,
+        solve, solve_problem, solve_seqdep, solve_warm, solve_with, Algorithm, BssProblem, Built,
         CancelToken, Completion, DualWorkspace, Interrupt, Problem, ScheduleRepr, SearchStats,
         SeqDepProblem, Solution, SolveBudget, SolveError, SolveOptions, WarmStart,
     };
