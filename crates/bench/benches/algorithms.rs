@@ -10,8 +10,8 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bss_core::{
-    nonpreemptive, preemptive, solve, solve_with, splittable, two_approx, Algorithm, DualWorkspace,
-    Trace,
+    nonpreemptive, preemptive, solve, solve_with, splittable, two_approx, Algorithm, BssProblem,
+    DualWorkspace, Problem, Trace,
 };
 use bss_instance::{Instance, LowerBounds, Variant};
 use bss_rational::Rational;
@@ -61,46 +61,52 @@ fn dual_build(c: &mut Criterion) {
     let mut ws = DualWorkspace::new();
     let mut g = c.benchmark_group("dual_build");
     g.sample_size(20);
-    let t = accepted_guess_split(&inst);
-    g.bench_function("splittable", |b| {
-        b.iter(|| black_box(splittable::dual_in(&mut ws, &inst, t).expect("accepted")))
-    });
-    let t = accepted_guess_pmtn(&inst);
-    g.bench_function("preemptive", |b| {
-        b.iter(|| {
-            black_box(
-                preemptive::dual_in(
-                    &mut ws,
-                    &inst,
-                    t,
-                    preemptive::CountMode::AlphaPrime,
-                    &mut Trace::disabled(),
-                )
-                .expect("accepted"),
-            )
-        })
-    });
-    let t = accepted_guess_nonp(&inst);
-    g.bench_function("nonpreemptive", |b| {
-        b.iter(|| {
-            black_box(
-                nonpreemptive::dual_in(&mut ws, &inst, t, &mut Trace::disabled())
-                    .expect("accepted"),
-            )
-        })
-    });
+    // One build per iteration into a fresh output, as a search's single
+    // build runs: the preemptive problem builds in `AlphaPrime` mode, the
+    // non-preemptive one at the integral guess `⌊t⌋`.
+    for (name, variant, t) in [
+        (
+            "splittable",
+            Variant::Splittable,
+            accepted_guess_split(&inst),
+        ),
+        (
+            "preemptive",
+            Variant::Preemptive,
+            accepted_guess_pmtn(&inst),
+        ),
+        (
+            "nonpreemptive",
+            Variant::NonPreemptive,
+            Rational::from(accepted_guess_nonp(&inst)),
+        ),
+    ] {
+        let problem = BssProblem::new(&inst, variant);
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let built = problem.build(&mut ws, t, &mut Trace::disabled());
+                black_box(built.expect("accepted"))
+            })
+        });
+    }
     g.finish();
 }
 
 fn two_approx_bench(c: &mut Criterion) {
     let inst = bss_gen::uniform(50_000, 2_500, 32, 1);
+    let mut ws = DualWorkspace::new();
     let mut g = c.benchmark_group("two_approx");
     g.sample_size(20);
     g.bench_function("splittable_wrap", |b| {
-        b.iter(|| black_box(two_approx::splittable_two_approx(&inst)))
+        b.iter(|| black_box(two_approx::splittable_with_makespan(&mut ws, &inst)))
     });
     g.bench_function("greedy_next_fit", |b| {
-        b.iter(|| black_box(two_approx::greedy_two_approx(&inst, &mut Trace::disabled())))
+        b.iter(|| {
+            black_box(two_approx::greedy_with_makespan(
+                &inst,
+                &mut Trace::disabled(),
+            ))
+        })
     });
     g.finish();
 }

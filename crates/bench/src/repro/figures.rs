@@ -6,7 +6,7 @@
 //! seedless), so every file is grid-insensitive and byte-diffed by even the
 //! fast CI job. No timing part.
 
-use bss_core::{preemptive, splittable, two_approx, Trace};
+use bss_core::{preemptive, two_approx, BssProblem, DualWorkspace, Problem, Trace};
 use bss_instance::{Instance, LowerBounds, Variant};
 use bss_json::Value;
 use bss_rational::Rational;
@@ -87,11 +87,14 @@ pub fn run(_cfg: &ReproConfig) -> Artifact {
     // Figures 1(a)/1(b): splittable dual steps.
     {
         let inst = bss_gen::paper::fig1_splittable();
+        let problem = BssProblem::new(&inst, Variant::Splittable);
         let t = accepted_guess(&inst, Variant::Splittable, |t| {
-            splittable::accepts(&inst, t)
+            problem.probe(&mut DualWorkspace::new(), t)
         });
         let mut trace = Trace::enabled();
-        splittable::dual_traced(&inst, t, &mut trace).expect("accepted");
+        problem
+            .build(&mut DualWorkspace::new(), t, &mut trace)
+            .expect("accepted");
         out.push_steps(
             "fig1",
             "Figure 1: the splittable 3/2-dual (I_exp = {A..D}, I_chp = {E..H})",
@@ -124,11 +127,13 @@ pub fn run(_cfg: &ReproConfig) -> Artifact {
     // Figures 3, 4, 9: the general preemptive dual, step snapshots.
     {
         let inst = bss_gen::paper::fig3_general_preemptive();
+        let problem = BssProblem::new(&inst, Variant::Preemptive);
         let t = accepted_guess(&inst, Variant::Preemptive, |t| {
-            preemptive::accepts(&inst, t, preemptive::CountMode::AlphaPrime)
+            problem.probe(&mut DualWorkspace::new(), t)
         });
         let mut trace = Trace::enabled();
-        preemptive::dual(&inst, t, preemptive::CountMode::AlphaPrime, &mut trace)
+        problem
+            .build(&mut DualWorkspace::new(), t, &mut trace)
             .expect("accepted");
         out.push_steps(
             "fig",
@@ -202,7 +207,7 @@ pub fn run(_cfg: &ReproConfig) -> Artifact {
         let inst = bss_gen::paper::fig7_next_fit();
         let t = LowerBounds::of(&inst).tmin(Variant::NonPreemptive);
         let mut trace = Trace::enabled();
-        let _ = two_approx::greedy_two_approx(&inst, &mut trace);
+        let _ = two_approx::greedy_with_makespan(&inst, &mut trace);
         out.push_steps(
             "fig7",
             "Figure 7: next-fit 2-approximation with m = c = 5 (threshold T_min)",
@@ -225,11 +230,13 @@ pub fn run(_cfg: &ReproConfig) -> Artifact {
     // Figure 8: the Lemma 11 large-machine placement.
     {
         let inst = bss_gen::paper::fig8_lemma11();
+        let problem = BssProblem::new(&inst, Variant::Preemptive);
         let t = accepted_guess(&inst, Variant::Preemptive, |t| {
-            preemptive::accepts(&inst, t, preemptive::CountMode::AlphaPrime)
+            problem.probe(&mut DualWorkspace::new(), t)
         });
         let mut trace = Trace::enabled();
-        preemptive::dual(&inst, t, preemptive::CountMode::AlphaPrime, &mut trace)
+        problem
+            .build(&mut DualWorkspace::new(), t, &mut trace)
             .expect("accepted");
         if let Some((_, snap)) = trace.steps().first() {
             out.push(
@@ -266,7 +273,9 @@ pub fn run(_cfg: &ReproConfig) -> Artifact {
         };
         let t = Rational::from(t_int);
         let mut trace = Trace::enabled();
-        bss_core::nonpreemptive::dual(&inst, t_int, &mut trace).expect("accepted");
+        BssProblem::new(&inst, Variant::NonPreemptive)
+            .build(&mut DualWorkspace::new(), t, &mut trace)
+            .expect("accepted");
         out.push_steps(
             "fig1",
             "Figures 10-13: the non-preemptive 3/2-dual (Algorithm 6)",

@@ -63,7 +63,7 @@ fn algorithms(variant: Variant) -> [(Algorithm, &'static str, &'static str, &'st
 }
 
 fn grid_suites(grid: Grid) -> Vec<Suite> {
-    let suites = match grid {
+    match grid {
         Grid::Full => table1_suites(JOBS, CLASSES, MACHINES, FULL_REPS),
         // The fast rows are a strict subset of the full rows: same shapes,
         // seed 0 only, two representative suites.
@@ -71,8 +71,7 @@ fn grid_suites(grid: Grid) -> Vec<Suite> {
             .into_iter()
             .filter(|s| matches!(s.name, "uniform" | "expensive"))
             .collect(),
-    };
-    suites
+    }
 }
 
 /// Runs the study at `cfg`.

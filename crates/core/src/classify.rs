@@ -8,10 +8,11 @@
 //! * **cheap** `I_chp`: `s_i <= T/2`, split into `I⁺_chp` (`T/4 <= s_i`) and
 //!   `I⁻_chp` (`s_i < T/4`).
 //!
-//! The machine-count bounds of Lemma 1 and Section 4.4:
-//! `α_i = ⌈P(C_i)/(T-s_i)⌉`, `α'_i = ⌊P(C_i)/(T-s_i)⌋`, `β_i = ⌈2P(C_i)/T⌉`,
-//! `β'_i = ⌊2P(C_i)/T⌋`, and the γ-count used by the preemptive
-//! Class-Jumping search, `γ_i = max(1, ⌈(P(C_i) - (T - s_i)) / (T/2)⌉)`.
+//! The machine-count bounds of Lemma 1 and Section 4.4 that the duals
+//! read: `α'_i = ⌊P(C_i)/(T-s_i)⌋`, `β_i = ⌈2P(C_i)/T⌉`, and the γ-count
+//! used by the preemptive Class-Jumping search,
+//! `γ_i = max(1, ⌈(P(C_i) - (T - s_i)) / (T/2)⌉)`. (The non-preemptive
+//! dual computes its `α_i = ⌈P(C_i)/(T-s_i)⌉` in integers itself.)
 
 use bss_instance::{ClassId, Instance, JobId};
 use bss_rational::Rational;
@@ -115,29 +116,13 @@ fn ceil_ratio(p: u64, t_num: i128, t_den: i128, fallback: impl Fn() -> i128) -> 
     }
 }
 
-/// `α_i = ⌈P(C_i)/(T - s_i)⌉` — minimal setups of class `i` in any
-/// `T`-feasible schedule (Lemma 1). Requires `s_i < T`.
-///
-/// `P/(T-s) = P·den / (num - s·den)`, so the count is one gcd-free integer
-/// ceiling division whenever the scaled numerator fits `i128`.
-#[must_use]
-#[inline]
-pub fn alpha(inst: &Instance, t: Rational, class: ClassId) -> usize {
-    let p = inst.class_proc(class);
-    let fallback = || (Rational::from(p) / (t - inst.setup(class))).ceil() as usize;
-    match scaled_gap(inst.setup(class), t) {
-        Some(d) => ceil_ratio(p, d, t.denom(), || fallback() as i128) as usize,
-        None => fallback(),
-    }
-}
-
 /// `t.num - s·t.den` (the scaled `T - s_i`), `None` when the product leaves
 /// `i128` — then the caller takes the exact rational route, matching the
 /// overflow-panics-never-wraps discipline of [`Rational`] itself.
 #[inline]
 fn scaled_gap(setup: u64, t: Rational) -> Option<i128> {
     let d = t.numer() - (setup as i128).checked_mul(t.denom())?;
-    debug_assert!(d > 0, "alpha/alpha' require s_i < T");
+    debug_assert!(d > 0, "alpha' requires s_i < T");
     Some(d)
 }
 
@@ -159,17 +144,6 @@ pub fn alpha_prime(inst: &Instance, t: Rational, class: ClassId) -> usize {
 pub fn beta(inst: &Instance, t: Rational, class: ClassId) -> usize {
     let p2 = 2 * inst.class_proc(class);
     ceil_ratio(p2, t.numer(), t.denom(), || (Rational::from(p2) / t).ceil()) as usize
-}
-
-/// `β'_i = ⌊2 P(C_i)/T⌋`.
-#[must_use]
-#[inline]
-pub fn beta_prime(inst: &Instance, t: Rational, class: ClassId) -> usize {
-    let p2 = 2 * inst.class_proc(class);
-    match (p2 as i128).checked_mul(t.denom()) {
-        Some(scaled) => (scaled / t.numer()) as usize,
-        None => (Rational::from(p2) / t).floor() as usize,
-    }
 }
 
 /// `γ_i`: machines used by the γ-modified wrapping of `I⁺_exp` classes
@@ -198,17 +172,6 @@ pub fn gamma(inst: &Instance, t: Rational, class: ClassId) -> usize {
         }
         None => fallback(),
     }
-}
-
-/// Big jobs `C*_i = { j ∈ C_i : s_i + t_j > T/2 }` of a cheap-light class.
-#[must_use]
-pub fn cstar(inst: &Instance, t: Rational, class: ClassId) -> Vec<JobId> {
-    let s = inst.setup(class);
-    let half = t.half();
-    class_items(inst, class)
-        .filter(|&(_, tj)| Rational::from(s + tj) > half)
-        .map(|(j, _)| j)
-        .collect()
 }
 
 /// Class `class`'s jobs as `(id, time)` pairs, ids ascending, streamed from
@@ -275,21 +238,18 @@ mod tests {
     fn machine_counts() {
         let inst = inst();
         let t = r(100);
-        // class 0: P = 80, T - s = 40 → α = 2, α' = 2; β = ⌈160/100⌉ = 2.
-        assert_eq!(alpha(&inst, t, 0), 2);
+        // class 0: P = 80, T - s = 40 → α' = 2; β = ⌈160/100⌉ = 2.
         assert_eq!(alpha_prime(&inst, t, 0), 2);
         assert_eq!(beta(&inst, t, 0), 2);
-        assert_eq!(beta_prime(&inst, t, 0), 1);
         // γ: minimal k ≥ 1 with 50k + 40 ≥ 80 → k = 1.
         assert_eq!(gamma(&inst, t, 0), 1);
     }
 
     #[test]
-    fn alpha_ceils_and_floors_differ() {
+    fn alpha_prime_floors() {
         let mut b = InstanceBuilder::new(4);
-        b.add_batch(60, &[30, 30, 30]); // P = 90, T−s = 40: α=3, α'=2
+        b.add_batch(60, &[30, 30, 30]); // P = 90, T−s = 40: α' = ⌊9/4⌋ = 2
         let inst = b.build().unwrap();
-        assert_eq!(alpha(&inst, r(100), 0), 3);
         assert_eq!(alpha_prime(&inst, r(100), 0), 2);
     }
 
@@ -315,26 +275,5 @@ mod tests {
         b.add_batch(60, &[1]);
         let inst = b.build().unwrap();
         assert_eq!(gamma(&inst, r(100), 0), 1);
-    }
-
-    #[test]
-    fn cstar_selects_borderline_jobs() {
-        let inst = inst();
-        // class 4: s=10; jobs 45 (10+45=55 > 50 → C*) and 5 (15 <= 50).
-        let cs = cstar(&inst, r(100), 4);
-        assert_eq!(cs.len(), 1);
-        assert_eq!(inst.job(cs[0]).time, 45);
-    }
-
-    #[test]
-    fn beta_le_alpha_for_expensive(// Lemma 1: i ∈ I_exp ⇒ β_i <= α_i.
-    ) {
-        let inst = inst();
-        let t = r(100);
-        for i in classify(&inst, t).iexp() {
-            if Rational::from(inst.setup(i)) < t {
-                assert!(beta(&inst, t, i) <= alpha(&inst, t, i), "class {i}");
-            }
-        }
     }
 }

@@ -7,17 +7,21 @@
 //! | result | algorithm | entry point |
 //! |---|---|---|
 //! | Theorem 1 | 2-approximation, `O(n)` | [`two_approx`] |
-//! | Theorem 2 | `(3/2+ε)`-approx, `O(n log 1/ε)` | [`Algorithm::EpsilonSearch`] over the duals ([`search`]) |
-//! | Theorem 7 | splittable 3/2-dual, `O(n)` | [`splittable::dual`] |
+//! | Theorem 2 | `(3/2+ε)`-approx, `O(n log 1/ε)` | [`Algorithm::EpsilonSearch`] over the duals |
+//! | Theorem 7 | splittable 3/2-dual, `O(n)` | [`splittable::dual_into`] |
 //! | Theorem 3 | splittable 3/2, `O(n + c log(c+m))` | [`Algorithm::ThreeHalves`] |
-//! | Theorems 4–5 | preemptive 3/2-dual, `O(n)` | [`preemptive::dual`] |
+//! | Theorems 4–5 | preemptive 3/2-dual, `O(n)` | [`preemptive::dual_into`] |
 //! | Theorem 6 | preemptive 3/2, `O(n log(c+m))` | [`Algorithm::ThreeHalves`] |
-//! | Theorem 9 | non-preemptive 3/2-dual, `O(n)` | [`nonpreemptive::dual`] |
+//! | Theorem 9 | non-preemptive 3/2-dual, `O(n)` | [`nonpreemptive::dual_into`] |
 //! | Theorem 8 | non-preemptive 3/2, `O(n log(n+Δ))` | [`Algorithm::ThreeHalves`] |
 //!
 //! The one-stop entry point is [`solve`] with an [`Algorithm`] selector;
 //! [`solve_problem`] runs any [`Problem`] under one [`SolveOptions`]
-//! (budget, warm start).
+//! (budget, warm start). Each kernel above has one public entry point: the
+//! accept test takes a [`DualWorkspace`], the builder also the output buffer
+//! it fills (`dual_into`). For a one-off probe or build, [`BssProblem`]'s
+//! [`Problem::probe`], [`Problem::build`] and [`Problem::fallback`] run the
+//! same kernels and allocate the output.
 //!
 //! All internal arithmetic is exact ([`bss_rational::Rational`]); every
 //! algorithm's output is checked against the strict validators of
@@ -56,13 +60,13 @@
 pub mod classify;
 pub mod nonpreemptive;
 pub mod preemptive;
-pub mod search;
 pub mod splittable;
 pub mod two_approx;
 
 mod api;
 mod jumping;
 mod problem;
+mod search;
 mod seqdep_bridge;
 mod trace;
 mod workspace;

@@ -183,28 +183,7 @@ impl<'a> Builder<'a> {
     }
 }
 
-/// The 3/2-dual builder (Algorithm 6): `None` = rejected (`T < OPT`),
-/// `Some(schedule)` is non-preemptive with makespan `<= 3T/2`. Runs in
-/// `O(n)` up to the (rare) repair moves of step 4.
-#[must_use]
-pub fn dual(inst: &Instance, t: u64, trace: &mut Trace) -> Option<Schedule> {
-    dual_in(&mut DualWorkspace::new(), inst, t, trace)
-}
-
-/// [`dual`] on a reusable workspace (partitions, machine stacks and repair
-/// buffers are all borrowed from `ws`).
-#[must_use]
-pub fn dual_in(
-    ws: &mut DualWorkspace,
-    inst: &Instance,
-    t: u64,
-    trace: &mut Trace,
-) -> Option<Schedule> {
-    let mut out = Schedule::new(inst.machines());
-    dual_into(ws, inst, t, trace, &mut out).map(|_| out)
-}
-
-/// [`dual_in`] with the makespan the build reports.
+/// [`dual_into`] into a fresh output, with the makespan the build reports.
 pub(crate) fn build_in(
     ws: &mut DualWorkspace,
     inst: &Instance,
@@ -219,9 +198,12 @@ pub(crate) fn build_in(
     })
 }
 
-/// [`dual_in`] that emits the repaired schedule into a caller-provided `out`
-/// (reset at entry). After workspace warm-up a build allocates nothing
-/// beyond `out`'s own growth.
+/// The 3/2-dual builder (Algorithm 6): emits a non-preemptive schedule of
+/// makespan `<= 3T/2` into a caller-provided `out` (reset at entry). Runs in
+/// `O(n)` up to the (rare) repair moves of step 4; the partitions, machine
+/// stacks and repair buffers are all borrowed from `ws`, so after workspace
+/// warm-up a build allocates nothing beyond `out`'s own growth. An enabled
+/// `trace` receives a snapshot after each of the four steps (Figures 10–13).
 ///
 /// Returns the makespan of the built schedule — its largest machine load,
 /// since every machine's stack runs contiguously from time 0; `out` is not
@@ -604,9 +586,12 @@ mod tests {
     }
 
     fn check_at(inst: &Instance, t: u64) -> bool {
-        match dual(inst, t, &mut Trace::disabled()) {
+        let ws = &mut DualWorkspace::new();
+        let mut s = Schedule::new(inst.machines());
+        match dual_into(ws, inst, t, &mut Trace::disabled(), &mut s) {
             None => false,
-            Some(s) => {
+            Some(makespan) => {
+                assert_eq!(makespan, s.makespan(), "T={t}");
                 let v = validate(&s, inst, Variant::NonPreemptive);
                 assert!(v.is_empty(), "T={t}: {v:?}");
                 assert!(
@@ -640,7 +625,8 @@ mod tests {
         let inst = bss_gen::paper::fig10_nonpreemptive();
         let t = 2 * tmin_int(&inst);
         let mut trace = Trace::enabled();
-        let s = dual(&inst, t, &mut trace).expect("accepted");
+        let mut s = Schedule::new(inst.machines());
+        dual_into(&mut DualWorkspace::new(), &inst, t, &mut trace, &mut s).expect("accepted");
         assert!(validate(&s, &inst, Variant::NonPreemptive).is_empty());
         let labels: Vec<&str> = trace.steps().iter().map(|(l, _)| l.as_str()).collect();
         assert_eq!(labels.len(), 4, "{labels:?}");
@@ -702,8 +688,9 @@ mod tests {
         }
     }
 
-    /// The workspace-reusing `dual_into` is bit-identical to the fresh path,
-    /// including when `out` is recycled across guesses and instances.
+    /// The workspace-reusing `dual_into` is bit-identical to a fresh
+    /// workspace and output, including when `out` is recycled across
+    /// guesses and instances.
     #[test]
     fn dual_into_reuse_matches_fresh() {
         let mut ws = DualWorkspace::new();
@@ -712,11 +699,19 @@ mod tests {
             let inst = bss_gen::uniform(50, 7, 4, seed);
             let lo = tmin_int(&inst);
             for t in [lo, lo + lo / 2, 2 * lo] {
-                let fresh = dual(&inst, t, &mut Trace::disabled());
+                let mut s = Schedule::new(inst.machines());
+                let fresh = dual_into(
+                    &mut DualWorkspace::new(),
+                    &inst,
+                    t,
+                    &mut Trace::disabled(),
+                    &mut s,
+                );
                 let reused = dual_into(&mut ws, &inst, t, &mut Trace::disabled(), &mut out);
                 match fresh {
-                    Some(s) => {
-                        assert_eq!(reused, Some(s.makespan()), "seed {seed} T={t}");
+                    Some(makespan) => {
+                        assert_eq!(makespan, s.makespan(), "seed {seed} T={t}");
+                        assert_eq!(reused, Some(makespan), "seed {seed} T={t}");
                         assert_eq!(s, out, "seed {seed} T={t}");
                     }
                     None => assert!(reused.is_none(), "seed {seed} T={t}"),

@@ -204,7 +204,7 @@ struct PlanMeta {
     k_first_class: Option<ClassId>,
 }
 
-/// The planning phase of [`dual_in`]: runs the accept test and, on
+/// The planning phase of [`dual_into`]: runs the accept test and, on
 /// acceptance, fills `ws.cheap`/`ws.arena`/`ws.k_pieces` with the nice
 /// residual batches and bottom-band pieces.
 fn prepare_in(
@@ -384,13 +384,8 @@ fn prepare_in(
     Some(PlanMeta { k_first_class })
 }
 
-/// The dual test of Theorem 5 (with `mode` selecting α′ or γ machine counts).
-#[must_use]
-pub fn accepts(inst: &Instance, t: Rational, mode: CountMode) -> bool {
-    accepts_in(&mut DualWorkspace::new(), inst, t, mode)
-}
-
-/// [`accepts`] on a reusable workspace — allocation-free after warm-up.
+/// The dual test of Theorem 5 (with `mode` selecting α′ or γ machine
+/// counts) — allocation-free after warm-up.
 #[must_use]
 pub fn accepts_in(ws: &mut DualWorkspace, inst: &Instance, t: Rational, mode: CountMode) -> bool {
     match aggregates_in(ws, inst, t, mode) {
@@ -399,28 +394,7 @@ pub fn accepts_in(ws: &mut DualWorkspace, inst: &Instance, t: Rational, mode: Co
     }
 }
 
-/// The general preemptive 3/2-dual: `None` = rejected (`T < OPT`),
-/// `Some(schedule)` is preemptive-feasible with makespan `<= 3T/2`.
-#[must_use]
-pub fn dual(inst: &Instance, t: Rational, mode: CountMode, trace: &mut Trace) -> Option<Schedule> {
-    dual_in(&mut DualWorkspace::new(), inst, t, mode, trace)
-}
-
-/// [`dual`] on a reusable workspace: the probe and plan buffers are borrowed
-/// from `ws`, so a search reuses one allocation footprint across guesses.
-#[must_use]
-pub fn dual_in(
-    ws: &mut DualWorkspace,
-    inst: &Instance,
-    t: Rational,
-    mode: CountMode,
-    trace: &mut Trace,
-) -> Option<Schedule> {
-    let mut out = Schedule::new(inst.machines());
-    dual_into(ws, inst, t, mode, trace, &mut out).map(|_| out)
-}
-
-/// [`dual_in`] with the makespan the build reports.
+/// [`dual_into`] into a fresh output, with the makespan the build reports.
 pub(crate) fn build_in(
     ws: &mut DualWorkspace,
     inst: &Instance,
@@ -436,11 +410,13 @@ pub(crate) fn build_in(
     })
 }
 
-/// [`dual_in`] that streams the schedule into a caller-provided `out`
-/// (reset at entry) instead of allocating a fresh one — the compact-first
-/// build path: every wrap result is emitted exactly once, directly into the
-/// final destination, and a warm workspace build performs **zero** heap
-/// allocations beyond `out`'s own growth.
+/// The general preemptive 3/2-dual (Algorithm 3): streams a
+/// preemptive-feasible schedule of makespan `<= 3T/2` into a
+/// caller-provided `out` (reset at entry). The probe and plan buffers are
+/// borrowed from `ws`, every wrap result is emitted exactly once, directly
+/// into the final destination, and a warm workspace build performs **zero**
+/// heap allocations beyond `out`'s own growth. An enabled `trace` receives
+/// the step snapshots of Figures 3, 4 and 9.
 ///
 /// Returns the makespan of the built schedule — the largest of the stacked
 /// machines' last ends and the ends the wraps report; `out` is not
@@ -573,9 +549,12 @@ mod tests {
     use super::*;
 
     fn check_at(inst: &Instance, t: Rational, mode: CountMode) -> bool {
-        match dual(inst, t, mode, &mut Trace::disabled()) {
+        let ws = &mut DualWorkspace::new();
+        let mut s = Schedule::new(inst.machines());
+        match dual_into(ws, inst, t, mode, &mut Trace::disabled(), &mut s) {
             None => false,
-            Some(s) => {
+            Some(makespan) => {
+                assert_eq!(makespan, s.makespan(), "mode {mode:?}, T={t}");
                 let v = validate(&s, inst, Variant::Preemptive);
                 assert!(v.is_empty(), "mode {mode:?}, T={t}: {v:?}");
                 assert!(
@@ -606,7 +585,9 @@ mod tests {
         let inst = bss_gen::paper::fig3_general_preemptive();
         let t2 = tmin(&inst) * 2u64;
         let mut trace = Trace::enabled();
-        if let Some(s) = dual(&inst, t2, CountMode::AlphaPrime, &mut trace) {
+        let ws = &mut DualWorkspace::new();
+        let mut s = Schedule::new(inst.machines());
+        if dual_into(ws, &inst, t2, CountMode::AlphaPrime, &mut trace, &mut s).is_some() {
             assert!(validate(&s, &inst, Variant::Preemptive).is_empty());
             assert_eq!(trace.steps().len(), 3);
         }
@@ -666,7 +647,8 @@ mod tests {
         let mut b = InstanceBuilder::new(2);
         b.add_batch(10, &[25]);
         let inst = b.build().unwrap();
-        assert!(!accepts(
+        assert!(!accepts_in(
+            &mut DualWorkspace::new(),
             &inst,
             Rational::from(34u64),
             CountMode::AlphaPrime

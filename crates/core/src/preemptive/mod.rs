@@ -2,8 +2,10 @@
 //!
 //! * [`nice_dual`]: Theorem 4 — 3/2-dual approximation for *nice* instances
 //!   (`I⁰_exp = ∅`).
-//! * [`dual`] / [`accepts`]: Theorem 5 / Algorithm 3 — the general 3/2-dual
-//!   with large machines and the continuous-knapsack placement decision.
+//! * [`dual_into`] / [`accepts_in`]: Theorem 5 / Algorithm 3 — the general
+//!   3/2-dual with large machines and the continuous-knapsack placement
+//!   decision. [`crate::BssProblem`]'s `probe` and `build` run them in
+//!   [`CountMode::AlphaPrime`].
 //! * Class Jumping, Theorem 6 / Algorithm 4, run as
 //!   [`crate::Algorithm::ThreeHalves`]: the full 3/2-approximation in
 //!   `O(n log(c+m)) ⊆ O(n log n)`, improving on the previous best ratio of
@@ -16,6 +18,6 @@ mod jumping;
 pub(crate) mod nice;
 
 pub(crate) use dual::build_in;
-pub use dual::{accepts, accepts_in, dual, dual_in, dual_into};
+pub use dual::{accepts_in, dual_into};
 pub(crate) use jumping::Pmtn;
 pub use nice::{is_nice, nice_dual, CountMode};

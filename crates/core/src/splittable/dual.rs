@@ -19,13 +19,8 @@ use crate::workspace::DualWorkspace;
 use crate::{Built, ScheduleRepr, Trace};
 
 /// The `O(c)` dual test of Theorem 7: `true` iff `T` is accepted.
-#[must_use]
-pub fn accepts(inst: &Instance, t: Rational) -> bool {
-    accepts_in(&mut DualWorkspace::new(), inst, t)
-}
-
-/// [`accepts`] on a reusable workspace — allocation-free after warm-up, with
-/// the load `L_split` accumulated gcd-free.
+/// Allocation-free after warm-up, with the load `L_split` accumulated
+/// gcd-free.
 #[must_use]
 pub fn accepts_in(ws: &mut DualWorkspace, inst: &Instance, t: Rational) -> bool {
     // OPT > s_max always, so any T < s_max is rejected. (T = s_max may be
@@ -57,41 +52,7 @@ pub fn accepts_in(ws: &mut DualWorkspace, inst: &Instance, t: Rational) -> bool 
     m_exp <= inst.machines() && l_split <= t * inst.machines()
 }
 
-/// The 3/2-dual builder: `None` = rejected (`T < OPT`), `Some(schedule)` has
-/// makespan `<= 3T/2`. Runs in `O(n)` and emits a compact schedule with
-/// `O(n + c)` stored items.
-#[must_use]
-pub fn dual(inst: &Instance, t: Rational) -> Option<CompactSchedule> {
-    dual_traced_in(&mut DualWorkspace::new(), inst, t, &mut Trace::disabled())
-}
-
-/// [`dual`] on a reusable workspace.
-#[must_use]
-pub fn dual_in(ws: &mut DualWorkspace, inst: &Instance, t: Rational) -> Option<CompactSchedule> {
-    dual_traced_in(ws, inst, t, &mut Trace::disabled())
-}
-
-/// [`dual`] with step snapshots (Figure 1(a) after step 1, Figure 1(b) after
-/// step 2). Tracing expands the compact schedule, so only use it for
-/// rendering.
-#[must_use]
-pub fn dual_traced(inst: &Instance, t: Rational, trace: &mut Trace) -> Option<CompactSchedule> {
-    dual_traced_in(&mut DualWorkspace::new(), inst, t, trace)
-}
-
-/// [`dual_traced`] on a reusable workspace.
-#[must_use]
-pub fn dual_traced_in(
-    ws: &mut DualWorkspace,
-    inst: &Instance,
-    t: Rational,
-    trace: &mut Trace,
-) -> Option<CompactSchedule> {
-    let mut out = CompactSchedule::new(inst.machines());
-    dual_into(ws, inst, t, trace, &mut out).map(|_| out)
-}
-
-/// [`dual_traced_in`] with the makespan the build reports.
+/// [`dual_into`] into a fresh output, with the makespan the build reports.
 pub(crate) fn build_in(
     ws: &mut DualWorkspace,
     inst: &Instance,
@@ -106,10 +67,16 @@ pub(crate) fn build_in(
     })
 }
 
-/// [`dual_in`] that assembles the compact schedule in a caller-provided
-/// `out` (reset at entry): every wrap appends its configuration groups
-/// directly — no per-wrap `CompactSchedule` and no group cloning. A warm
-/// workspace build allocates only `out`'s own group storage.
+/// The 3/2-dual builder of Theorem 7: runs in `O(n)` and assembles a
+/// compact schedule with `O(n + c)` stored items and makespan `<= 3T/2` in
+/// a caller-provided `out` (reset at entry). Every wrap appends its
+/// configuration groups directly — no per-wrap `CompactSchedule` and no
+/// group cloning — so a warm workspace build allocates only `out`'s own
+/// group storage.
+///
+/// An enabled `trace` receives step snapshots (Figure 1(a) after step 1,
+/// Figure 1(b) after step 2); tracing expands the compact schedule, so only
+/// use it for rendering.
 ///
 /// Returns the makespan of the built schedule, the largest end the wraps
 /// report (`out` is not rescanned), or `None` on rejection (`T < OPT`);
@@ -294,10 +261,18 @@ mod tests {
     }
 
     fn check_at(inst: &Instance, t: Rational) -> bool {
-        match dual(inst, t) {
+        let mut cs = CompactSchedule::new(inst.machines());
+        match dual_into(
+            &mut DualWorkspace::new(),
+            inst,
+            t,
+            &mut Trace::disabled(),
+            &mut cs,
+        ) {
             None => false,
-            Some(cs) => {
+            Some(makespan) => {
                 let s = cs.expand().expect("in range");
+                assert_eq!(makespan, s.makespan(), "T={t}: reported makespan");
                 let v = validate(&s, inst, Variant::Splittable);
                 assert!(v.is_empty(), "T={t}: {v:?}");
                 assert!(
@@ -325,14 +300,16 @@ mod tests {
         b.add_batch(100, &[1]);
         b.add_batch(1, &[1]);
         let inst = b.build().unwrap();
-        assert!(!accepts(&inst, r(99)));
-        assert!(!accepts(&inst, r(50)));
+        let ws = &mut DualWorkspace::new();
+        assert!(!accepts_in(ws, &inst, r(99)));
+        assert!(!accepts_in(ws, &inst, r(50)));
         // T = s_max itself may be accepted (and the build is 3T/2-feasible).
         assert!(check_at(&inst, r(100)));
     }
 
     #[test]
     fn acceptance_is_monotone() {
+        let ws = &mut DualWorkspace::new();
         for seed in 0..20 {
             let inst = bss_gen::uniform(40, 8, 3, seed);
             let tmin = LowerBounds::of(&inst).tmin(Variant::Splittable);
@@ -340,7 +317,7 @@ mod tests {
             for k in 0..=20u64 {
                 // Sweep T from Tmin/2 to ~2.5 Tmin.
                 let t = tmin * Rational::new(10 + 4 * k as i128, 20);
-                let now = accepts(&inst, t);
+                let now = accepts_in(ws, &inst, t);
                 assert!(!last || now, "acceptance not monotone at seed {seed}");
                 last = now;
             }
@@ -410,7 +387,15 @@ mod tests {
         b.add_batch(1, &[5, 5]);
         let inst = b.build().unwrap();
         let t2 = LowerBounds::of(&inst).tmin(Variant::Splittable) * 2u64;
-        let cs = dual(&inst, t2).expect("accepted");
+        let mut cs = CompactSchedule::new(inst.machines());
+        dual_into(
+            &mut DualWorkspace::new(),
+            &inst,
+            t2,
+            &mut Trace::disabled(),
+            &mut cs,
+        )
+        .expect("accepted");
         assert!(
             cs.stored_items() < 100,
             "stored items {} should not scale with m",

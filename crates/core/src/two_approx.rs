@@ -9,27 +9,17 @@ use crate::classify::class_items;
 use crate::workspace::DualWorkspace;
 use crate::Trace;
 
-/// Lemma 8: splittable 2-approximation in `O(n)`.
+/// Lemma 8: splittable 2-approximation in `O(n)`, with the makespan its
+/// wrap reports.
 ///
 /// Wraps the single sequence of all batches into one gap `[s_max, s_max +
 /// N/m)` per machine; moved setups fit below because `s_max` is reserved.
-/// Makespan `<= s_max + N/m <= 2·max(N/m, s_max) <= 2·OPT`.
+/// Makespan `<= s_max + N/m <= 2·max(N/m, s_max) <= 2·OPT`. The one-run
+/// template lives in the workspace's scratch; the batches stream lazily off
+/// the instance and the wrap appends its groups directly to the output — no
+/// `O(n)` wrap sequence is ever materialized.
 #[must_use]
-pub fn splittable_two_approx(inst: &Instance) -> CompactSchedule {
-    splittable_two_approx_in(&mut DualWorkspace::new(), inst)
-}
-
-/// [`splittable_two_approx`] on a reusable workspace (the one-run template
-/// lives in the workspace's scratch; the batches stream lazily off the
-/// instance and the wrap appends its groups directly to the output — no
-/// `O(n)` wrap sequence is ever materialized).
-#[must_use]
-pub fn splittable_two_approx_in(ws: &mut DualWorkspace, inst: &Instance) -> CompactSchedule {
-    splittable_with_makespan(ws, inst).0
-}
-
-/// [`splittable_two_approx_in`] and the makespan its wrap reports.
-pub(crate) fn splittable_with_makespan(
+pub fn splittable_with_makespan(
     ws: &mut DualWorkspace,
     inst: &Instance,
 ) -> (CompactSchedule, Rational) {
@@ -51,7 +41,8 @@ pub(crate) fn splittable_with_makespan(
     (out, makespan)
 }
 
-/// Lemma 9: non-preemptive (and hence preemptive) 2-approximation in `O(n)`.
+/// Lemma 9: non-preemptive (and hence preemptive) 2-approximation in
+/// `O(n)`, with its makespan, the largest machine end.
 ///
 /// Phase 1 runs next-fit with threshold `T_min` over the flat batch sequence;
 /// phase 2 moves each machine's over-border item to the head of the next
@@ -62,12 +53,7 @@ pub(crate) fn splittable_with_makespan(
 /// `trace` receives the phase-1 schedule (Figure 7 left) and the repaired
 /// schedule (Figure 7 right).
 #[must_use]
-pub fn greedy_two_approx(inst: &Instance, trace: &mut Trace) -> Schedule {
-    greedy_with_makespan(inst, trace).0
-}
-
-/// [`greedy_two_approx`] and its makespan, the largest machine end.
-pub(crate) fn greedy_with_makespan(inst: &Instance, trace: &mut Trace) -> (Schedule, Rational) {
+pub fn greedy_with_makespan(inst: &Instance, trace: &mut Trace) -> (Schedule, Rational) {
     #[derive(Clone, Copy)]
     enum It {
         Setup(usize),
@@ -192,15 +178,17 @@ mod tests {
 
     fn check_two_approx(inst: &Instance) {
         // Splittable.
-        let cs = splittable_two_approx(inst);
+        let (cs, makespan) = splittable_with_makespan(&mut DualWorkspace::new(), inst);
         let s = cs.expand().expect("in range");
+        assert_eq!(makespan, s.makespan());
         let v = validate(&s, inst, Variant::Splittable);
         assert!(v.is_empty(), "splittable: {v:?}");
         let bound = LowerBounds::of(inst).tmin(Variant::Splittable) * 2u64;
         assert!(s.makespan() <= bound, "{} > {}", s.makespan(), bound);
 
         // Non-preemptive / preemptive.
-        let s = greedy_two_approx(inst, &mut Trace::disabled());
+        let (s, makespan) = greedy_with_makespan(inst, &mut Trace::disabled());
+        assert_eq!(makespan, s.makespan());
         for variant in [Variant::NonPreemptive, Variant::Preemptive] {
             let v = validate(&s, inst, variant);
             assert!(v.is_empty(), "{variant}: {v:?}");
@@ -254,7 +242,7 @@ mod tests {
         b.add_batch(8, &[15, 9]);
         let inst = b.build().unwrap();
         let mut trace = Trace::enabled();
-        let _ = greedy_two_approx(&inst, &mut trace);
+        let _ = greedy_with_makespan(&inst, &mut trace);
         assert_eq!(trace.steps().len(), 2);
     }
 

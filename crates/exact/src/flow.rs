@@ -107,7 +107,7 @@ impl Flow {
             while v != s {
                 let id = pred[v].expect("path edge");
                 self.edges[id].flow += aug;
-                self.edges[id ^ 1].flow = self.edges[id ^ 1].flow - aug;
+                self.edges[id ^ 1].flow -= aug;
                 v = self.edges[id ^ 1].to;
             }
             total += aug;

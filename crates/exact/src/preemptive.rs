@@ -50,9 +50,9 @@ fn jobcap(inst: &Instance, coverage: &[u32]) -> Rational {
     let mut base = vec![0u64; m];
     let mut forced = vec![0u64; m];
     for (i, &mask) in coverage.iter().enumerate() {
-        for u in 0..m {
+        for (u, b) in base.iter_mut().enumerate() {
             if mask & (1 << u) != 0 {
-                base[u] += inst.setup(i);
+                *b += inst.setup(i);
             }
         }
         if mask.count_ones() == 1 {
@@ -121,9 +121,9 @@ fn pattern_feasible(
     let mut base = vec![0u64; m];
     let mut forced = vec![0u64; m];
     for (i, &mask) in coverage.iter().enumerate() {
-        for u in 0..m {
+        for (u, b) in base.iter_mut().enumerate() {
             if mask & (1 << u) != 0 {
-                base[u] += inst.setup(i);
+                *b += inst.setup(i);
             }
         }
         if mask.count_ones() == 1 {
@@ -446,6 +446,7 @@ fn try_orders(
     let mut perm = runs[machine].clone();
     let k = perm.len();
     // Heap's-algorithm-style recursive permutations, deterministic order.
+    #[allow(clippy::too_many_arguments)] // the recursion's state, passed explicitly
     fn permute(
         inst: &Instance,
         t: Rational,
@@ -534,14 +535,14 @@ fn assign_pieces(
             cursor += s + len;
         }
     }
-    for class in 0..inst.num_classes() {
-        if windows[class].is_empty() {
+    for (class, class_windows) in windows.iter().enumerate() {
+        if class_windows.is_empty() {
             if inst.class_proc(class) > 0 {
                 return None;
             }
             continue;
         }
-        if !assign_class(inst, class, &windows[class], &mut out, budget) {
+        if !assign_class(inst, class, class_windows, &mut out, budget) {
             return None;
         }
     }
@@ -737,6 +738,7 @@ fn tight_matching(
     col_tight: &[bool],
 ) -> Option<Vec<(usize, usize)>> {
     // assignment[ci] = row index into `rows` or usize::MAX for unmatched.
+    #[allow(clippy::too_many_arguments)] // the recursion's state, passed explicitly
     fn search(
         amounts: &[(usize, usize, Rational)],
         rows: &[usize],

@@ -179,6 +179,7 @@ pub(crate) fn coverages_within(
     let active = active_classes(inst);
     let mut out = Vec::new();
     let mut coverage = vec![0u32; inst.num_classes()];
+    #[allow(clippy::too_many_arguments)] // the recursion's state, passed explicitly
     fn dfs(
         inst: &Instance,
         active: &[usize],
@@ -278,7 +279,8 @@ pub(crate) fn transportation(
 pub(crate) fn realize(inst: &Instance, coverage: &[u32], x: &[Vec<Rational>]) -> Schedule {
     let m = inst.machines();
     // pieces[u] = ascending-class list of (class, [(job, len)]).
-    let mut pieces: Vec<Vec<(usize, Vec<(usize, Rational)>)>> = vec![Vec::new(); m];
+    type MachineRuns = Vec<(usize, Vec<(usize, Rational)>)>;
+    let mut pieces: Vec<MachineRuns> = vec![Vec::new(); m];
     for (i, &mask) in coverage.iter().enumerate() {
         if mask == 0 {
             continue;

@@ -6,7 +6,8 @@
 //! same *structure* (which classes are expensive/cheap, how many machines
 //! each class needs, which algorithm branch fires); the `repro-figures`
 //! binary then renders the actual algorithm output next to the paper's
-//! caption.
+//! caption. [`case_3a`] adds the instances that drive Algorithm 3 into its
+//! knapsack case at an accepted guess.
 
 use bss_instance::{Instance, InstanceBuilder};
 
@@ -140,6 +141,40 @@ pub fn fig8_lemma11() -> Instance {
     b.build().expect("valid figure instance")
 }
 
+/// Four instances whose preemptive builds take case 3.a of Algorithm 3
+/// (the continuous knapsack over the light-cheap classes with big jobs) at
+/// the accepted guess of every 3/2 solve: one `I⁰_exp` class per machine
+/// but one, and big jobs that do not all fit outside the large machines.
+///
+/// The seeded families of this crate never build in case 3.a (they reach it
+/// only at rejected guesses), so these are written out; they are small
+/// enough for the exact oracle of `bss-exact`.
+#[must_use]
+pub fn case_3a() -> Vec<Instance> {
+    /// An instance's batches: `(setup, job times)` per class.
+    type Batches = &'static [(u64, &'static [u64])];
+    /// `(machines, batches)` per instance.
+    const SHAPES: [(usize, Batches); 4] = [
+        (2, &[(60, &[30]), (10, &[50, 50])]),
+        (3, &[(61, &[27]), (58, &[33]), (12, &[47, 51, 44])]),
+        (
+            4,
+            &[(57, &[31]), (66, &[22]), (59, &[35]), (11, &[49, 57, 52])],
+        ),
+        (2, &[(61, &[29]), (9, &[46, 52]), (3, &[1, 2, 2])]),
+    ];
+    SHAPES
+        .iter()
+        .map(|&(machines, batches)| {
+            let mut b = InstanceBuilder::new(machines);
+            for &(setup, jobs) in batches {
+                b.add_batch(setup, jobs);
+            }
+            b.build().expect("valid case-3.a instance")
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,7 +189,10 @@ mod tests {
             fig7_next_fit(),
             fig10_nonpreemptive(),
             fig8_lemma11(),
-        ] {
+        ]
+        .into_iter()
+        .chain(case_3a())
+        {
             assert!(inst.num_jobs() > 0);
             assert!(inst.machines() > 0);
         }

@@ -1,14 +1,17 @@
 //! Incremental instances: validated add/remove/retime deltas over a base
 //! [`Instance`], for online workloads that re-solve after every event.
 //!
-//! An [`IncrementalInstance`] maintains the same per-class aggregates an
-//! [`Instance`] precomputes (`P(C_i)`, `t^(i)_max`, total load) under a
-//! stream of [`Delta`]s, validating each delta *eagerly* — every reachable
-//! state satisfies the paper's model assumptions, so [`materialize`]
-//! (`IncrementalInstance::materialize`) can never fail. Materializing is
-//! proven equal to building the final job list from scratch — structurally,
-//! by [`Instance::content_hash`], and by solve bit-identity — in this
-//! module's tests and the workspace's `incremental_prop` proptest suite.
+//! An [`IncrementalInstance`] keeps the job list, the job count of each
+//! class and the total processing time under a stream of [`Delta`]s — just
+//! what eager validation needs — and validates each delta *eagerly*: every
+//! reachable state satisfies the paper's model assumptions, so
+//! [`materialize`](IncrementalInstance::materialize) can never fail. The
+//! per-class aggregates a solve reads (`P(C_i)`, `t^(i)_max`) are not kept
+//! here; materializing recomputes them through `Instance::from_parts`.
+//! Materializing is proven equal to building the final job list from
+//! scratch — structurally, by [`Instance::content_hash`], and by solve
+//! bit-identity — in this module's tests and the workspace's
+//! `incremental_prop` proptest suite.
 //!
 //! # Job identity
 //!
@@ -32,13 +35,12 @@
 
 use std::cell::Cell;
 
-use bss_json::{FromJson, JsonError, ToJson, Value};
-
 use crate::hash::job_section_hash;
 use crate::{ClassId, ContentHasher, Instance, Job, JobId, MAX_TOTAL_LOAD};
 
-/// One mutation of an [`IncrementalInstance`] — the wire-level event of the
-/// online protocols (`bss-serve` sessions, the `bss-gen` simulator).
+/// One mutation of an [`IncrementalInstance`] — the event of the online
+/// protocols (`bss-serve` sessions, the `bss-gen` simulator). Its wire
+/// spelling (`"op": "add-job"`, …) belongs to `bss-serve`'s protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Delta {
     /// A job arrival: append a job of `class` with processing time `time`.
@@ -61,51 +63,6 @@ pub enum Delta {
         /// The new processing time `t_j >= 1`.
         time: u64,
     },
-}
-
-impl ToJson for Delta {
-    fn to_json_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> = Vec::with_capacity(3);
-        match *self {
-            Delta::AddJob { class, time } => {
-                fields.push(("op".into(), Value::Str("add_job".into())));
-                fields.push(("class".into(), Value::Int(class as i128)));
-                fields.push(("time".into(), Value::Int(time.into())));
-            }
-            Delta::RemoveJob { job } => {
-                fields.push(("op".into(), Value::Str("remove_job".into())));
-                fields.push(("job".into(), Value::Int(job as i128)));
-            }
-            Delta::Retime { job, time } => {
-                fields.push(("op".into(), Value::Str("retime".into())));
-                fields.push(("job".into(), Value::Int(job as i128)));
-                fields.push(("time".into(), Value::Int(time.into())));
-            }
-        }
-        Value::Object(fields)
-    }
-}
-
-impl FromJson for Delta {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-        let op = bss_json::required(value, "op")?
-            .as_str()
-            .ok_or_else(|| JsonError::new("Delta.op must be a string"))?;
-        match op {
-            "add_job" => Ok(Delta::AddJob {
-                class: bss_json::int_from(bss_json::required(value, "class")?, "Delta.class")?,
-                time: bss_json::int_from(bss_json::required(value, "time")?, "Delta.time")?,
-            }),
-            "remove_job" => Ok(Delta::RemoveJob {
-                job: bss_json::int_from(bss_json::required(value, "job")?, "Delta.job")?,
-            }),
-            "retime" => Ok(Delta::Retime {
-                job: bss_json::int_from(bss_json::required(value, "job")?, "Delta.job")?,
-                time: bss_json::int_from(bss_json::required(value, "time")?, "Delta.time")?,
-            }),
-            other => Err(JsonError::new(format!("unknown delta op `{other}`"))),
-        }
-    }
 }
 
 /// A delta rejected by eager validation; the instance is unchanged.
@@ -144,8 +101,8 @@ impl core::fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
-/// A mutable instance under a stream of validated [`Delta`]s, maintaining
-/// the aggregates incrementally (see the module docs).
+/// A mutable instance under a stream of validated [`Delta`]s (see the
+/// module docs).
 #[derive(Debug, Clone)]
 pub struct IncrementalInstance {
     machines: usize,
@@ -155,42 +112,30 @@ pub struct IncrementalInstance {
     /// table an `Instance` keeps, which positional removal would force us to
     /// rebuild wholesale anyway).
     class_count: Vec<usize>,
-    class_proc: Vec<u64>,
-    class_tmax: Vec<u64>,
+    /// `P(J)`, for the total-load guard and [`Self::total_load_once`].
     total_proc: u64,
     /// Hasher state after `(version, m, c, setups..)` — the prefix of the
     /// canonical encoding that no delta can change.
     hash_prefix: ContentHasher,
     /// Cached digest, invalidated by every applied delta.
     cached_hash: Cell<Option<u64>>,
-    /// Count of deltas applied since construction.
-    version: u64,
 }
 
 impl IncrementalInstance {
     /// Starts from a validated base instance.
     #[must_use]
     pub fn new(base: &Instance) -> Self {
-        let c = base.num_classes();
-        let mut class_count = vec![0usize; c];
-        let mut class_proc = vec![0u64; c];
-        let mut class_tmax = vec![0u64; c];
-        for job in base.jobs() {
-            class_count[job.class] += 1;
-            class_proc[job.class] += job.time;
-            class_tmax[job.class] = class_tmax[job.class].max(job.time);
-        }
+        let class_count = (0..base.num_classes())
+            .map(|i| base.class_jobs(i).len())
+            .collect();
         IncrementalInstance {
             machines: base.machines(),
             setups: base.setups().to_vec(),
             jobs: base.jobs().to_vec(),
             class_count,
-            class_proc,
-            class_tmax,
             total_proc: base.total_proc(),
             hash_prefix: crate::hash::setup_section_hasher(base.machines(), base.setups()),
             cached_hash: Cell::new(Some(base.content_hash())),
-            version: 0,
         }
     }
 
@@ -224,10 +169,8 @@ impl IncrementalInstance {
         let id = self.jobs.len();
         self.jobs.push(Job { class, time });
         self.class_count[class] += 1;
-        self.class_proc[class] += time;
-        self.class_tmax[class] = self.class_tmax[class].max(time);
         self.total_proc += time;
-        self.touched();
+        self.cached_hash.set(None);
         Ok(id)
     }
 
@@ -246,17 +189,13 @@ impl IncrementalInstance {
         }
         self.jobs.remove(job);
         self.class_count[victim.class] -= 1;
-        self.class_proc[victim.class] -= victim.time;
         self.total_proc -= victim.time;
-        if victim.time == self.class_tmax[victim.class] {
-            self.rescan_tmax(victim.class);
-        }
-        self.touched();
+        self.cached_hash.set(None);
         Ok(victim)
     }
 
     /// Changes job `job`'s processing time to `time`, returning the old
-    /// time. `O(1)` unless the class maximum shrinks (then one class scan).
+    /// time, in `O(1)`.
     ///
     /// # Errors
     /// See [`DeltaError`].
@@ -271,32 +210,10 @@ impl IncrementalInstance {
         if time > old && self.total_load() + u128::from(time - old) > u128::from(MAX_TOTAL_LOAD) {
             return Err(DeltaError::TotalLoadTooLarge);
         }
-        let class = self.jobs[job].class;
         self.jobs[job].time = time;
-        self.class_proc[class] = self.class_proc[class] - old + time;
         self.total_proc = self.total_proc - old + time;
-        if time >= self.class_tmax[class] {
-            self.class_tmax[class] = time;
-        } else if old == self.class_tmax[class] {
-            self.rescan_tmax(class);
-        }
-        self.touched();
-        Ok(old)
-    }
-
-    fn rescan_tmax(&mut self, class: ClassId) {
-        self.class_tmax[class] = self
-            .jobs
-            .iter()
-            .filter(|j| j.class == class)
-            .map(|j| j.time)
-            .max()
-            .expect("non-emptiness is maintained eagerly");
-    }
-
-    fn touched(&mut self) {
-        self.version += 1;
         self.cached_hash.set(None);
+        Ok(old)
     }
 
     fn total_load(&self) -> u128 {
@@ -327,12 +244,6 @@ impl IncrementalInstance {
         h
     }
 
-    /// Number of machines `m`.
-    #[must_use]
-    pub fn machines(&self) -> usize {
-        self.machines
-    }
-
     /// Number of jobs `n`.
     #[must_use]
     pub fn num_jobs(&self) -> usize {
@@ -343,12 +254,6 @@ impl IncrementalInstance {
     #[must_use]
     pub fn num_classes(&self) -> usize {
         self.setups.len()
-    }
-
-    /// All setup times, indexed by class.
-    #[must_use]
-    pub fn setups(&self) -> &[u64] {
-        &self.setups
     }
 
     /// All jobs, in positional-id order.
@@ -363,35 +268,11 @@ impl IncrementalInstance {
         self.class_count[class]
     }
 
-    /// Total processing time `P(C_i)` of class `class`.
-    #[must_use]
-    pub fn class_proc(&self, class: ClassId) -> u64 {
-        self.class_proc[class]
-    }
-
-    /// Largest job time `t^(i)_max` of class `class`.
-    #[must_use]
-    pub fn class_tmax(&self, class: ClassId) -> u64 {
-        self.class_tmax[class]
-    }
-
-    /// Total processing time `P(J)` over all jobs.
-    #[must_use]
-    pub fn total_proc(&self) -> u64 {
-        self.total_proc
-    }
-
     /// `N = Σ_i s_i + Σ_j t_j` — the quantity whose change between two
     /// solves drives the warm-start bracket widening in `bss-core`.
     #[must_use]
     pub fn total_load_once(&self) -> u64 {
         self.setups.iter().sum::<u64>() + self.total_proc
-    }
-
-    /// Count of deltas applied since construction.
-    #[must_use]
-    pub fn version(&self) -> u64 {
-        self.version
     }
 }
 
@@ -408,7 +289,7 @@ mod tests {
     }
 
     /// Materializing after a delta sequence equals building the final job
-    /// list from scratch — structure, aggregates and digest.
+    /// list from scratch — structure, class counts, total load and digest.
     #[test]
     fn materialize_equals_from_scratch() {
         let mut inc = IncrementalInstance::new(&base());
@@ -420,13 +301,9 @@ mod tests {
         let scratch = Instance::from_parts(3, vec![10, 4], inc.jobs().to_vec()).unwrap();
         assert_eq!(materialized, scratch);
         assert_eq!(inc.content_hash(), scratch.content_hash());
-        assert_eq!(inc.version(), 4);
         for class in 0..2 {
-            assert_eq!(inc.class_proc(class), scratch.class_proc(class));
-            assert_eq!(inc.class_tmax(class), scratch.class_tmax(class));
             assert_eq!(inc.class_count(class), scratch.class_jobs(class).len());
         }
-        assert_eq!(inc.total_proc(), scratch.total_proc());
         assert_eq!(inc.total_load_once(), scratch.total_load_once());
     }
 
@@ -456,17 +333,6 @@ mod tests {
         inc.retime(0, 7).unwrap();
         assert_eq!(inc.content_hash(), h0);
         assert_eq!(inc.content_hash(), inc.materialize().content_hash());
-    }
-
-    #[test]
-    fn tmax_rescan_on_max_removal_and_retime_down() {
-        let mut inc = IncrementalInstance::new(&base());
-        assert_eq!(inc.class_tmax(0), 9);
-        inc.remove_job(2).unwrap(); // the 9 of class 0
-        assert_eq!(inc.class_tmax(0), 7);
-        inc.retime(0, 1).unwrap(); // the 7 shrinks to 1
-        assert_eq!(inc.class_tmax(0), 3);
-        assert_eq!(inc.materialize().class_tmax(0), 3);
     }
 
     #[test]
@@ -514,7 +380,6 @@ mod tests {
             }),
             Err(DeltaError::TotalLoadTooLarge)
         );
-        assert_eq!(inc.version(), 0);
         assert_eq!(inc.content_hash(), hash);
         assert_eq!(inc.materialize(), before);
     }
@@ -535,20 +400,5 @@ mod tests {
             inc.apply(Delta::RemoveJob { job: 1 }),
             Err(DeltaError::WouldEmptyClass(1))
         );
-    }
-
-    #[test]
-    fn delta_json_roundtrips() {
-        for delta in [
-            Delta::AddJob { class: 2, time: 17 },
-            Delta::RemoveJob { job: 5 },
-            Delta::Retime { job: 3, time: 1 },
-        ] {
-            let text = bss_json::encode_pretty(&delta);
-            let back: Delta = bss_json::decode(&text).unwrap();
-            assert_eq!(back, delta);
-        }
-        assert!(bss_json::decode::<Delta>("{\"op\":\"explode\"}").is_err());
-        assert!(bss_json::decode::<Delta>("{\"op\":\"add_job\",\"class\":0}").is_err());
     }
 }

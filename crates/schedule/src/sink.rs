@@ -64,9 +64,9 @@ impl PlacementSink for Schedule {
     }
 }
 
-/// A bare placement buffer (used by
-/// [`wrap_explicit`](../bss_wrap/fn.wrap_explicit.html)-style callers that
-/// want the raw list without a [`Schedule`] wrapper).
+/// A bare placement buffer, for callers of
+/// [`wrap_into`](../bss_wrap/fn.wrap_into.html) that want the raw list
+/// without a [`Schedule`] wrapper.
 impl PlacementSink for Vec<Placement> {
     fn place(&mut self, p: Placement) {
         if p.len.is_positive() {

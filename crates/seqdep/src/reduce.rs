@@ -183,7 +183,7 @@ pub fn orders_from_schedule(schedule: &Schedule, reduced: &Instance) -> Vec<Vec<
             ItemKind::Setup(_) => None,
         })
         .collect();
-    spans.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+    spans.sort_unstable_by_key(|&(machine, start, _)| (machine, start));
     for (machine, _, class) in spans {
         orders[machine].push(class);
     }

@@ -285,7 +285,7 @@ mod tests {
         // Find an accepted guess close to the lower bound by doubling.
         let mut t = lo;
         while !probe_in(&mut scratch, &inst, t) {
-            t = t * Rational::new(5, 4);
+            t *= Rational::new(5, 4);
         }
         let tight: Vec<Vec<usize>> = scratch.orders().to_vec();
         let tight_makespan = inst.makespan(&tight);

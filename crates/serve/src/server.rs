@@ -548,7 +548,6 @@ fn solve_request(
             let opts = SolveOptions {
                 budget: budget.is_limited().then_some(&budget),
                 warm,
-                ..SolveOptions::default()
             };
             let slot = match shared.admit(req.id) {
                 Ok(slot) => slot,

@@ -1009,7 +1009,7 @@ fn ping_stats_and_shutdown_roundtrip() {
     server.shutdown();
 
     // A post-shutdown solve on a fresh connection must fail, not hang.
-    match Client::connect(&format!("127.0.0.1:1")) {
+    match Client::connect("127.0.0.1:1") {
         Err(ClientError::Io(_)) => {}
         Err(other) => panic!("unexpected error kind: {other}"),
         Ok(_) => panic!("connected to a port nothing listens on"),

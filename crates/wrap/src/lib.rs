@@ -40,6 +40,4 @@ mod wrapper;
 pub use mcnaughton::{mcnaughton, McNaughtonSchedule};
 pub use sequence::{SeqItem, SeqKind, WrapSequence};
 pub use template::{GapRun, Template};
-pub use wrapper::{
-    batch_items, wrap, wrap_append, wrap_explicit, wrap_into, wrap_iter_append, WrapError,
-};
+pub use wrapper::{batch_items, wrap, wrap_into, wrap_iter_append, WrapError};

@@ -9,7 +9,7 @@ use bss_schedule::{CompactSchedule, ItemKind, Schedule};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
-use crate::{wrap, wrap_append, wrap_into, GapRun, SeqKind, Template, WrapSequence};
+use crate::{wrap, wrap_into, wrap_iter_append, GapRun, SeqKind, Template, WrapSequence};
 
 /// Denominators of the fractional gap borders and item lengths: every power
 /// of two from 2 to 64, and some that are not (3, 5, 12).
@@ -123,7 +123,8 @@ fn check_wrap(
 ) -> Result<(), TestCaseError> {
     let runs = template.runs();
     let mut compact = CompactSchedule::new(machines);
-    let end = wrap_append(q, runs, setups, &mut compact).expect("capacity suffices");
+    let end = wrap_iter_append(q.items().iter().copied(), runs, setups, &mut compact)
+        .expect("capacity suffices");
     prop_assert_eq!(
         &compact,
         &wrap(q, template, setups, machines).expect("capacity suffices")

@@ -3,7 +3,7 @@
 //!
 //! The wrapper is generic over its *emission target* ([`WrapEmit`]): the same
 //! placement logic either appends configuration groups to a
-//! [`CompactSchedule`] ([`wrap`], [`wrap_append`]) or streams explicit
+//! [`CompactSchedule`] ([`wrap`], [`wrap_iter_append`]) or streams explicit
 //! placements straight into a [`PlacementSink`] ([`wrap_into`]) — the
 //! compact-first pipeline's way of writing a wrap result into its final
 //! destination exactly once, with no intermediate `Schedule`. Every entry
@@ -509,13 +509,21 @@ pub fn wrap(
     machines: usize,
 ) -> Result<CompactSchedule, WrapError> {
     let mut out = CompactSchedule::new(machines);
-    wrap_append(seq, template.runs(), setups, &mut out)?;
+    wrap_iter_append(
+        seq.items().iter().copied(),
+        template.runs(),
+        setups,
+        &mut out,
+    )?;
     Ok(out)
 }
 
-/// Like [`wrap`], but appends the configuration groups to an existing
-/// [`CompactSchedule`] — the builders' way of assembling one compact output
-/// from several wraps without cloning groups.
+/// Like [`wrap`], but over a lazy item stream (see [`batch_items`]; a
+/// [`WrapSequence`] streams as `seq.items().iter().copied()`), appending the
+/// configuration groups to an existing [`CompactSchedule`] — the builders'
+/// way of assembling one compact output from several wraps without cloning
+/// groups, and the splittable builders' way of streaming batches off the
+/// instance without materializing a [`WrapSequence`].
 ///
 /// `runs` must satisfy the [`Template`] invariants (checked; machine indices
 /// of *this call* strictly increase — different calls may revisit machines).
@@ -526,22 +534,6 @@ pub fn wrap(
 /// # Errors
 /// On [`WrapError`] the groups emitted so far remain in `out`; callers treat
 /// wrap errors as a dual rejection and discard the whole output.
-pub fn wrap_append(
-    seq: &WrapSequence,
-    runs: &[GapRun],
-    setups: &[u64],
-    out: &mut CompactSchedule,
-) -> Result<Rational, WrapError> {
-    wrap_iter_append(seq.items().iter().copied(), runs, setups, out)
-}
-
-/// [`wrap_append`] over a lazy item stream (see [`batch_items`]): wraps the
-/// items without ever materializing a [`WrapSequence`] — the splittable
-/// builders' hot path, where sequence assembly used to dominate the build.
-/// Returns the largest end of the emitted items, like [`wrap_append`].
-///
-/// # Errors
-/// As [`wrap_append`]; on error the groups emitted so far remain in `out`.
 pub fn wrap_iter_append(
     items: impl IntoIterator<Item = SeqItem>,
     runs: &[GapRun],
@@ -554,7 +546,7 @@ pub fn wrap_iter_append(
 /// Like [`wrap`], but streams the explicit placements of the wrap straight
 /// into `sink` — one copy, no intermediate schedule. Parallel-gap groups are
 /// unrolled per machine, so the cost is `O(|Q| + gaps touched)`. Returns the
-/// largest end of the emitted placements, like [`wrap_append`].
+/// largest end of the emitted placements, like [`wrap_iter_append`].
 ///
 /// # Errors
 /// On [`WrapError`] the placements emitted so far remain in `sink`; callers
@@ -581,32 +573,6 @@ pub fn wrap_into<S: PlacementSink>(
         setups,
         StreamEmit { sink },
     )
-}
-
-/// Like [`wrap`], but returns explicit placements (convenience for callers
-/// that want the raw list; streams once, no `Schedule` round trip).
-///
-/// # Panics
-/// Panics when the template addresses machines `>= machines` (a programming
-/// error in the calling algorithm, like [`Template::new`]'s own invariants).
-pub fn wrap_explicit(
-    seq: &WrapSequence,
-    template: &Template,
-    setups: &[u64],
-    machines: usize,
-) -> Result<Vec<Placement>, WrapError> {
-    let last = template
-        .runs()
-        .last()
-        .map_or(0, |r| r.first_machine + r.count);
-    assert!(
-        last <= machines,
-        "template addresses machine {} but the schedule has {machines} machines",
-        last.saturating_sub(1),
-    );
-    let mut placements = Vec::new();
-    wrap_into(seq, template.runs(), setups, &mut placements)?;
-    Ok(placements)
 }
 
 #[cfg(test)]
@@ -783,7 +749,8 @@ mod tests {
         q.push_batch(0, r(1), [(0, r(2)), (1, q_(1, 2)), (2, r(1)), (3, r(2))]);
         let template = Template::from_gaps(vec![(0, q_(4, 3), q_(19, 3)), (1, r(2), r(9))]);
         let mut out = CompactSchedule::new(2);
-        let end = wrap_append(&q, template.runs(), &[1], &mut out).unwrap();
+        let end =
+            wrap_iter_append(q.items().iter().copied(), template.runs(), &[1], &mut out).unwrap();
         let s = out.expand().unwrap();
         let spans = |u| -> Vec<(Rational, Rational)> {
             s.machine_timeline(u)
@@ -886,22 +853,33 @@ mod tests {
         wrap_into(&q, template.runs(), &setups, &mut streamed).unwrap();
         assert_eq!(streamed, expanded);
 
-        let explicit = wrap_explicit(&q, &template, &setups, 5).unwrap();
-        assert_eq!(explicit, expanded.placements());
+        let mut placements = Vec::new();
+        wrap_into(&q, template.runs(), &setups, &mut placements).unwrap();
+        assert_eq!(placements, expanded.placements());
     }
 
-    /// `wrap_append` into a pre-filled compact schedule extends it in place.
+    /// `wrap_iter_append` into a pre-filled compact schedule extends it in
+    /// place.
     #[test]
-    fn wrap_append_extends_existing_output() {
+    fn wrap_iter_append_extends_existing_output() {
         let setups = [2u64, 1];
         let mut out = CompactSchedule::new(3);
-        let mut q = WrapSequence::new();
-        q.push_batch(0, r(2), [(0, r(4))]);
-        wrap_append(&q, &[GapRun::single(0, r(0), r(10))], &setups, &mut out).unwrap();
+        let gap = |u| [GapRun::single(u, r(0), r(10))];
+        wrap_iter_append(
+            batch_items(0, r(2), [(0, r(4))]),
+            &gap(0),
+            &setups,
+            &mut out,
+        )
+        .unwrap();
         let first_groups = out.groups().len();
-        let mut q2 = WrapSequence::new();
-        q2.push_batch(1, r(1), [(1, r(5))]);
-        wrap_append(&q2, &[GapRun::single(1, r(0), r(10))], &setups, &mut out).unwrap();
+        wrap_iter_append(
+            batch_items(1, r(1), [(1, r(5))]),
+            &gap(1),
+            &setups,
+            &mut out,
+        )
+        .unwrap();
         assert!(out.groups().len() > first_groups);
         let s = out.expand().unwrap();
         assert_eq!(s.machine_load(0), r(6));

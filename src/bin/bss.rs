@@ -467,14 +467,14 @@ fn cmd_solve_seqdep(path: &str, algo: Algorithm, args: &[String]) -> Result<(), 
             // piece) and re-price it with the exact evaluator — the
             // reported makespan must reproduce within the solve's bound.
             let mut orders: Vec<Vec<usize>> = vec![Vec::new(); inst.machines()];
-            for u in 0..inst.machines() {
+            for (u, order) in orders.iter_mut().enumerate() {
                 for p in sol.schedule().machine_timeline(u) {
                     let class = match p.kind {
                         ItemKind::Setup(c) => c,
                         ItemKind::Piece { class, .. } => class,
                     };
-                    if orders[u].last() != Some(&class) {
-                        orders[u].push(class);
+                    if order.last() != Some(&class) {
+                        order.push(class);
                     }
                 }
             }

@@ -5,10 +5,12 @@
 //! Two layers:
 //!
 //! * a **seeded** sweep over the tiny families (`bss_gen::tiny` and
-//!   `bss_gen::seqdep::tiny_seqdep`) on which the oracle is *required* to
-//!   close — `OPT <= achieved <= ratio_bound · OPT` for every algorithm,
-//!   and the portfolio (whose exact arm engages on these shapes) returns
-//!   exactly `OPT` with `ratio_bound` 1 and `certificate = OPT`;
+//!   `bss_gen::seqdep::tiny_seqdep`), plus the hand-built instances that
+//!   drive Algorithm 3 into its knapsack case (`bss_gen::paper::case_3a`),
+//!   on which the oracle is *required* to close — every algorithm's
+//!   schedule validates, `OPT <= achieved <= ratio_bound · OPT`, and the
+//!   portfolio (whose exact arm engages on these shapes) returns exactly
+//!   `OPT` with `ratio_bound` 1 and `certificate = OPT`;
 //! * a **property** sweep over arbitrary oracle-sized instances. Closure
 //!   is *not* required there — the preemptive branch-and-bound leaves an
 //!   honest `lower < upper` sandwich on a fraction of random shapes — so
@@ -19,6 +21,7 @@
 //!   default stays cheap).
 
 use batch_setup_scheduling::exact::{solve_bss, solve_seqdep, ExactConfig, ExactStatus};
+use batch_setup_scheduling::gen;
 use batch_setup_scheduling::gen::seqdep::tiny_seqdep;
 use batch_setup_scheduling::prelude::*;
 use batch_setup_scheduling::seqdep::SeqDepInstance;
@@ -36,41 +39,52 @@ const ALGOS: [Algorithm; 4] = [
 
 #[test]
 fn bss_algorithms_certify_against_opt_on_seeded_tinies() {
-    for seed in 0..SEEDS {
-        let inst = batch_setup_scheduling::gen::tiny(seed);
+    let tinies = (0..SEEDS).map(|seed| (format!("seed {seed}"), gen::tiny(seed)));
+    // The seeded families never build Algorithm 3's knapsack case at an
+    // accepted guess; these hand-built instances do.
+    let case_3a = gen::paper::case_3a()
+        .into_iter()
+        .enumerate()
+        .map(|(k, inst)| (format!("case_3a/{k}"), inst));
+    for (label, inst) in tinies.chain(case_3a) {
         for variant in Variant::ALL {
             let ex = solve_bss(&inst, variant, &ExactConfig::default())
                 .expect("tiny instances are within the oracle limits");
             assert_eq!(
                 ex.status,
                 ExactStatus::Closed,
-                "{variant} seed {seed}: the oracle suite requires closure"
+                "{variant} {label}: the oracle suite requires closure"
             );
             let opt = ex.opt().expect("closed searches expose OPT");
             assert_eq!(ex.guarantee(), Rational::ONE);
             assert!(validate(ex.schedule(), &inst, variant).is_empty());
             for algo in ALGOS {
                 let sol = solve(&inst, variant, algo);
+                let violations = validate(sol.schedule(), &inst, variant);
+                assert!(
+                    violations.is_empty(),
+                    "{variant} {algo:?} {label}: {violations:?}"
+                );
                 assert!(
                     opt <= sol.makespan,
-                    "{variant} {algo:?} seed {seed}: achieved {} below OPT {opt}",
+                    "{variant} {algo:?} {label}: achieved {} below OPT {opt}",
                     sol.makespan
                 );
                 assert!(
                     sol.makespan <= sol.ratio_bound * opt,
-                    "{variant} {algo:?} seed {seed}: achieved {} > {} * OPT {opt}",
+                    "{variant} {algo:?} {label}: achieved {} > {} * OPT {opt}",
                     sol.makespan,
                     sol.ratio_bound
                 );
                 // Certificates are genuine lower bounds on OPT.
-                assert!(sol.certificate <= opt, "{variant} {algo:?} seed {seed}");
+                assert!(sol.certificate <= opt, "{variant} {algo:?} {label}");
             }
             // The portfolio's exact arm engages on every tiny shape and the
             // search closes, so it returns the true optimum — exactly.
             let p = solve(&inst, variant, Algorithm::Portfolio);
-            assert_eq!(p.makespan, opt, "{variant} seed {seed}");
-            assert_eq!(p.ratio_bound, Rational::ONE, "{variant} seed {seed}");
-            assert_eq!(p.certificate, opt, "{variant} seed {seed}");
+            assert_eq!(p.makespan, opt, "{variant} {label}");
+            assert_eq!(p.ratio_bound, Rational::ONE, "{variant} {label}");
+            assert_eq!(p.certificate, opt, "{variant} {label}");
         }
     }
 }

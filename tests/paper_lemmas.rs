@@ -14,12 +14,14 @@ fn tmin(inst: &Instance, v: Variant) -> Rational {
 /// expensive classes (setup > T/2) machine-disjoint.
 #[test]
 fn lemma2_expensive_classes_machine_disjoint() {
+    let mut ws = DualWorkspace::new();
+    let mut cs = CompactSchedule::new(1);
     for seed in 0..15 {
         let inst = batch_setup_scheduling::gen::expensive_setups(40, 5, seed);
         let t = tmin(&inst, Variant::Splittable) * 2u64;
-        let Some(cs) = splittable::dual(&inst, t) else {
+        if splittable::dual_into(&mut ws, &inst, t, &mut Trace::disabled(), &mut cs).is_none() {
             continue;
-        };
+        }
         let s = cs.expand().expect("in range");
         let half = t.half();
         let mut machine_exp_class: HashMap<usize, usize> = HashMap::new();
@@ -73,17 +75,16 @@ fn note1_no_schedule_beats_setup_plus_job() {
 fn algorithm3_band_discipline() {
     let inst = batch_setup_scheduling::gen::paper::fig3_general_preemptive();
     let t_min = tmin(&inst, Variant::Preemptive);
+    let mut ws = DualWorkspace::new();
+    let mut s = Schedule::new(inst.machines());
     // Probe a few accepted guesses.
     for k in [22i128, 26, 30, 36, 40] {
         let t = t_min * Rational::new(k, 20);
-        let Some(s) = preemptive::dual(
-            &inst,
-            t,
-            preemptive::CountMode::AlphaPrime,
-            &mut Trace::disabled(),
-        ) else {
+        let mode = preemptive::CountMode::AlphaPrime;
+        if preemptive::dual_into(&mut ws, &inst, t, mode, &mut Trace::disabled(), &mut s).is_none()
+        {
             continue;
-        };
+        }
         let half = t.half();
         // For every job with pieces on several machines, pieces must not
         // overlap in time (validator checks), and if one piece lies fully
@@ -114,12 +115,14 @@ fn algorithm3_band_discipline() {
 #[test]
 fn theorem7_uses_beta_machines_per_expensive_class() {
     use batch_setup_scheduling::core::classify::{beta, classify};
+    let mut ws = DualWorkspace::new();
+    let mut cs = CompactSchedule::new(1);
     for seed in 0..10 {
         let inst = batch_setup_scheduling::gen::expensive_setups(30, 6, seed);
         let t = tmin(&inst, Variant::Splittable) * 2u64;
-        let Some(cs) = splittable::dual(&inst, t) else {
+        if splittable::dual_into(&mut ws, &inst, t, &mut Trace::disabled(), &mut cs).is_none() {
             continue;
-        };
+        }
         let s = cs.expand().expect("in range");
         let cls = classify(&inst, t);
         for i in cls.iexp() {

@@ -65,8 +65,9 @@ proptest! {
         let t_min = LowerBounds::of(&inst).tmin(Variant::Splittable);
         let t_lo = t_min * Rational::new(k, 20);
         let t_hi = t_lo * Rational::new(21, 20);
-        if splittable::accepts(&inst, t_lo) {
-            prop_assert!(splittable::accepts(&inst, t_hi));
+        let ws = &mut DualWorkspace::new();
+        if splittable::accepts_in(ws, &inst, t_lo) {
+            prop_assert!(splittable::accepts_in(ws, &inst, t_hi));
         }
     }
 
@@ -128,7 +129,7 @@ proptest! {
     ) {
         let inst = match family {
             1 => batch_setup_scheduling::gen::wide_delta(60, 8, m, 1 << 16, seed),
-            2 => batch_setup_scheduling::gen::all_expensive(60, (m + 1) / 2, m + 1, seed),
+            2 => batch_setup_scheduling::gen::all_expensive(60, m.div_ceil(2), m + 1, seed),
             _ => batch_setup_scheduling::gen::contended(60, m, m, seed),
         };
         let split = solve(&inst, Variant::Splittable, Algorithm::ThreeHalves);

@@ -14,25 +14,6 @@ const ALGOS: [Algorithm; 4] = [
     Algorithm::Portfolio,
 ];
 
-/// An instance's batches: `(setup, job times)` per class.
-type Batches = &'static [(u64, &'static [u64])];
-
-/// Instances whose preemptive builds take case 3.a of Algorithm 3 (the
-/// continuous knapsack over the light-cheap classes with big jobs) at the
-/// accepted guess of every 3/2 solve: one large-machine class per machine
-/// but one, and big jobs that do not all fit outside the large machines.
-/// The generator families below never build in case 3.a (they reach it
-/// only at rejected guesses), so these are written out.
-const CASE_3A: [(usize, Batches); 4] = [
-    (2, &[(60, &[30]), (10, &[50, 50])]),
-    (3, &[(61, &[27]), (58, &[33]), (12, &[47, 51, 44])]),
-    (
-        4,
-        &[(57, &[31]), (66, &[22]), (59, &[35]), (11, &[49, 57, 52])],
-    ),
-    (2, &[(61, &[29]), (9, &[46, 52]), (3, &[1, 2, 2])]),
-];
-
 fn instances() -> Vec<(String, Instance)> {
     let mut out = Vec::new();
     for seed in 0..=5 {
@@ -51,12 +32,10 @@ fn instances() -> Vec<(String, Instance)> {
             out.push((format!("{family}/{seed}"), inst));
         }
     }
-    for (k, (machines, batches)) in CASE_3A.iter().enumerate() {
-        let mut b = InstanceBuilder::new(*machines);
-        for &(setup, jobs) in *batches {
-            b.add_batch(setup, jobs);
-        }
-        out.push((format!("case_3a/{k}"), b.build().expect("valid instance")));
+    // The generator families above never build in case 3.a of Algorithm 3
+    // (the continuous knapsack); these instances do, at every accepted guess.
+    for (k, inst) in gen::paper::case_3a().into_iter().enumerate() {
+        out.push((format!("case_3a/{k}"), inst));
     }
     out
 }
