@@ -8,10 +8,10 @@
 use bss_core::{solve, Algorithm};
 use bss_gen::FamilySpec;
 use bss_instance::Variant;
-use bss_json::{ToJson, Value};
+use bss_json::Value;
 use bss_report::{time_best_of, Table};
 
-use super::{fmt_ms, fmt_ratio, int, int_list, Artifact, ArtifactFile, Grid, ReproConfig};
+use super::{fmt_ms, fmt_ratio, int, int_list, tree, Artifact, ArtifactFile, Grid, ReproConfig};
 
 const JOBS: usize = 10_000;
 const MACHINES: usize = 8;
@@ -131,12 +131,7 @@ pub fn run(cfg: &ReproConfig) -> Artifact {
             ("machines".into(), int(MACHINES)),
             (
                 "suites".into(),
-                Value::Array(
-                    suites()
-                        .iter()
-                        .map(|(_, spec)| spec.to_json_value())
-                        .collect(),
-                ),
+                Value::Array(suites().iter().map(|(_, spec)| tree(spec)).collect()),
             ),
             (
                 "eps_log2".into(),

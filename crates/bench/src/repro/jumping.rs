@@ -11,10 +11,10 @@
 use bss_core::{solve, Algorithm};
 use bss_gen::FamilySpec;
 use bss_instance::Variant;
-use bss_json::{ToJson, Value};
+use bss_json::Value;
 use bss_report::{time_best_of, Table};
 
-use super::{fmt_ms, fmt_ratio, int, int_list, Artifact, ArtifactFile, Grid, ReproConfig};
+use super::{fmt_ms, fmt_ratio, int, int_list, tree, Artifact, ArtifactFile, Grid, ReproConfig};
 
 const JOBS: usize = 10_000;
 const MACHINES: usize = 256;
@@ -114,13 +114,12 @@ pub fn run(cfg: &ReproConfig) -> Artifact {
             ("eps_log2".into(), int(EPS_LOG2 as usize)),
             (
                 "family".into(),
-                FamilySpec::Contended {
+                tree(&FamilySpec::Contended {
                     jobs: JOBS,
                     classes: cs[0],
                     machines: MACHINES,
                     seed: SEED,
-                }
-                .to_json_value(),
+                }),
             ),
         ]),
     }

@@ -43,7 +43,7 @@ mod table1;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use bss_json::Value;
+use bss_json::{ToJson, Value};
 use bss_rational::Rational;
 
 pub use table1::bounds_table;
@@ -346,7 +346,7 @@ pub fn manifest(cfg: &ReproConfig, artifacts: &[Artifact]) -> Value {
 /// Renders the manifest with a trailing newline (clean committed diffs).
 #[must_use]
 pub fn render_manifest(manifest: &Value) -> String {
-    let mut text = bss_json::to_string_pretty(manifest);
+    let mut text = bss_json::encode_pretty(manifest);
     text.push('\n');
     text
 }
@@ -539,6 +539,13 @@ pub fn int(v: usize) -> Value {
 #[must_use]
 pub fn int_list<I: IntoIterator<Item = u64>>(vs: I) -> Value {
     Value::Array(vs.into_iter().map(|v| Value::Int(v.into())).collect())
+}
+
+/// The JSON tree of a typed value (manifest helper for family specs): its
+/// encoded text, parsed back.
+#[must_use]
+pub fn tree<T: ToJson>(value: &T) -> Value {
+    bss_json::parse(&bss_json::encode(value)).expect("encoded JSON parses")
 }
 
 #[cfg(test)]

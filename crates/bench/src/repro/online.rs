@@ -27,11 +27,11 @@ use bss_exact::{solve_bss, ExactConfig, ExactStatus};
 use bss_gen::online::OnlineSpec;
 use bss_gen::FamilySpec;
 use bss_instance::{Instance, Variant};
-use bss_json::{ToJson, Value};
+use bss_json::Value;
 use bss_rational::Rational;
 use bss_report::Table;
 
-use super::{fmt_f64, fmt_ratio, int, int_list, Artifact, ArtifactFile, Grid, ReproConfig};
+use super::{fmt_f64, fmt_ratio, int, int_list, tree, Artifact, ArtifactFile, Grid, ReproConfig};
 
 /// The fast seeds are a prefix of the full seeds, so every fast-grid CSV
 /// row appears verbatim in the committed full-grid golden.
@@ -252,7 +252,7 @@ pub fn run(cfg: &ReproConfig) -> Artifact {
             ("seeds".into(), int_list(seed_list.iter().copied())),
             ("events".into(), int(EVENTS)),
             ("max_jobs".into(), int(MAX_JOBS)),
-            ("spec".into(), spec(0).to_json_value()),
+            ("spec".into(), tree(&spec(0))),
             (
                 "policies".into(),
                 Value::Array(

@@ -11,10 +11,10 @@
 use bss_core::{solve, Algorithm};
 use bss_gen::FamilySpec;
 use bss_instance::Variant;
-use bss_json::{ToJson, Value};
+use bss_json::Value;
 use bss_report::{fit_loglog, time_best_of, Table};
 
-use super::{fmt_ratio, int_list, Artifact, ArtifactFile, Grid, ReproConfig};
+use super::{fmt_ratio, int_list, tree, Artifact, ArtifactFile, Grid, ReproConfig};
 
 const UNIFORM_SEED: u64 = 7;
 const DELTA_SEED: u64 = 3;
@@ -241,14 +241,13 @@ pub fn run(cfg: &ReproConfig) -> Artifact {
             ),
             (
                 "s5_shape".into(),
-                FamilySpec::WideDelta {
+                tree(&FamilySpec::WideDelta {
                     jobs: S5_JOBS,
                     classes: S5_JOBS / 20,
                     machines: 16,
                     delta: 1u64 << deltas[0],
                     seed: DELTA_SEED,
-                }
-                .to_json_value(),
+                }),
             ),
         ]),
     }

@@ -19,13 +19,13 @@
 
 use bss_core::{solve, solve_seqdep, Algorithm};
 use bss_instance::Variant;
-use bss_json::{ToJson, Value};
+use bss_json::Value;
 use bss_rational::Rational;
 use bss_report::{time_best_of, Table};
 
 use crate::suites::{table1_suites, Suite};
 
-use super::{fmt_ms, fmt_ratio, int, int_list, Artifact, ArtifactFile, Grid, ReproConfig};
+use super::{fmt_ms, fmt_ratio, int, int_list, tree, Artifact, ArtifactFile, Grid, ReproConfig};
 
 const JOBS: usize = 4000;
 const CLASSES: usize = JOBS / 20;
@@ -182,9 +182,7 @@ pub fn run(cfg: &ReproConfig) -> Artifact {
                                 ("name".into(), Value::Str(s.name.into())),
                                 (
                                     "specs".into(),
-                                    Value::Array(
-                                        s.specs.iter().map(ToJson::to_json_value).collect(),
-                                    ),
+                                    Value::Array(s.specs.iter().map(tree).collect()),
                                 ),
                             ])
                         })

@@ -32,35 +32,6 @@ pub struct Classification {
     pub ichp_minus: Vec<ClassId>,
 }
 
-impl Classification {
-    /// All expensive classes (`I_exp`), in class order.
-    #[must_use]
-    pub fn iexp(&self) -> Vec<ClassId> {
-        let mut v: Vec<ClassId> = self
-            .iexp_plus
-            .iter()
-            .chain(&self.iexp_zero)
-            .chain(&self.iexp_minus)
-            .copied()
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// All cheap classes (`I_chp`), in class order.
-    #[must_use]
-    pub fn ichp(&self) -> Vec<ClassId> {
-        let mut v: Vec<ClassId> = self
-            .ichp_plus
-            .iter()
-            .chain(&self.ichp_minus)
-            .copied()
-            .collect();
-        v.sort_unstable();
-        v
-    }
-}
-
 /// Computes the class partition at guess `t` in `O(c)`.
 #[must_use]
 pub fn classify(inst: &Instance, t: Rational) -> Classification {
@@ -213,8 +184,6 @@ mod tests {
         assert_eq!(cls.iexp_minus, vec![2]);
         assert_eq!(cls.ichp_plus, vec![3]);
         assert_eq!(cls.ichp_minus, vec![4]);
-        assert_eq!(cls.iexp(), vec![0, 1, 2]);
-        assert_eq!(cls.ichp(), vec![3, 4]);
     }
 
     #[test]
@@ -224,7 +193,7 @@ mod tests {
         b.add_batch(50, &[1]);
         let inst = b.build().unwrap();
         let cls = classify(&inst, r(100));
-        assert!(cls.iexp().is_empty());
+        assert!(cls.iexp_plus.is_empty() && cls.iexp_zero.is_empty() && cls.iexp_minus.is_empty());
         assert_eq!(cls.ichp_plus, vec![0]);
         // s = T/4 exactly → I+chp.
         let cls = classify(&inst, r(200));

@@ -99,8 +99,7 @@ pub fn dual_into(
 
     // Step 1: expensive classes, β_i machines each, gaps of job capacity T/2
     // above the setups. The expensive cells are walked in sorted class order
-    // (matching the historical `iexp()` order) via a three-way merge over
-    // the already-sorted partition cells.
+    // via a three-way merge over the already-sorted partition cells.
     let mut next_machine = 0usize;
     ws.partial.clear();
     let cls = &ws.cls;

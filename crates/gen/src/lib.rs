@@ -26,7 +26,7 @@ pub mod paper;
 pub mod seqdep;
 
 use bss_instance::{Instance, InstanceBuilder};
-use bss_json::{ToJson, Value};
+use bss_json::{JsonWriter, ToJson};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -239,60 +239,61 @@ impl FamilySpec {
 }
 
 impl ToJson for FamilySpec {
-    fn to_json_value(&self) -> Value {
-        let mut fields = vec![("family".into(), Value::Str(self.family().into()))];
-        let mut push = |key: &str, v: u64| fields.push((key.into(), Value::Int(v as i128)));
-        match *self {
-            FamilySpec::Uniform {
-                jobs,
-                classes,
-                machines,
-                ..
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|o| {
+            o.key("family").str(self.family());
+            let mut push = |key: &str, v: u64| o.key(key).int(v.into());
+            match *self {
+                FamilySpec::Uniform {
+                    jobs,
+                    classes,
+                    machines,
+                    ..
+                }
+                | FamilySpec::ZipfClasses {
+                    jobs,
+                    classes,
+                    machines,
+                    ..
+                }
+                | FamilySpec::Contended {
+                    jobs,
+                    classes,
+                    machines,
+                    ..
+                }
+                | FamilySpec::AllExpensive {
+                    jobs,
+                    classes,
+                    machines,
+                    ..
+                } => {
+                    push("jobs", jobs as u64);
+                    push("classes", classes as u64);
+                    push("machines", machines as u64);
+                }
+                FamilySpec::SmallBatches { jobs, machines, .. }
+                | FamilySpec::SingleJob { jobs, machines, .. }
+                | FamilySpec::ExpensiveSetups { jobs, machines, .. } => {
+                    push("jobs", jobs as u64);
+                    push("machines", machines as u64);
+                }
+                FamilySpec::WideDelta {
+                    jobs,
+                    classes,
+                    machines,
+                    delta,
+                    ..
+                } => {
+                    push("jobs", jobs as u64);
+                    push("classes", classes as u64);
+                    push("machines", machines as u64);
+                    push("delta", delta);
+                }
+                FamilySpec::Tiny { .. } => {}
             }
-            | FamilySpec::ZipfClasses {
-                jobs,
-                classes,
-                machines,
-                ..
-            }
-            | FamilySpec::Contended {
-                jobs,
-                classes,
-                machines,
-                ..
-            }
-            | FamilySpec::AllExpensive {
-                jobs,
-                classes,
-                machines,
-                ..
-            } => {
-                push("jobs", jobs as u64);
-                push("classes", classes as u64);
-                push("machines", machines as u64);
-            }
-            FamilySpec::SmallBatches { jobs, machines, .. }
-            | FamilySpec::SingleJob { jobs, machines, .. }
-            | FamilySpec::ExpensiveSetups { jobs, machines, .. } => {
-                push("jobs", jobs as u64);
-                push("machines", machines as u64);
-            }
-            FamilySpec::WideDelta {
-                jobs,
-                classes,
-                machines,
-                delta,
-                ..
-            } => {
-                push("jobs", jobs as u64);
-                push("classes", classes as u64);
-                push("machines", machines as u64);
-                push("delta", delta);
-            }
-            FamilySpec::Tiny { .. } => {}
-        }
-        push("seed", self.seed());
-        Value::Object(fields)
+            push("seed", self.seed());
+        });
     }
 }
 
@@ -744,7 +745,6 @@ mod tests {
 
     #[test]
     fn family_spec_json_names_family_and_seed() {
-        use bss_json::ToJson;
         let spec = FamilySpec::WideDelta {
             jobs: 60,
             classes: 6,
@@ -752,7 +752,7 @@ mod tests {
             delta: 1 << 20,
             seed: 7,
         };
-        let v = spec.to_json_value();
+        let v = bss_json::parse(&bss_json::encode(&spec)).unwrap();
         assert_eq!(
             v.field("family").and_then(bss_json::Value::as_str),
             Some("wide-delta")

@@ -16,7 +16,7 @@
 //! a [`bss_instance::DeltaError`].
 
 use bss_instance::{Delta, IncrementalInstance, Instance};
-use bss_json::{ToJson, Value};
+use bss_json::{JsonWriter, ToJson};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -155,22 +155,20 @@ fn reveal(shadow: &IncrementalInstance, rng: &mut StdRng, range: (u64, u64)) -> 
 }
 
 impl ToJson for OnlineSpec {
-    fn to_json_value(&self) -> Value {
-        Value::Object(vec![
-            ("family".into(), Value::Str(self.family())),
-            ("base".into(), self.base.to_json_value()),
-            ("events".into(), Value::Int(self.events as i128)),
-            ("arrivals".into(), Value::Int(i128::from(self.arrivals))),
-            ("departures".into(), Value::Int(i128::from(self.departures))),
-            ("reveals".into(), Value::Int(i128::from(self.reveals))),
-            ("job_lo".into(), Value::Int(i128::from(self.job_range.0))),
-            ("job_hi".into(), Value::Int(i128::from(self.job_range.1))),
-            (
-                "max_jobs".into(),
-                Value::Int(i128::try_from(self.max_jobs).unwrap_or(i128::MAX)),
-            ),
-            ("seed".into(), Value::Int(i128::from(self.seed))),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|o| {
+            o.key("family").str(&self.family());
+            o.key("base").value(&self.base);
+            o.key("events").int(self.events as i128);
+            o.key("arrivals").int(i128::from(self.arrivals));
+            o.key("departures").int(i128::from(self.departures));
+            o.key("reveals").int(i128::from(self.reveals));
+            o.key("job_lo").int(i128::from(self.job_range.0));
+            o.key("job_hi").int(i128::from(self.job_range.1));
+            o.key("max_jobs")
+                .int(i128::try_from(self.max_jobs).unwrap_or(i128::MAX));
+            o.key("seed").int(i128::from(self.seed));
+        });
     }
 }
 
@@ -215,6 +213,8 @@ impl OnlineTrace {
 
 #[cfg(test)]
 mod tests {
+    use bss_json::Value;
+
     use super::*;
 
     fn spec(seed: u64) -> OnlineSpec {
@@ -307,7 +307,7 @@ mod tests {
 
     #[test]
     fn json_names_family_base_and_seed() {
-        let v = spec(7).to_json_value();
+        let v = bss_json::parse(&bss_json::encode(&spec(7))).unwrap();
         assert_eq!(
             v.field("family").and_then(Value::as_str),
             Some("online-uniform")

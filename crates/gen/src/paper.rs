@@ -141,10 +141,15 @@ pub fn fig8_lemma11() -> Instance {
     b.build().expect("valid figure instance")
 }
 
-/// Four instances whose preemptive builds take case 3.a of Algorithm 3
+/// Six instances whose preemptive builds take case 3.a of Algorithm 3
 /// (the continuous knapsack over the light-cheap classes with big jobs) at
 /// the accepted guess of every 3/2 solve: one `I⁰_exp` class per machine
 /// but one, and big jobs that do not all fit outside the large machines.
+///
+/// The first four have a single light-cheap class, which the knapsack
+/// splits. The last two have three, so the knapsack takes one whole, splits
+/// one and leaves one out: every branch of the case-3.a build runs, and in
+/// the fifth the class left out also has a small job.
 ///
 /// The seeded families of this crate never build in case 3.a (they reach it
 /// only at rejected guesses), so these are written out; they are small
@@ -154,7 +159,7 @@ pub fn case_3a() -> Vec<Instance> {
     /// An instance's batches: `(setup, job times)` per class.
     type Batches = &'static [(u64, &'static [u64])];
     /// `(machines, batches)` per instance.
-    const SHAPES: [(usize, Batches); 4] = [
+    const SHAPES: [(usize, Batches); 6] = [
         (2, &[(60, &[30]), (10, &[50, 50])]),
         (3, &[(61, &[27]), (58, &[33]), (12, &[47, 51, 44])]),
         (
@@ -162,6 +167,28 @@ pub fn case_3a() -> Vec<Instance> {
             &[(57, &[31]), (66, &[22]), (59, &[35]), (11, &[49, 57, 52])],
         ),
         (2, &[(61, &[29]), (9, &[46, 52]), (3, &[1, 2, 2])]),
+        (
+            4,
+            &[
+                (63, &[21]),
+                (62, &[23]),
+                (58, &[27]),
+                (7, &[49, 6]),
+                (4, &[52, 2]),
+                (4, &[54]),
+            ],
+        ),
+        (
+            4,
+            &[
+                (58, &[23]),
+                (55, &[25]),
+                (55, &[25]),
+                (5, &[56]),
+                (7, &[47]),
+                (4, &[55]),
+            ],
+        ),
     ];
     SHAPES
         .iter()

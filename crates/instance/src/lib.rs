@@ -33,7 +33,7 @@ pub use model::{
     ClassId, Instance, InstanceBuilder, InstanceError, Job, JobId, MAX_MACHINES, MAX_TOTAL_LOAD,
 };
 
-use bss_json::{FromJson, JsonError, ToJson, Value};
+use bss_json::{FromJson, JsonError, JsonWriter, ToJson, Value};
 
 /// The three problem variants of scheduling with batch setup times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,15 +72,12 @@ impl core::fmt::Display for Variant {
 }
 
 impl ToJson for Variant {
-    fn to_json_value(&self) -> Value {
-        Value::Str(
-            match self {
-                Variant::NonPreemptive => "NonPreemptive",
-                Variant::Preemptive => "Preemptive",
-                Variant::Splittable => "Splittable",
-            }
-            .into(),
-        )
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.str(match self {
+            Variant::NonPreemptive => "NonPreemptive",
+            Variant::Preemptive => "Preemptive",
+            Variant::Splittable => "Splittable",
+        });
     }
 }
 

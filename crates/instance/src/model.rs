@@ -3,7 +3,7 @@
 use core::fmt;
 use core::ops::Range;
 
-use bss_json::{FromJson, JsonError, ToJson, Value};
+use bss_json::{FromJson, JsonError, JsonWriter, ToJson, Value};
 
 /// Index of a job; jobs are numbered `0..n` in insertion order.
 pub type JobId = usize;
@@ -36,11 +36,11 @@ pub struct Job {
 }
 
 impl ToJson for Job {
-    fn to_json_value(&self) -> Value {
-        Value::Object(vec![
-            ("class".into(), Value::Int(self.class as i128)),
-            ("time".into(), Value::Int(self.time.into())),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|o| {
+            o.key("class").int(self.class as i128);
+            o.key("time").int(self.time.into());
+        });
     }
 }
 
@@ -86,15 +86,16 @@ pub struct Instance {
 }
 
 impl ToJson for Instance {
-    fn to_json_value(&self) -> Value {
-        Value::Object(vec![
-            ("machines".into(), Value::Int(self.machines as i128)),
-            (
-                "setups".into(),
-                Value::Array(self.setups.iter().map(|&s| Value::Int(s.into())).collect()),
-            ),
-            ("jobs".into(), self.jobs.to_json_value()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|o| {
+            o.key("machines").int(self.machines as i128);
+            o.key("setups").array(|a| {
+                for &s in &self.setups {
+                    a.item().int(s.into());
+                }
+            });
+            o.key("jobs").value(&self.jobs);
+        });
     }
 }
 

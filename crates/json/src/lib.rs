@@ -3,15 +3,24 @@
 //! The instance and schedule crates expose a JSON import/export surface
 //! (`bss inst.json`, `--schedule-out`, hand-edited fixture files). The build
 //! environment has no access to crates.io, so instead of serde this crate
-//! provides a small self-contained [`Value`] tree with a strict parser and
-//! two printers, plus the [`ToJson`]/[`FromJson`] traits the model types
-//! implement by hand. Files and CLI output use the pretty printer
-//! ([`encode_pretty`]), which people read and diff; `bss-serve` frames use
-//! the compact one ([`encode`]), which prints no whitespace at all.
+//! provides a small self-contained JSON codec, plus the [`ToJson`]/[`FromJson`]
+//! traits the model types implement by hand.
+//!
+//! Encoding streams: a [`ToJson`] impl writes its value piece by piece into a
+//! [`JsonWriter`], which appends the text straight to the output `String`,
+//! with no tree in between. One writer prints both forms. Files and CLI
+//! output use the pretty one ([`encode_pretty`]: two-space indents, `": "`,
+//! `[]`/`{}` for empty containers), which people read and diff; `bss-serve`
+//! frames use the compact one ([`encode`]), which prints no whitespace at all.
+//!
+//! Decoding builds the tree: [`parse`] turns text into a [`Value`] with a
+//! strict parser, and a [`FromJson`] impl decodes the typed object from it.
+//! [`Value`] implements [`ToJson`] too, so a tree encodes like any other type.
 //!
 //! Numbers are kept exact: every JSON number without fraction or exponent is
 //! an `i128` (covering `u64` times and `i128` rational components); anything
-//! else parses as `f64`.
+//! else parses as `f64`. Integers that fit in a `u64` print and parse with
+//! plain digit loops; only wider ones go through `core::fmt` and `str::parse`.
 //!
 //! For *network* input (the `bss-serve` wire protocol) the parser can be
 //! bounded: [`parse_with_limits`] enforces a maximum payload size and a
@@ -20,12 +29,12 @@
 //! length-prefixed transport framing with the same size discipline.
 //!
 //! ```
-//! use bss_json::{parse, to_string_pretty, Value};
+//! use bss_json::{encode, encode_pretty, parse, Value};
 //!
 //! let v = parse(r#"{"machines": 3, "setups": [10, 4]}"#).unwrap();
 //! assert_eq!(v.field("machines").and_then(Value::as_i128), Some(3));
-//! let text = to_string_pretty(&v);
-//! assert_eq!(parse(&text).unwrap(), v);
+//! assert_eq!(encode(&v), r#"{"machines":3,"setups":[10,4]}"#);
+//! assert_eq!(parse(&encode_pretty(&v)).unwrap(), v);
 //! ```
 
 use core::fmt;
@@ -158,10 +167,10 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Types that render themselves as a JSON [`Value`].
+/// Types that write themselves as JSON into a [`JsonWriter`].
 pub trait ToJson {
-    /// Builds the JSON representation.
-    fn to_json_value(&self) -> Value;
+    /// Writes the JSON representation: exactly one value.
+    fn write_json(&self, w: &mut JsonWriter);
 }
 
 /// Types that decode themselves from a JSON [`Value`].
@@ -170,17 +179,21 @@ pub trait FromJson: Sized {
     fn from_json_value(value: &Value) -> Result<Self, JsonError>;
 }
 
-/// Serializes any [`ToJson`] type to pretty-printed JSON text.
-pub fn encode_pretty<T: ToJson>(value: &T) -> String {
-    to_string_pretty(&value.to_json_value())
+/// Serializes any [`ToJson`] type to pretty-printed JSON text: two-space
+/// indentation (the format `serde_json` uses, so existing fixture files and
+/// diffs stay familiar).
+pub fn encode_pretty<T: ToJson + ?Sized>(value: &T) -> String {
+    let mut w = JsonWriter::new(Some(0));
+    value.write_json(&mut w);
+    w.out
 }
 
 /// Serializes any [`ToJson`] type to compact JSON text (no whitespace), the
 /// form network frames use.
-pub fn encode<T: ToJson>(value: &T) -> String {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_json_value(), None);
-    out
+pub fn encode<T: ToJson + ?Sized>(value: &T) -> String {
+    let mut w = JsonWriter::new(None);
+    value.write_json(&mut w);
+    w.out
 }
 
 /// Parses JSON text and decodes it into any [`FromJson`] type.
@@ -232,8 +245,12 @@ where
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json_value(&self) -> Value {
-        Value::Array(self.iter().map(ToJson::to_json_value).collect())
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.array(|a| {
+            for item in self {
+                a.item().value(item);
+            }
+        });
     }
 }
 
@@ -244,101 +261,267 @@ impl<T: FromJson> FromJson for Vec<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Printer
+// Writer
 // ---------------------------------------------------------------------------
 
-/// Pretty-prints with two-space indentation (the format `serde_json` uses,
-/// so existing fixture files and diffs stay familiar).
-#[must_use]
-pub fn to_string_pretty(value: &Value) -> String {
-    let mut out = String::new();
-    write_value(&mut out, value, Some(0));
-    out
+/// The streaming JSON writer every [`ToJson`] impl writes into. It appends
+/// text to its output as the impl calls it: one scalar method, or one
+/// [`JsonWriter::object`]/[`JsonWriter::array`] whose closure writes the
+/// members, per value.
+///
+/// ```
+/// use bss_json::{encode, encode_pretty, JsonWriter, ToJson};
+///
+/// struct Point(i64, i64);
+///
+/// impl ToJson for Point {
+///     fn write_json(&self, w: &mut JsonWriter) {
+///         w.object(|o| {
+///             o.key("x").int(self.0.into());
+///             o.key("y").int(self.1.into());
+///             o.key("tags").array(|_| {});
+///         });
+///     }
+/// }
+///
+/// assert_eq!(encode(&Point(3, -4)), r#"{"x":3,"y":-4,"tags":[]}"#);
+/// assert_eq!(
+///     encode_pretty(&Point(3, -4)),
+///     "{\n  \"x\": 3,\n  \"y\": -4,\n  \"tags\": []\n}"
+/// );
+/// ```
+#[derive(Debug)]
+pub struct JsonWriter {
+    out: String,
+    /// `None` writes compact JSON; `Some(d)` pretty-prints the next value as
+    /// one that sits `d` containers deep.
+    depth: Option<usize>,
 }
 
-/// Prints `value` at nesting level `indent`; `None` prints compact JSON
-/// with no whitespace at all.
-fn write_value(out: &mut String, value: &Value, indent: Option<usize>) {
-    let inner = indent.map(|i| i + 1);
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(v) => write!(out, "{v}").expect("writing to a String cannot fail"),
-        Value::Float(v) => {
-            if v.is_finite() {
-                // Guarantee a re-parsable float literal.
-                let s = format!("{v}");
-                out.push_str(&s);
-                if !s.contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
-                }
-            } else {
-                out.push_str("null");
-            }
+impl JsonWriter {
+    fn new(depth: Option<usize>) -> Self {
+        JsonWriter {
+            out: String::new(),
+            depth,
         }
-        Value::Str(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_indent(out, inner);
-                write_value(out, item, inner);
-            }
-            push_indent(out, indent);
-            out.push(']');
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// Writes an exact integer. Magnitudes that fit in a `u64` print with a
+    /// digit loop; only wider ones go through `core::fmt`.
+    pub fn int(&mut self, v: i128) {
+        if v < 0 {
+            self.out.push('-');
         }
-        Value::Object(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
+        let magnitude = v.unsigned_abs();
+        match u64::try_from(magnitude) {
+            Ok(small) => push_u64(&mut self.out, small),
+            Err(_) => write!(self.out, "{magnitude}").expect("writing to a String cannot fail"),
+        }
+    }
+
+    /// Writes a float; a literal that would print without `.` or exponent
+    /// gets `.0` so it reads back as a float, and a non-finite value is
+    /// written as `null`.
+    pub fn float(&mut self, v: f64) {
+        if v.is_finite() {
+            let start = self.out.len();
+            write!(self.out, "{v}").expect("writing to a String cannot fail");
+            if !self.out[start..].contains(['.', 'e', 'E']) {
+                self.out.push_str(".0");
             }
-            out.push('{');
-            for (i, (key, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_indent(out, inner);
-                write_string(out, key);
-                out.push_str(if indent.is_some() { ": " } else { ":" });
-                write_value(out, item, inner);
+        } else {
+            self.null();
+        }
+    }
+
+    /// Writes a string literal, escaping `"`, `\` and control characters.
+    pub fn str(&mut self, s: &str) {
+        push_string(&mut self.out, s);
+    }
+
+    /// Writes any [`ToJson`] value.
+    pub fn value<T: ToJson + ?Sized>(&mut self, value: &T) {
+        value.write_json(self);
+    }
+
+    /// Writes an object whose fields `fields` writes through
+    /// [`ObjectWriter::key`], in order.
+    pub fn object(&mut self, fields: impl FnOnce(&mut ObjectWriter<'_>)) {
+        self.out.push('{');
+        let empty = self.members(|w| {
+            let mut o = ObjectWriter { w, empty: true };
+            fields(&mut o);
+            o.empty
+        });
+        if !empty {
+            self.newline();
+        }
+        self.out.push('}');
+    }
+
+    /// Writes an array whose elements `items` writes through
+    /// [`ArrayWriter::item`], in order.
+    pub fn array(&mut self, items: impl FnOnce(&mut ArrayWriter<'_>)) {
+        self.out.push('[');
+        let empty = self.members(|w| {
+            let mut a = ArrayWriter { w, empty: true };
+            items(&mut a);
+            a.empty
+        });
+        if !empty {
+            self.newline();
+        }
+        self.out.push(']');
+    }
+
+    /// Runs `write` one nesting level deeper.
+    fn members(&mut self, write: impl FnOnce(&mut JsonWriter) -> bool) -> bool {
+        let outer = self.depth;
+        self.depth = outer.map(|d| d + 1);
+        let empty = write(self);
+        self.depth = outer;
+        empty
+    }
+
+    /// Starts the next member of the container being written: a comma
+    /// unless it is the first, then (pretty only) a new indented line.
+    fn member(&mut self, empty: &mut bool) {
+        if !core::mem::replace(empty, false) {
+            self.out.push(',');
+        }
+        self.newline();
+    }
+
+    /// Starts a new pretty-printed line at the current depth; nothing when
+    /// compact.
+    fn newline(&mut self) {
+        if let Some(depth) = self.depth {
+            self.out.push('\n');
+            for _ in 0..depth {
+                self.out.push_str("  ");
             }
-            push_indent(out, indent);
-            out.push('}');
         }
     }
 }
 
-/// Starts a new pretty-printed line at `indent`; nothing when compact.
-fn push_indent(out: &mut String, indent: Option<usize>) {
-    if let Some(indent) = indent {
-        out.push('\n');
-        for _ in 0..indent {
-            out.push_str("  ");
+/// Writes the fields of one object (see [`JsonWriter::object`]).
+#[derive(Debug)]
+pub struct ObjectWriter<'w> {
+    w: &'w mut JsonWriter,
+    empty: bool,
+}
+
+impl ObjectWriter<'_> {
+    /// Writes the field name `key` and returns the writer for its value,
+    /// which the caller must write next: exactly one value.
+    pub fn key(&mut self, key: &str) -> &mut JsonWriter {
+        self.w.member(&mut self.empty);
+        push_string(&mut self.w.out, key);
+        self.w
+            .out
+            .push_str(if self.w.depth.is_some() { ": " } else { ":" });
+        self.w
+    }
+}
+
+/// Writes the elements of one array (see [`JsonWriter::array`]).
+#[derive(Debug)]
+pub struct ArrayWriter<'w> {
+    w: &'w mut JsonWriter,
+    empty: bool,
+}
+
+impl ArrayWriter<'_> {
+    /// Starts the next element and returns the writer for it, which the
+    /// caller must write next: exactly one value.
+    pub fn item(&mut self) -> &mut JsonWriter {
+        self.w.member(&mut self.empty);
+        self.w
+    }
+}
+
+impl ToJson for Value {
+    fn write_json(&self, w: &mut JsonWriter) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Int(v) => w.int(*v),
+            Value::Float(v) => w.float(*v),
+            Value::Str(s) => w.str(s),
+            Value::Array(items) => w.array(|a| {
+                for item in items {
+                    a.item().value(item);
+                }
+            }),
+            Value::Object(fields) => w.object(|o| {
+                for (key, item) in fields {
+                    o.key(key).value(item);
+                }
+            }),
         }
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// `"00" "01" … "99"`: two decimal digits per table entry.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends the decimal digits of `n`, two per step.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        start -= 2;
+        buf[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        start -= 2;
+        buf[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        start -= 1;
+        buf[start] = b'0' + n as u8;
+    }
+    out.push_str(core::str::from_utf8(&buf[start..]).expect("ASCII digits"));
+}
+
+/// Appends `s` as a JSON string literal. Runs of characters that need no
+/// escape are copied whole.
+fn push_string(out: &mut String, s: &str) {
     out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => write!(out, "\\u{byte:04x}").expect("writing to a String cannot fail"),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -390,6 +573,7 @@ pub fn parse_with_limits(text: &str, limits: &ParseLimits) -> Result<Value, Json
         ));
     }
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         max_depth: limits.max_depth,
@@ -406,6 +590,7 @@ pub fn parse_with_limits(text: &str, limits: &ParseLimits) -> Result<Value, Json
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     max_depth: usize,
@@ -423,10 +608,15 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
+    /// Advances past every byte from the current position on for which
+    /// `keep` holds.
+    fn skip_while(&mut self, keep: impl Fn(u8) -> bool) {
+        let rest = &self.bytes[self.pos..];
+        self.pos += rest.iter().position(|&b| !keep(b)).unwrap_or(rest.len());
+    }
+
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
+        self.skip_while(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
     }
 
     fn eat(&mut self, expected: u8) -> Result<(), JsonError> {
@@ -538,6 +728,12 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of characters up to the next quote, backslash or
+            // control character whole. The run ends at an ASCII byte, so it
+            // ends on a character boundary of the input.
+            let run = self.pos;
+            self.skip_while(|c| c >= 0x20 && c != b'"' && c != b'\\');
+            out.push_str(&self.text[run..self.pos]);
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
@@ -570,19 +766,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.error("control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                    let start = self.pos;
-                    let mut end = start + 1;
-                    while end < self.bytes.len() && self.bytes[end] & 0xC0 == 0x80 {
-                        end += 1;
-                    }
-                    out.push_str(
-                        core::str::from_utf8(&self.bytes[start..end]).expect("valid UTF-8"),
-                    );
-                    self.pos = end;
-                }
+                Some(_) => return Err(self.error("control character in string")),
             }
         }
     }
@@ -608,9 +792,7 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let digits_start = self.pos;
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
+        self.skip_while(|c| c.is_ascii_digit());
         if self.pos == digits_start {
             return Err(self.error("expected digits"));
         }
@@ -619,9 +801,7 @@ impl Parser<'_> {
             is_float = true;
             self.pos += 1;
             let frac_start = self.pos;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.skip_while(|c| c.is_ascii_digit());
             if self.pos == frac_start {
                 return Err(self.error("expected digits after `.`"));
             }
@@ -633,25 +813,43 @@ impl Parser<'_> {
                 self.pos += 1;
             }
             let exp_start = self.pos;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.skip_while(|c| c.is_ascii_digit());
             if self.pos == exp_start {
                 return Err(self.error("expected digits in exponent"));
             }
         }
-        let text = core::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.text[start..self.pos];
         if is_float {
-            text.parse::<f64>()
+            return text
+                .parse::<f64>()
                 .map(Value::Float)
-                .map_err(|_| self.error("invalid number"))
-        } else {
-            text.parse::<i128>()
-                .map(Value::Int)
-                .map_err(|_| self.error("integer out of range"))
+                .map_err(|_| self.error("invalid number"));
         }
+        let digits = &self.bytes[digits_start..self.pos];
+        if digits.len() > FAST_DIGITS {
+            return text
+                .parse::<i128>()
+                .map(Value::Int)
+                .map_err(|_| self.error("integer out of range"));
+        }
+        // At most 18 digits: below 10^18 < 2^63, so neither the sum nor the
+        // negation can overflow.
+        let magnitude = digits
+            .iter()
+            .fold(0u64, |acc, &d| acc * 10 + u64::from(d - b'0'));
+        let value = i128::from(magnitude);
+        Ok(Value::Int(if start == digits_start {
+            value
+        } else {
+            -value
+        }))
     }
 }
+
+/// The longest integer literal (in digits, leading zeros included) that
+/// [`Parser::parse_number`] accumulates in a `u64`; longer ones take the
+/// exact `i128` parse with its range check.
+const FAST_DIGITS: usize = 18;
 
 // ---------------------------------------------------------------------------
 // Length-prefixed framing
@@ -777,13 +975,6 @@ pub mod frame {
 mod tests {
     use super::*;
 
-    /// What [`encode`] prints for a type whose JSON form is `value`.
-    fn compact(value: &Value) -> String {
-        let mut out = String::new();
-        write_value(&mut out, value, None);
-        out
-    }
-
     #[test]
     fn roundtrips() {
         let doc = Value::Object(vec![
@@ -801,9 +992,9 @@ mod tests {
             ("big".into(), Value::Int(i128::MAX)),
             ("neg".into(), Value::Int(i128::MIN)),
         ]);
-        let text = to_string_pretty(&doc);
+        let text = encode_pretty(&doc);
         assert_eq!(parse(&text).unwrap(), doc);
-        let compact = compact(&doc);
+        let compact = encode(&doc);
         assert_eq!(parse(&compact).unwrap(), doc);
         assert!(compact.len() < text.len());
         assert!(!compact.contains(['\n', '\t']) && !compact.contains(": "));
@@ -812,9 +1003,9 @@ mod tests {
     #[test]
     fn compact_printer_prints_no_whitespace() {
         let v = parse(r#"{"a": [1, -2, {"b": null}], "c": {}, "d": []}"#).unwrap();
-        assert_eq!(compact(&v), r#"{"a":[1,-2,{"b":null}],"c":{},"d":[]}"#);
+        assert_eq!(encode(&v), r#"{"a":[1,-2,{"b":null}],"c":{},"d":[]}"#);
         assert_eq!(
-            to_string_pretty(&v),
+            encode_pretty(&v),
             "{\n  \"a\": [\n    1,\n    -2,\n    {\n      \"b\": null\n    }\n  ],\n  \"c\": {},\n  \"d\": []\n}"
         );
     }

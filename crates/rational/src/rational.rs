@@ -5,7 +5,7 @@ use core::fmt;
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use core::str::FromStr;
 
-use bss_json::{FromJson, JsonError, ToJson, Value};
+use bss_json::{FromJson, JsonError, JsonWriter, ToJson, Value};
 
 use crate::gcd;
 
@@ -31,11 +31,11 @@ pub struct Rational {
 }
 
 impl ToJson for Rational {
-    fn to_json_value(&self) -> Value {
-        Value::Object(vec![
-            ("num".into(), Value::Int(self.num)),
-            ("den".into(), Value::Int(self.den)),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|o| {
+            o.key("num").int(self.num);
+            o.key("den").int(self.den);
+        });
     }
 }
 

@@ -15,7 +15,7 @@
 //! copy.
 
 use bss_instance::JobId;
-use bss_json::{FromJson, JsonError, ToJson, Value};
+use bss_json::{FromJson, JsonError, JsonWriter, ToJson, Value};
 use bss_rational::Rational;
 
 use crate::{ItemKind, Placement, PlacementSink, Schedule, Violation};
@@ -32,12 +32,12 @@ pub struct ConfigItem {
 }
 
 impl ToJson for ConfigItem {
-    fn to_json_value(&self) -> Value {
-        Value::Object(vec![
-            ("start".into(), self.start.to_json_value()),
-            ("len".into(), self.len.to_json_value()),
-            ("kind".into(), self.kind.to_json_value()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|o| {
+            o.key("start").value(&self.start);
+            o.key("len").value(&self.len);
+            o.key("kind").value(&self.kind);
+        });
     }
 }
 
@@ -80,8 +80,8 @@ impl MachineConfig {
 }
 
 impl ToJson for MachineConfig {
-    fn to_json_value(&self) -> Value {
-        Value::Object(vec![("items".into(), self.items.to_json_value())])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|o| o.key("items").value(&self.items));
     }
 }
 
@@ -106,15 +106,12 @@ pub struct ConfigGroup {
 }
 
 impl ToJson for ConfigGroup {
-    fn to_json_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "first_machine".into(),
-                Value::Int(self.first_machine as i128),
-            ),
-            ("count".into(), Value::Int(self.count as i128)),
-            ("config".into(), self.config.to_json_value()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|o| {
+            o.key("first_machine").int(self.first_machine as i128);
+            o.key("count").int(self.count as i128);
+            o.key("config").value(&self.config);
+        });
     }
 }
 
@@ -143,11 +140,11 @@ pub struct CompactSchedule {
 }
 
 impl ToJson for CompactSchedule {
-    fn to_json_value(&self) -> Value {
-        Value::Object(vec![
-            ("machines".into(), Value::Int(self.machines as i128)),
-            ("groups".into(), self.groups.to_json_value()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|o| {
+            o.key("machines").int(self.machines as i128);
+            o.key("groups").value(&self.groups);
+        });
     }
 }
 

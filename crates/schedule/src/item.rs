@@ -1,7 +1,7 @@
 //! Placements: the atoms of a schedule.
 
 use bss_instance::{ClassId, JobId};
-use bss_json::{FromJson, JsonError, ToJson, Value};
+use bss_json::{FromJson, JsonError, JsonWriter, ToJson, Value};
 use bss_rational::Rational;
 
 /// What occupies a stretch of machine time.
@@ -39,19 +39,14 @@ impl ItemKind {
 // The wire format follows serde's externally-tagged enum convention:
 // `{"Setup": 3}` and `{"Piece": {"job": 7, "class": 3}}`.
 impl ToJson for ItemKind {
-    fn to_json_value(&self) -> Value {
-        match *self {
-            ItemKind::Setup(class) => {
-                Value::Object(vec![("Setup".into(), Value::Int(class as i128))])
-            }
-            ItemKind::Piece { job, class } => Value::Object(vec![(
-                "Piece".into(),
-                Value::Object(vec![
-                    ("job".into(), Value::Int(job as i128)),
-                    ("class".into(), Value::Int(class as i128)),
-                ]),
-            )]),
-        }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|o| match *self {
+            ItemKind::Setup(class) => o.key("Setup").int(class as i128),
+            ItemKind::Piece { job, class } => o.key("Piece").object(|piece| {
+                piece.key("job").int(job as i128);
+                piece.key("class").int(class as i128);
+            }),
+        });
     }
 }
 
@@ -106,13 +101,13 @@ impl Placement {
 }
 
 impl ToJson for Placement {
-    fn to_json_value(&self) -> Value {
-        Value::Object(vec![
-            ("machine".into(), Value::Int(self.machine as i128)),
-            ("start".into(), self.start.to_json_value()),
-            ("len".into(), self.len.to_json_value()),
-            ("kind".into(), self.kind.to_json_value()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|o| {
+            o.key("machine").int(self.machine as i128);
+            o.key("start").value(&self.start);
+            o.key("len").value(&self.len);
+            o.key("kind").value(&self.kind);
+        });
     }
 }
 

@@ -1,6 +1,6 @@
 //! The explicit [`Schedule`] representation.
 
-use bss_json::{FromJson, JsonError, ToJson, Value};
+use bss_json::{FromJson, JsonError, JsonWriter, ToJson, Value};
 use bss_rational::Rational;
 
 use crate::{ItemKind, Placement};
@@ -17,11 +17,11 @@ pub struct Schedule {
 }
 
 impl ToJson for Schedule {
-    fn to_json_value(&self) -> Value {
-        Value::Object(vec![
-            ("machines".into(), Value::Int(self.machines as i128)),
-            ("placements".into(), self.placements.to_json_value()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|o| {
+            o.key("machines").int(self.machines as i128);
+            o.key("placements").value(&self.placements);
+        });
     }
 }
 

@@ -27,7 +27,7 @@
 
 use core::fmt;
 
-use bss_json::{FromJson, JsonError, ToJson, Value};
+use bss_json::{FromJson, JsonError, JsonWriter, ToJson, Value};
 use bss_rational::Rational;
 
 pub mod reduce;
@@ -504,28 +504,27 @@ impl SeqDepInstance {
 }
 
 impl ToJson for SeqDepInstance {
-    fn to_json_value(&self) -> Value {
-        let ints = |v: &[u64]| Value::Array(v.iter().map(|&x| Value::Int(x.into())).collect());
+    fn write_json(&self, w: &mut JsonWriter) {
+        fn ints(w: &mut JsonWriter, values: impl IntoIterator<Item = u64>) {
+            w.array(|a| {
+                for x in values {
+                    a.item().int(x.into());
+                }
+            });
+        }
         // The wire format is always the dense matrix, whatever the backing:
         // readers never have to know about the streamed representation.
         let c = self.num_classes();
-        let switch = Value::Array(
-            (0..c)
-                .map(|i| {
-                    Value::Array(
-                        (0..c)
-                            .map(|j| Value::Int(self.switch(i, j).into()))
-                            .collect(),
-                    )
-                })
-                .collect(),
-        );
-        Value::Object(vec![
-            ("machines".into(), Value::Int(self.machines as i128)),
-            ("initial".into(), ints(&self.initial)),
-            ("switch".into(), switch),
-            ("class_proc".into(), ints(&self.class_proc)),
-        ])
+        w.object(|o| {
+            o.key("machines").int(self.machines as i128);
+            ints(o.key("initial"), self.initial.iter().copied());
+            o.key("switch").array(|rows| {
+                for i in 0..c {
+                    ints(rows.item(), (0..c).map(|j| self.switch(i, j)));
+                }
+            });
+            ints(o.key("class_proc"), self.class_proc.iter().copied());
+        });
     }
 }
 

@@ -10,11 +10,10 @@ use std::net::{TcpStream, ToSocketAddrs};
 use bss_core::Algorithm;
 use bss_instance::{Delta, Instance, Variant};
 use bss_json::frame::{read_frame, write_frame, FrameError};
-use bss_json::JsonError;
+use bss_json::{JsonError, ToJson};
 
 use crate::protocol::{
-    ErrorCode, Request, Response, ServerStats, SessionRequest, SolveRequest, WireSolution,
-    PROTOCOL_VERSION,
+    ErrorCode, InstanceFrame, Request, Response, ServerStats, WireSolution, PROTOCOL_VERSION,
 };
 
 /// Client-side failure modes.
@@ -141,7 +140,7 @@ impl Client {
     }
 
     /// Round-trips one request.
-    fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
+    fn call(&mut self, request: &impl ToJson) -> Result<Response, ClientError> {
         let text = bss_json::encode(request);
         write_frame(&mut self.stream, &text, self.max_frame_bytes)?;
         let payload =
@@ -153,9 +152,9 @@ impl Client {
     /// `expect`, which returns the echoed id and the value for the replies
     /// the request expects (and [`unexpected`] for any other). The echoed
     /// id must match.
-    fn exchange<T>(
+    fn exchange<R: ToJson, T>(
         &mut self,
-        request: impl FnOnce(u64) -> Request,
+        request: impl FnOnce(u64) -> R,
         expect: impl FnOnce(Response) -> Result<(u64, T), ClientError>,
     ) -> Result<T, ClientError> {
         let id = self.next_id;
@@ -182,16 +181,12 @@ impl Client {
         algo: Algorithm,
         opts: SolveOptions,
     ) -> Result<SolveOutcome, ClientError> {
-        let request = |id| {
-            Request::Solve(Box::new(SolveRequest {
-                id,
-                instance: instance.clone(),
-                variant,
-                algo,
-                deadline_ms: opts.deadline_ms,
-                work_budget: opts.work_budget,
-                want_schedule: opts.want_schedule,
-            }))
+        let request = |id| InstanceFrame {
+            id,
+            instance,
+            variant,
+            algo,
+            solve: Some(opts),
         };
         self.exchange(request, solve_outcome)
     }
@@ -273,13 +268,12 @@ impl Client {
         variant: Variant,
         algo: Algorithm,
     ) -> Result<SessionAck, ClientError> {
-        let request = |id| {
-            Request::Session(Box::new(SessionRequest {
-                id,
-                instance: instance.clone(),
-                variant,
-                algo,
-            }))
+        let request = |id| InstanceFrame {
+            id,
+            instance,
+            variant,
+            algo,
+            solve: None,
         };
         self.exchange(request, session_ack)
     }

@@ -21,7 +21,10 @@
 //!   cause a miss but never a wrong answer.
 //! * [`protocol`] — the versioned request/response envelopes, with typed
 //!   error codes for malformed, oversized, and over-deep input. A request's
-//!   jobs and a reply's placements travel as flat integer tables.
+//!   jobs and a reply's placements travel as flat integer tables, written
+//!   row by row from the borrowed instance and schedule: the client never
+//!   clones the instance it sends, and the server writes a solved reply
+//!   straight from the cached [`bss_core::Solution`].
 //! * [`client`] — a blocking client speaking the protocol.
 //! * [`loadgen`] — seeded open- and closed-loop load generation with a
 //!   latency histogram; the `throughput` bench and the CLI `loadgen`

@@ -67,11 +67,12 @@
 
 use bss_core::{Algorithm, Completion, Solution};
 use bss_instance::{Delta, Instance, Job, Variant};
-use bss_json::{FromJson, JsonError, JsonErrorKind, ToJson, Value};
+use bss_json::{FromJson, JsonError, JsonErrorKind, JsonWriter, ObjectWriter, ToJson, Value};
 use bss_rational::Rational;
 use bss_schedule::{ItemKind, Placement, Schedule};
 
 use crate::cache::CacheStats;
+use crate::client::SolveOptions;
 
 /// The protocol version this build speaks. Mismatches are rejected with
 /// [`ErrorCode::UnsupportedVersion`] rather than misdecoded.
@@ -276,14 +277,56 @@ impl WireSolution {
     /// Builds the payload from a solved [`Solution`].
     #[must_use]
     pub fn of(sol: &Solution, want_schedule: bool) -> Self {
+        let view = SolutionView::of(sol, want_schedule);
         WireSolution {
+            makespan: view.makespan,
+            accepted: view.accepted,
+            ratio_bound: view.ratio_bound,
+            certificate: view.certificate,
+            probes: view.probes,
+            completion: view.completion,
+            schedule: view.schedule.cloned(),
+        }
+    }
+
+    fn view(&self) -> SolutionView<'_> {
+        SolutionView {
+            makespan: self.makespan,
+            accepted: self.accepted,
+            ratio_bound: self.ratio_bound,
+            certificate: self.certificate,
+            probes: self.probes,
+            completion: self.completion,
+            schedule: self.schedule.as_ref(),
+        }
+    }
+}
+
+/// A solution payload with its schedule borrowed: what a [`WireSolution`]
+/// holds, and what the server writes straight from a cached [`Solution`]
+/// without cloning its schedule.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SolutionView<'a> {
+    makespan: Rational,
+    accepted: Rational,
+    ratio_bound: Rational,
+    certificate: Rational,
+    probes: u64,
+    completion: Completion,
+    schedule: Option<&'a Schedule>,
+}
+
+impl<'a> SolutionView<'a> {
+    /// The payload of a solved [`Solution`], with its schedule when wanted.
+    pub(crate) fn of(sol: &'a Solution, want_schedule: bool) -> Self {
+        SolutionView {
             makespan: sol.makespan,
             accepted: sol.accepted,
             ratio_bound: sol.ratio_bound,
             certificate: sol.certificate,
             probes: sol.probes as u64,
             completion: sol.completion,
-            schedule: want_schedule.then(|| sol.schedule().clone()),
+            schedule: want_schedule.then(|| sol.schedule()),
         }
     }
 }
@@ -410,23 +453,23 @@ pub fn algorithm_from_wire(s: &str) -> Result<Algorithm, JsonError> {
     }
 }
 
-/// Wire fields of a [`Delta`] (`"op"` plus its operands).
-fn delta_fields(delta: Delta) -> Vec<(String, Value)> {
+/// Writes the wire fields of a [`Delta`] (`"op"` plus its operands).
+fn write_delta(o: &mut ObjectWriter<'_>, delta: Delta) {
     match delta {
-        Delta::AddJob { class, time } => vec![
-            ("op".into(), Value::Str("add-job".into())),
-            ("class".into(), Value::Int(class as i128)),
-            ("time".into(), Value::Int(time.into())),
-        ],
-        Delta::RemoveJob { job } => vec![
-            ("op".into(), Value::Str("remove-job".into())),
-            ("job".into(), Value::Int(job as i128)),
-        ],
-        Delta::Retime { job, time } => vec![
-            ("op".into(), Value::Str("retime".into())),
-            ("job".into(), Value::Int(job as i128)),
-            ("time".into(), Value::Int(time.into())),
-        ],
+        Delta::AddJob { class, time } => {
+            o.key("op").str("add-job");
+            o.key("class").int(class as i128);
+            o.key("time").int(time.into());
+        }
+        Delta::RemoveJob { job } => {
+            o.key("op").str("remove-job");
+            o.key("job").int(job as i128);
+        }
+        Delta::Retime { job, time } => {
+            o.key("op").str("retime");
+            o.key("job").int(job as i128);
+            o.key("time").int(time.into());
+        }
     }
 }
 
@@ -479,70 +522,90 @@ fn completion_from_wire(s: &str) -> Result<Completion, JsonError> {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn envelope(id: u64, fields: Vec<(String, Value)>) -> Value {
-    let mut all = vec![
-        ("v".into(), Value::Int(PROTOCOL_VERSION)),
-        ("id".into(), Value::Int(id as i128)),
-    ];
-    all.extend(fields);
-    Value::Object(all)
+/// Writes a message envelope: `"v"` and `"id"`, then `body`'s fields.
+fn envelope(w: &mut JsonWriter, id: u64, body: impl FnOnce(&mut ObjectWriter<'_>)) {
+    w.object(|o| {
+        o.key("v").int(PROTOCOL_VERSION);
+        o.key("id").int(id.into());
+        body(o);
+    });
 }
 
 impl ToJson for Request {
-    fn to_json_value(&self) -> Value {
+    fn write_json(&self, w: &mut JsonWriter) {
         match self {
-            Request::Solve(req) => {
-                let mut fields = vec![
-                    ("kind".into(), Value::Str("solve".into())),
-                    ("variant".into(), req.variant.to_json_value()),
-                    ("algorithm".into(), Value::Str(algorithm_to_wire(req.algo))),
-                ];
-                if let Some(ms) = req.deadline_ms {
-                    fields.push(("deadline_ms".into(), Value::Int(ms.into())));
-                }
-                if let Some(w) = req.work_budget {
-                    fields.push(("work_budget".into(), Value::Int(w.into())));
-                }
-                fields.push(("schedule".into(), Value::Bool(req.want_schedule)));
-                fields.push(("instance".into(), instance_to_wire(&req.instance)));
-                envelope(req.id, fields)
+            Request::Solve(req) => InstanceFrame {
+                id: req.id,
+                instance: &req.instance,
+                variant: req.variant,
+                algo: req.algo,
+                solve: Some(SolveOptions {
+                    deadline_ms: req.deadline_ms,
+                    work_budget: req.work_budget,
+                    want_schedule: req.want_schedule,
+                }),
             }
-            Request::Ping { id } => envelope(*id, vec![("kind".into(), Value::Str("ping".into()))]),
-            Request::Stats { id } => {
-                envelope(*id, vec![("kind".into(), Value::Str("stats".into()))])
+            .write_json(w),
+            Request::Session(req) => InstanceFrame {
+                id: req.id,
+                instance: &req.instance,
+                variant: req.variant,
+                algo: req.algo,
+                solve: None,
             }
-            Request::Shutdown { id } => {
-                envelope(*id, vec![("kind".into(), Value::Str("shutdown".into()))])
-            }
-            Request::Sleep { id, ms } => envelope(
-                *id,
-                vec![
-                    ("kind".into(), Value::Str("sleep".into())),
-                    ("ms".into(), Value::Int((*ms).into())),
-                ],
-            ),
-            Request::Session(req) => envelope(
-                req.id,
-                vec![
-                    ("kind".into(), Value::Str("session".into())),
-                    ("variant".into(), req.variant.to_json_value()),
-                    ("algorithm".into(), Value::Str(algorithm_to_wire(req.algo))),
-                    ("instance".into(), instance_to_wire(&req.instance)),
-                ],
-            ),
-            Request::Delta { id, delta } => {
-                let mut fields = vec![("kind".into(), Value::Str("delta".into()))];
-                fields.extend(delta_fields(*delta));
-                envelope(*id, fields)
-            }
-            Request::Resolve { id, want_schedule } => envelope(
-                *id,
-                vec![
-                    ("kind".into(), Value::Str("resolve".into())),
-                    ("schedule".into(), Value::Bool(*want_schedule)),
-                ],
-            ),
+            .write_json(w),
+            Request::Ping { id } => envelope(w, *id, |o| o.key("kind").str("ping")),
+            Request::Stats { id } => envelope(w, *id, |o| o.key("kind").str("stats")),
+            Request::Shutdown { id } => envelope(w, *id, |o| o.key("kind").str("shutdown")),
+            Request::Sleep { id, ms } => envelope(w, *id, |o| {
+                o.key("kind").str("sleep");
+                o.key("ms").int((*ms).into());
+            }),
+            Request::Delta { id, delta } => envelope(w, *id, |o| {
+                o.key("kind").str("delta");
+                write_delta(o, *delta);
+            }),
+            Request::Resolve { id, want_schedule } => envelope(w, *id, |o| {
+                o.key("kind").str("resolve");
+                o.key("schedule").bool(*want_schedule);
+            }),
         }
+    }
+}
+
+/// A `solve` or `session` request with its instance borrowed:
+/// [`Request::Solve`] and [`Request::Session`] encode through it, and the
+/// [`Client`](crate::Client) sends one without cloning the instance.
+pub(crate) struct InstanceFrame<'a> {
+    pub(crate) id: u64,
+    pub(crate) instance: &'a Instance,
+    pub(crate) variant: Variant,
+    pub(crate) algo: Algorithm,
+    /// A `solve` request's own fields; `None` makes it a `session` request.
+    pub(crate) solve: Option<SolveOptions>,
+}
+
+impl ToJson for InstanceFrame<'_> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        envelope(w, self.id, |o| {
+            o.key("kind").str(if self.solve.is_some() {
+                "solve"
+            } else {
+                "session"
+            });
+            o.key("variant").value(&self.variant);
+            o.key("algorithm").str(&algorithm_to_wire(self.algo));
+            if let Some(opts) = self.solve {
+                if let Some(ms) = opts.deadline_ms {
+                    o.key("deadline_ms").int(ms.into());
+                }
+                if let Some(units) = opts.work_budget {
+                    o.key("work_budget").int(units.into());
+                }
+                o.key("schedule").bool(opts.want_schedule);
+            }
+            write_instance(o.key("instance"), self.instance);
+        });
     }
 }
 
@@ -719,18 +782,23 @@ fn table<'v>(
     Ok(items.chunks_exact(width))
 }
 
-/// The wire form of an instance: its jobs as one `[class, time, ...]` table.
-fn instance_to_wire(instance: &Instance) -> Value {
-    let setups = instance.setups().iter().map(|&s| Value::Int(s.into()));
-    let mut jobs = Vec::with_capacity(2 * instance.num_jobs());
-    for job in instance.jobs() {
-        jobs.extend([Value::Int(job.class as i128), Value::Int(job.time.into())]);
-    }
-    Value::Object(vec![
-        ("machines".into(), Value::Int(instance.machines() as i128)),
-        ("setups".into(), Value::Array(setups.collect())),
-        ("jobs".into(), Value::Array(jobs)),
-    ])
+/// Writes the wire form of an instance: its jobs as one `[class, time, ...]`
+/// table, row by row.
+fn write_instance(w: &mut JsonWriter, instance: &Instance) {
+    w.object(|o| {
+        o.key("machines").int(instance.machines() as i128);
+        o.key("setups").array(|a| {
+            for &s in instance.setups() {
+                a.item().int(s.into());
+            }
+        });
+        o.key("jobs").array(|a| {
+            for job in instance.jobs() {
+                a.item().int(job.class as i128);
+                a.item().int(job.time.into());
+            }
+        });
+    });
 }
 
 /// The unvalidated `(machines, setups, jobs)` of a wire instance.
@@ -750,29 +818,26 @@ fn instance_parts(value: &Value) -> Result<(usize, Vec<u64>, Vec<Job>), JsonErro
     Ok((machines, setups, jobs))
 }
 
-/// The wire form of a schedule: its placements as one table of
-/// [`PLACEMENT_ROW`]-integer rows, in order.
-fn schedule_to_wire(schedule: &Schedule) -> Value {
-    let mut rows = Vec::with_capacity(PLACEMENT_ROW * schedule.placements().len());
-    for p in schedule.placements() {
-        let job = match p.kind {
-            ItemKind::Setup(_) => Value::Null,
-            ItemKind::Piece { job, .. } => Value::Int(job as i128),
-        };
-        rows.extend([
-            Value::Int(p.machine as i128),
-            Value::Int(p.start.numer()),
-            Value::Int(p.start.denom()),
-            Value::Int(p.len.numer()),
-            Value::Int(p.len.denom()),
-            Value::Int(p.kind.class() as i128),
-            job,
-        ]);
-    }
-    Value::Object(vec![
-        ("machines".into(), Value::Int(schedule.machines() as i128)),
-        ("placements".into(), Value::Array(rows)),
-    ])
+/// Writes the wire form of a schedule: its placements as one table of
+/// [`PLACEMENT_ROW`]-integer rows, in order, row by row.
+fn write_schedule(w: &mut JsonWriter, schedule: &Schedule) {
+    w.object(|o| {
+        o.key("machines").int(schedule.machines() as i128);
+        o.key("placements").array(|a| {
+            for p in schedule.placements() {
+                a.item().int(p.machine as i128);
+                a.item().int(p.start.numer());
+                a.item().int(p.start.denom());
+                a.item().int(p.len.numer());
+                a.item().int(p.len.denom());
+                a.item().int(p.kind.class() as i128);
+                match p.kind {
+                    ItemKind::Setup(_) => a.item().null(),
+                    ItemKind::Piece { job, .. } => a.item().int(job as i128),
+                }
+            }
+        });
+    });
 }
 
 /// Decodes a wire schedule row by row. Rows go straight into the placement
@@ -816,23 +881,35 @@ impl FromJson for Request {
 }
 
 impl ToJson for WireSolution {
-    fn to_json_value(&self) -> Value {
-        let mut fields = vec![
-            ("makespan".into(), self.makespan.to_json_value()),
-            ("accepted".into(), self.accepted.to_json_value()),
-            ("ratio_bound".into(), self.ratio_bound.to_json_value()),
-            ("certificate".into(), self.certificate.to_json_value()),
-            ("probes".into(), Value::Int(self.probes.into())),
-            (
-                "completion".into(),
-                Value::Str(completion_to_wire(self.completion).into()),
-            ),
-        ];
-        if let Some(schedule) = &self.schedule {
-            fields.push(("schedule".into(), schedule_to_wire(schedule)));
-        }
-        Value::Object(fields)
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.view().write_json(w);
     }
+}
+
+impl ToJson for SolutionView<'_> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|o| {
+            o.key("makespan").value(&self.makespan);
+            o.key("accepted").value(&self.accepted);
+            o.key("ratio_bound").value(&self.ratio_bound);
+            o.key("certificate").value(&self.certificate);
+            o.key("probes").int(self.probes.into());
+            o.key("completion").str(completion_to_wire(self.completion));
+            if let Some(schedule) = self.schedule {
+                write_schedule(o.key("schedule"), schedule);
+            }
+        });
+    }
+}
+
+/// Writes an `ok` reply. [`Response::Solved`] encodes through it, and so
+/// does the server's reply from a cached [`Solution`].
+pub(crate) fn write_solved(w: &mut JsonWriter, id: u64, cached: bool, solution: SolutionView<'_>) {
+    envelope(w, id, |o| {
+        o.key("status").str("ok");
+        o.key("cached").bool(cached);
+        o.key("solution").value(&solution);
+    });
 }
 
 impl FromJson for WireSolution {
@@ -857,24 +934,18 @@ impl FromJson for WireSolution {
 }
 
 impl ToJson for ServerStats {
-    fn to_json_value(&self) -> Value {
-        Value::Object(vec![
-            ("solved".into(), Value::Int(self.solved.into())),
-            ("shed".into(), Value::Int(self.shed.into())),
-            ("errors".into(), Value::Int(self.errors.into())),
-            ("cache_hits".into(), Value::Int(self.cache.hits.into())),
-            ("cache_misses".into(), Value::Int(self.cache.misses.into())),
-            (
-                "cache_evictions".into(),
-                Value::Int(self.cache.evictions.into()),
-            ),
-            (
-                "cache_collisions".into(),
-                Value::Int(self.cache.collisions.into()),
-            ),
-            ("cache_len".into(), Value::Int(self.cache.len.into())),
-            ("workers".into(), Value::Int(self.workers.into())),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|o| {
+            o.key("solved").int(self.solved.into());
+            o.key("shed").int(self.shed.into());
+            o.key("errors").int(self.errors.into());
+            o.key("cache_hits").int(self.cache.hits.into());
+            o.key("cache_misses").int(self.cache.misses.into());
+            o.key("cache_evictions").int(self.cache.evictions.into());
+            o.key("cache_collisions").int(self.cache.collisions.into());
+            o.key("cache_len").int(self.cache.len.into());
+            o.key("workers").int(self.workers.into());
+        });
     }
 }
 
@@ -900,65 +971,42 @@ impl FromJson for ServerStats {
 }
 
 impl ToJson for Response {
-    fn to_json_value(&self) -> Value {
+    fn write_json(&self, w: &mut JsonWriter) {
         match self {
             Response::Solved {
                 id,
                 cached,
                 solution,
-            } => envelope(
-                *id,
-                vec![
-                    ("status".into(), Value::Str("ok".into())),
-                    ("cached".into(), Value::Bool(*cached)),
-                    ("solution".into(), solution.to_json_value()),
-                ],
-            ),
+            } => write_solved(w, *id, *cached, solution.view()),
             Response::Shed {
                 id,
                 queued,
                 capacity,
-            } => envelope(
-                *id,
-                vec![
-                    ("status".into(), Value::Str("shed".into())),
-                    ("queued".into(), Value::Int((*queued).into())),
-                    ("capacity".into(), Value::Int((*capacity).into())),
-                ],
-            ),
-            Response::Error { id, code, message } => envelope(
-                *id,
-                vec![
-                    ("status".into(), Value::Str("error".into())),
-                    ("code".into(), Value::Str(code.as_str().into())),
-                    ("message".into(), Value::Str(message.clone())),
-                ],
-            ),
-            Response::Pong { id } => {
-                envelope(*id, vec![("status".into(), Value::Str("pong".into()))])
-            }
-            Response::Stats { id, stats } => envelope(
-                *id,
-                vec![
-                    ("status".into(), Value::Str("stats".into())),
-                    ("stats".into(), stats.to_json_value()),
-                ],
-            ),
+            } => envelope(w, *id, |o| {
+                o.key("status").str("shed");
+                o.key("queued").int((*queued).into());
+                o.key("capacity").int((*capacity).into());
+            }),
+            Response::Error { id, code, message } => envelope(w, *id, |o| {
+                o.key("status").str("error");
+                o.key("code").str(code.as_str());
+                o.key("message").str(message);
+            }),
+            Response::Pong { id } => envelope(w, *id, |o| o.key("status").str("pong")),
+            Response::Stats { id, stats } => envelope(w, *id, |o| {
+                o.key("status").str("stats");
+                o.key("stats").value(stats);
+            }),
             Response::Session {
                 id,
                 jobs,
                 content_hash,
-            } => envelope(
-                *id,
-                vec![
-                    ("status".into(), Value::Str("session".into())),
-                    ("jobs".into(), Value::Int((*jobs).into())),
-                    ("content_hash".into(), Value::Int((*content_hash).into())),
-                ],
-            ),
-            Response::Bye { id } => {
-                envelope(*id, vec![("status".into(), Value::Str("bye".into()))])
-            }
+            } => envelope(w, *id, |o| {
+                o.key("status").str("session");
+                o.key("jobs").int((*jobs).into());
+                o.key("content_hash").int((*content_hash).into());
+            }),
+            Response::Bye { id } => envelope(w, *id, |o| o.key("status").str("bye")),
         }
     }
 }

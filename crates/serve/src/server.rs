@@ -40,11 +40,12 @@ use bss_core::{
 };
 use bss_instance::{IncrementalInstance, Variant};
 use bss_json::frame::{read_frame, write_frame, FrameError};
-use bss_json::ParseLimits;
+use bss_json::{JsonWriter, ParseLimits, ToJson};
 
 use crate::cache::SolveCache;
 use crate::protocol::{
-    peek_id, ErrorCode, Request, Response, ServerStats, SessionRequest, SolveRequest, WireSolution,
+    peek_id, write_solved, ErrorCode, Request, Response, ServerStats, SessionRequest, SolutionView,
+    SolveRequest,
 };
 
 /// Configuration of a server ([`spawn`]). The defaults serve production traffic;
@@ -87,8 +88,9 @@ impl Default for ServeConfig {
 }
 
 /// The admission gate: tickets in arrival order, the slots in use, and the
-/// shutdown flag. The flag is read and raised only under the gate's lock,
-/// so no request is admitted after a shutdown has seen the gate drained.
+/// two shutdown flags. The flags are read and raised only under the gate's
+/// lock, so no request is admitted after a shutdown has seen the gate
+/// drained.
 #[derive(Default)]
 struct Gate {
     /// Tickets handed out; `issued - admitted` requests are waiting.
@@ -97,7 +99,12 @@ struct Gate {
     admitted: u64,
     /// Admitted requests still holding a slot.
     running: usize,
+    /// Admission is closed: later misses are refused.
     shutdown: bool,
+    /// The shutdown is acknowledged (its `bye` is written and flushed, or
+    /// [`ServerHandle::shutdown`] asked for it): once the gate drains,
+    /// [`ServerHandle::join`] returns.
+    acknowledged: bool,
 }
 
 /// State shared by the accept loop and the connection threads.
@@ -178,20 +185,29 @@ impl Shared {
         Ok(Slot(self))
     }
 
-    /// Raises the shutdown flag: later misses are refused, while requests
-    /// already admitted or waiting still finish.
-    fn begin_shutdown(&self) {
+    /// Closes admission: later misses are refused, while requests already
+    /// admitted or waiting still finish.
+    fn close_admission(&self) {
         lock(&self.gate).shutdown = true;
         self.gate_signal.notify_all();
     }
 
-    /// Blocks until shutdown has begun and every admitted and waiting
+    /// Closes admission and acknowledges the shutdown.
+    fn begin_shutdown(&self) {
+        let mut gate = lock(&self.gate);
+        gate.shutdown = true;
+        gate.acknowledged = true;
+        drop(gate);
+        self.gate_signal.notify_all();
+    }
+
+    /// Blocks until shutdown is acknowledged and every admitted and waiting
     /// request has finished.
     fn wait_drained(&self) {
         let _gate = self
             .gate_signal
             .wait_while(lock(&self.gate), |g| {
-                !g.shutdown || g.running > 0 || g.issued > g.admitted
+                !g.acknowledged || g.running > 0 || g.issued > g.admitted
             })
             .unwrap_or_else(PoisonError::into_inner);
     }
@@ -222,9 +238,10 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Blocks until the server stops — i.e. until some client sends a
-    /// `shutdown` request and every admitted and waiting request has
-    /// finished. The CLI `serve` command parks on this.
+    /// Blocks until the server stops — i.e. until some client's `shutdown`
+    /// request has been answered with `bye` and every admitted and waiting
+    /// request has finished. The CLI `serve` command parks on this, so the
+    /// process exits only after the `bye` is sent.
     pub fn join(self) {
         self.shared.wait_drained();
         // Poke the accept loop so it notices the flag too.
@@ -350,11 +367,11 @@ fn connection_loop(stream: TcpStream, shared: &Shared) {
             Err(FrameError::TooLarge { len, max }) => {
                 send(
                     &mut writer,
-                    &Response::Error {
+                    &Reply::Response(Response::Error {
                         id: 0,
                         code: ErrorCode::TooLarge,
                         message: format!("frame of {len} bytes exceeds the {max} byte limit"),
-                    },
+                    }),
                     shared.config.max_frame_bytes,
                 );
                 break;
@@ -362,45 +379,93 @@ fn connection_loop(stream: TcpStream, shared: &Shared) {
             Err(_) => break,
         };
 
-        let response = match bss_json::parse_with_limits(&payload, &limits) {
-            Err(err) => Response::Error {
+        let reply = match bss_json::parse_with_limits(&payload, &limits) {
+            Err(err) => Reply::Response(Response::Error {
                 id: 0,
                 code: ErrorCode::of_json(err.kind()),
                 message: err.to_string(),
-            },
+            }),
             Ok(value) => match Request::decode(&value) {
-                Err(err) => Response::Error {
+                Err(err) => Reply::Response(Response::Error {
                     id: peek_id(&value),
                     code: err.code,
                     message: err.message,
-                },
+                }),
                 Ok(request) => handle_request(request, &mut session, shared),
             },
         };
-        let bye = matches!(response, Response::Bye { .. });
-        if !send(&mut writer, &response, shared.config.max_frame_bytes) || bye {
+        let sent = send(&mut writer, &reply, shared.config.max_frame_bytes);
+        if matches!(reply, Reply::Response(Response::Bye { .. })) {
+            // Only now that `bye` is written and flushed may `join` return
+            // (and a process that exits after it), so it cannot cut the
+            // reply off.
+            shared.begin_shutdown();
             break;
+        }
+        if !sent {
+            break;
+        }
+    }
+}
+
+/// What a connection thread writes back: a protocol [`Response`], or a
+/// solved reply written straight from the (cached or fresh) solution, whose
+/// schedule is never cloned into a [`crate::WireSolution`].
+enum Reply {
+    Response(Response),
+    Solved {
+        id: u64,
+        cached: bool,
+        solution: Arc<Solution>,
+        want_schedule: bool,
+    },
+}
+
+impl Reply {
+    /// The echoed request id.
+    fn id(&self) -> u64 {
+        match self {
+            Reply::Response(response) => response.id(),
+            Reply::Solved { id, .. } => *id,
+        }
+    }
+}
+
+impl From<Response> for Reply {
+    fn from(response: Response) -> Self {
+        Reply::Response(response)
+    }
+}
+
+impl ToJson for Reply {
+    fn write_json(&self, w: &mut JsonWriter) {
+        match self {
+            Reply::Response(response) => response.write_json(w),
+            Reply::Solved {
+                id,
+                cached,
+                solution,
+                want_schedule,
+            } => write_solved(w, *id, *cached, SolutionView::of(solution, *want_schedule)),
         }
     }
 }
 
 /// Answers one decoded request. Session requests mutate the
 /// connection-local `session`; solves and resolves both go through
-/// [`solve_request`].
-fn handle_request(
-    request: Request,
-    session: &mut Option<SessionState>,
-    shared: &Shared,
-) -> Response {
+/// [`solve_request`]. A `shutdown` closes admission at once and is answered
+/// with `bye`; the connection loop acknowledges it once that is sent.
+fn handle_request(request: Request, session: &mut Option<SessionState>, shared: &Shared) -> Reply {
     match request {
-        Request::Ping { id } => Response::Pong { id },
+        Request::Ping { id } => Response::Pong { id }.into(),
         Request::Stats { id } => Response::Stats {
             id,
             stats: shared.stats(),
-        },
+        }
+        .into(),
         Request::Shutdown { id } => {
-            shared.begin_shutdown();
-            Response::Bye { id }
+            shared.close_admission();
+            Response::Bye { id }.into()
         }
         Request::Sleep { id, ms } => {
             if !shared.config.allow_test_ops {
@@ -408,22 +473,23 @@ fn handle_request(
                     id,
                     code: ErrorCode::BadRequest,
                     message: "sleep is a test op; this server does not allow test ops".into(),
-                };
+                }
+                .into();
             }
             match shared.admit(id) {
                 Ok(_slot) => {
                     std::thread::sleep(Duration::from_millis(ms));
-                    Response::Pong { id }
+                    Response::Pong { id }.into()
                 }
-                Err(reply) => *reply,
+                Err(reply) => (*reply).into(),
             }
         }
         Request::Solve(req) => {
             let hash = req.instance.content_hash();
-            solve_request(&req, hash, None, shared).0
+            solve_request(&req, hash, None, shared)
         }
-        Request::Session(req) => open_session(*req, session),
-        Request::Delta { id, delta } => apply_delta(id, delta, session),
+        Request::Session(req) => open_session(*req, session).into(),
+        Request::Delta { id, delta } => apply_delta(id, delta, session).into(),
         Request::Resolve { id, want_schedule } => {
             resolve_session(id, want_schedule, session, shared)
         }
@@ -483,9 +549,9 @@ fn resolve_session(
     want_schedule: bool,
     session: &mut Option<SessionState>,
     shared: &Shared,
-) -> Response {
+) -> Reply {
     let Some(state) = session else {
-        return no_session(id);
+        return no_session(id).into();
     };
     let load = state.inc.total_load_once();
     let req = SolveRequest {
@@ -504,11 +570,11 @@ fn resolve_session(
             req.instance.machines(),
         )
     });
-    let (response, solution) = solve_request(&req, state.inc.content_hash(), warm, shared);
-    if let Some(sol) = solution {
-        state.prev = Some((WarmStart::of(&sol), load));
+    let reply = solve_request(&req, state.inc.content_hash(), warm, shared);
+    if let Reply::Solved { solution, .. } = &reply {
+        state.prev = Some((WarmStart::of(solution), load));
     }
-    response
+    reply
 }
 
 /// The typed reply to a delta/resolve with no open session.
@@ -524,14 +590,9 @@ fn no_session(id: u64) -> Response {
 /// cache first (a hit touches nothing else), then a slot from the admission
 /// gate, then [`solve_problem`] on a pooled warm workspace under the
 /// request's budget (anchored at arrival) and `warm` hint, then the cache
-/// insert. Returns the reply and, unless the request was shed or failed,
-/// the solution it carries.
-fn solve_request(
-    req: &SolveRequest,
-    hash: u64,
-    warm: Option<WarmStart>,
-    shared: &Shared,
-) -> (Response, Option<Arc<Solution>>) {
+/// insert. Unless the request was shed or failed, the reply carries the
+/// solution.
+fn solve_request(req: &SolveRequest, hash: u64, warm: Option<WarmStart>, shared: &Shared) -> Reply {
     let hit = lock(&shared.cache).lookup(hash, &req.instance, req.variant, req.algo);
     let (cached, solution) = match hit {
         Some(sol) => (true, sol),
@@ -551,7 +612,7 @@ fn solve_request(
             };
             let slot = match shared.admit(req.id) {
                 Ok(slot) => slot,
-                Err(reply) => return (*reply, None),
+                Err(reply) => return (*reply).into(),
             };
             let mut ws = lock(&shared.workspaces).pop().unwrap_or_default();
             let problem = BssProblem::new(&req.instance, req.variant);
@@ -570,22 +631,22 @@ fn solve_request(
                 }
                 Err(err) => {
                     shared.errors.fetch_add(1, Ordering::Relaxed);
-                    let reply = Response::Error {
+                    return Response::Error {
                         id: req.id,
                         code: ErrorCode::Internal,
                         message: format!("solve failed: {err}"),
-                    };
-                    return (reply, None);
+                    }
+                    .into();
                 }
             }
         }
     };
-    let response = Response::Solved {
+    Reply::Solved {
         id: req.id,
         cached,
-        solution: WireSolution::of(&solution, req.want_schedule),
-    };
-    (response, Some(solution))
+        solution,
+        want_schedule: req.want_schedule,
+    }
 }
 
 /// Encodes and frames a response onto the socket; `false` when the peer is
@@ -597,13 +658,13 @@ fn solve_request(
 /// same request id. `write_frame` checks the length before emitting any
 /// bytes, so the oversized payload never hits the wire and the stream stays
 /// framed — the connection remains usable for further requests.
-fn send(writer: &mut TcpStream, response: &Response, max_len: usize) -> bool {
-    let text = bss_json::encode(response);
+fn send(writer: &mut TcpStream, reply: &Reply, max_len: usize) -> bool {
+    let text = bss_json::encode(reply);
     match write_frame(writer, &text, max_len) {
         Ok(()) => writer.flush().is_ok(),
         Err(FrameError::TooLarge { len, max }) => {
             let error = Response::Error {
-                id: response.id(),
+                id: reply.id(),
                 code: ErrorCode::TooLarge,
                 message: format!(
                     "encoded response of {len} bytes exceeds the {max} byte frame limit; \

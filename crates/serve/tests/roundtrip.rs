@@ -1017,6 +1017,27 @@ fn ping_stats_and_shutdown_roundtrip() {
 }
 
 #[test]
+fn shutdown_is_answered_with_bye_before_join_returns() {
+    // `bss serve` parks in `join` and exits when it returns, so the `bye`
+    // must be written and flushed before `join` may return.
+    for round in 0..20 {
+        let server = test_server(small_config());
+        let mut client = Client::connect(server.addr()).unwrap();
+        client.ping().unwrap();
+        let (entering, entered) = std::sync::mpsc::channel();
+        let joiner = std::thread::spawn(move || {
+            entering.send(()).unwrap();
+            server.join();
+        });
+        entered.recv().unwrap();
+        client
+            .shutdown_server()
+            .unwrap_or_else(|e| panic!("round {round}: no bye: {e}"));
+        joiner.join().unwrap();
+    }
+}
+
+#[test]
 fn request_pool_mix_produces_expected_cache_hit_rate() {
     // Loadgen's `distinct` knob drives the hit rate end to end.
     let server = test_server(small_config());

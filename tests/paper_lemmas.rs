@@ -125,7 +125,8 @@ fn theorem7_uses_beta_machines_per_expensive_class() {
         }
         let s = cs.expand().expect("in range");
         let cls = classify(&inst, t);
-        for i in cls.iexp() {
+        let expensive = [&cls.iexp_plus, &cls.iexp_zero, &cls.iexp_minus];
+        for &i in expensive.into_iter().flatten() {
             let machines: HashSet<usize> = s
                 .placements()
                 .iter()
