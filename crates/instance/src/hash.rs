@@ -160,12 +160,16 @@ mod tests {
         let mut b = InstanceBuilder::new(4);
         b.add_batch(10, &[7, 3, 9, 2]);
         b.add_batch(4, &[5, 5, 6]);
-        assert_ne!(b.build().unwrap().content_hash(), reference);
+        let more_machines = b.build().unwrap();
+        assert_ne!(more_machines.content_hash(), reference);
+        assert_ne!(more_machines, base());
         // One job time off by one.
         let mut b = InstanceBuilder::new(3);
         b.add_batch(10, &[7, 3, 9, 2]);
         b.add_batch(4, &[5, 5, 7]);
-        assert_ne!(b.build().unwrap().content_hash(), reference);
+        let retimed = b.build().unwrap();
+        assert_ne!(retimed.content_hash(), reference);
+        assert_ne!(retimed, base());
         // One setup off by one.
         let mut b = InstanceBuilder::new(3);
         b.add_batch(11, &[7, 3, 9, 2]);

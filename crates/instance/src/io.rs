@@ -37,10 +37,10 @@ impl Instance {
     /// JSON from model violations — unlike the [`bss_json::FromJson`] impl,
     /// which flattens both into one error.
     pub fn from_json(json: &str) -> Result<Self, IoError> {
-        let value = bss_json::parse(json).map_err(IoError::Json)?;
-        let (machines, setups, jobs) =
-            crate::model::raw_parts_from_json(&value).map_err(IoError::Json)?;
-        Instance::from_parts(machines, setups, jobs).map_err(IoError::Model)
+        bss_json::decode::<crate::model::Parts>(json)
+            .map_err(IoError::Json)?
+            .build()
+            .map_err(IoError::Model)
     }
 }
 

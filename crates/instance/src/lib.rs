@@ -33,7 +33,7 @@ pub use model::{
     ClassId, Instance, InstanceBuilder, InstanceError, Job, JobId, MAX_MACHINES, MAX_TOTAL_LOAD,
 };
 
-use bss_json::{FromJson, JsonError, JsonWriter, ToJson, Value};
+use bss_json::{FromJson, JsonError, JsonReader, JsonWriter, Scalar, ToJson};
 
 /// The three problem variants of scheduling with batch setup times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,15 +82,17 @@ impl ToJson for Variant {
 }
 
 impl FromJson for Variant {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-        match value.as_str() {
-            Some("NonPreemptive") => Ok(Variant::NonPreemptive),
-            Some("Preemptive") => Ok(Variant::Preemptive),
-            Some("Splittable") => Ok(Variant::Splittable),
-            Some(other) => Err(JsonError::new(format!("unknown variant `{other}`"))),
-            None => Err(JsonError::new(format!(
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        match r.scalar()? {
+            Scalar::Str(name) => match &*name {
+                "NonPreemptive" => Ok(Variant::NonPreemptive),
+                "Preemptive" => Ok(Variant::Preemptive),
+                "Splittable" => Ok(Variant::Splittable),
+                other => Err(JsonError::new(format!("unknown variant `{other}`"))),
+            },
+            other => Err(JsonError::new(format!(
                 "expected variant string, found {}",
-                value.kind()
+                other.kind()
             ))),
         }
     }

@@ -3,7 +3,7 @@
 use core::fmt;
 use core::ops::Range;
 
-use bss_json::{FromJson, JsonError, JsonWriter, ToJson, Value};
+use bss_json::{Field, FromJson, JsonError, JsonReader, JsonWriter, ToJson};
 
 /// Index of a job; jobs are numbered `0..n` in insertion order.
 pub type JobId = usize;
@@ -45,10 +45,16 @@ impl ToJson for Job {
 }
 
 impl FromJson for Job {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let (mut class, mut time) = (Field::default(), Field::default());
+        r.object("class", |key, r| match key {
+            "class" => class.read_with(r, |r| r.int("Job.class")),
+            "time" => time.read_with(r, |r| r.int("Job.time")),
+            _ => r.skip(),
+        })?;
         Ok(Job {
-            class: bss_json::int_from(bss_json::required(value, "class")?, "Job.class")?,
-            time: bss_json::int_from(bss_json::required(value, "time")?, "Job.time")?,
+            class: class.required("class")?,
+            time: time.required("time")?,
         })
     }
 }
@@ -68,7 +74,10 @@ impl FromJson for Job {
 /// passes read [`Instance::class_jobs`] and [`Instance::class_times`] (or the
 /// whole table, [`Instance::class_major`]) as contiguous slices instead of
 /// gathering times from the id-ordered list.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Two instances are equal when their machine counts, setups and jobs (in id
+/// order) are: everything else is derived from those.
+#[derive(Debug, Clone)]
 pub struct Instance {
     machines: usize,
     setups: Vec<u64>,
@@ -85,6 +94,17 @@ pub struct Instance {
     total_proc: u64,
 }
 
+// Only the source fields: comparing the derived table and aggregates too
+// would double the cost of the equality check the solve cache runs on every
+// hit, and could never change the answer.
+impl PartialEq for Instance {
+    fn eq(&self, other: &Self) -> bool {
+        self.machines == other.machines && self.setups == other.setups && self.jobs == other.jobs
+    }
+}
+
+impl Eq for Instance {}
+
 impl ToJson for Instance {
     fn write_json(&self, w: &mut JsonWriter) {
         w.object(|o| {
@@ -99,17 +119,37 @@ impl ToJson for Instance {
     }
 }
 
-/// Decodes the raw `(machines, setups, jobs)` triple of the wire format.
-/// Crate-internal so that [`Instance::from_json`] can distinguish malformed
-/// JSON from model violations.
-pub(crate) fn raw_parts_from_json(value: &Value) -> Result<(usize, Vec<u64>, Vec<Job>), JsonError> {
-    Ok((
-        bss_json::int_from(bss_json::required(value, "machines")?, "machines")?,
-        bss_json::vec_from(bss_json::required(value, "setups")?, "setups", |v| {
-            bss_json::int_from(v, "setup time")
-        })?,
-        Vec::<Job>::from_json_value(bss_json::required(value, "jobs")?)?,
-    ))
+/// The raw `(machines, setups, jobs)` of an instance file, before
+/// validation. Crate-internal so that [`Instance::from_json`] can tell
+/// malformed JSON from model violations.
+pub(crate) struct Parts {
+    machines: usize,
+    setups: Vec<u64>,
+    jobs: Vec<Job>,
+}
+
+impl Parts {
+    pub(crate) fn build(self) -> Result<Instance, InstanceError> {
+        Instance::from_parts(self.machines, self.setups, self.jobs)
+    }
+}
+
+impl FromJson for Parts {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let (mut machines, mut setups, mut jobs) =
+            (Field::default(), Field::default(), Field::default());
+        r.object("machines", |key, r| match key {
+            "machines" => machines.read_with(r, |r| r.int("machines")),
+            "setups" => setups.read_with(r, |r| r.ints("setups", "setup time")),
+            "jobs" => jobs.read(r),
+            _ => r.skip(),
+        })?;
+        Ok(Parts {
+            machines: machines.required("machines")?,
+            setups: setups.required("setups")?,
+            jobs: jobs.required("jobs")?,
+        })
+    }
 }
 
 impl FromJson for Instance {
@@ -117,9 +157,9 @@ impl FromJson for Instance {
     /// exactly as if built through [`InstanceBuilder`]. Model violations are
     /// reported as [`JsonError`]s; use [`Instance::from_json`] when the
     /// caller needs to tell them apart from malformed JSON.
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-        let (machines, setups, jobs) = raw_parts_from_json(value)?;
-        Instance::from_parts(machines, setups, jobs)
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        Parts::read_json(r)?
+            .build()
             .map_err(|e| JsonError::new(format!("invalid instance data: {e}")))
     }
 }

@@ -13,20 +13,28 @@
 //! `[]`/`{}` for empty containers), which people read and diff; `bss-serve`
 //! frames use the compact one ([`encode`]), which prints no whitespace at all.
 //!
-//! Decoding builds the tree: [`parse`] turns text into a [`Value`] with a
-//! strict parser, and a [`FromJson`] impl decodes the typed object from it.
-//! [`Value`] implements [`ToJson`] too, so a tree encodes like any other type.
+//! Decoding pulls: a [`FromJson`] impl reads its value token by token from a
+//! [`JsonReader`], a cursor that runs the strict parser over the text, so a
+//! table of numbers becomes a typed list with no tree in between. Object
+//! fields may come in any order; each decoder keeps them in [`Field`]s and
+//! reports its errors in its own order once the object has closed. A decode
+//! error waits until the whole text is known to be well-formed JSON, so a
+//! syntax or limit error anywhere in it wins. [`Value`] is just one
+//! [`FromJson`] type ([`parse`] decodes one), and implements [`ToJson`] too,
+//! so a tree encodes like any other type.
 //!
 //! Numbers are kept exact: every JSON number without fraction or exponent is
 //! an `i128` (covering `u64` times and `i128` rational components); anything
-//! else parses as `f64`. Integers that fit in a `u64` print and parse with
-//! plain digit loops; only wider ones go through `core::fmt` and `str::parse`.
+//! else parses as `f64`. Integers of up to 18 digits accumulate in a `u64` as
+//! they are scanned, and those that fit in a `u64` print with a digit loop;
+//! only wider ones go through `core::fmt` and `str::parse`.
 //!
-//! For *network* input (the `bss-serve` wire protocol) the parser can be
-//! bounded: [`parse_with_limits`] enforces a maximum payload size and a
-//! maximum nesting depth with typed errors ([`JsonError::kind`]) instead of
-//! unbounded allocation, and the [`frame`] module provides the
-//! length-prefixed transport framing with the same size discipline.
+//! For *network* input (the `bss-serve` wire protocol) reading can be
+//! bounded: [`decode_with`] and [`parse_with_limits`] enforce a maximum
+//! payload size and a maximum nesting depth with typed errors
+//! ([`JsonError::kind`]) instead of unbounded allocation, and the [`frame`]
+//! module provides the length-prefixed transport framing with the same size
+//! discipline.
 //!
 //! ```
 //! use bss_json::{encode, encode_pretty, parse, Value};
@@ -39,6 +47,7 @@
 
 use core::fmt;
 use core::fmt::Write as _;
+use std::borrow::Cow;
 
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,20 +102,6 @@ impl Value {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
-        }
-    }
-
-    /// A short name for the value's kind, used in decode errors.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "integer",
-            Value::Float(_) => "float",
-            Value::Str(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
         }
     }
 }
@@ -173,10 +168,17 @@ pub trait ToJson {
     fn write_json(&self, w: &mut JsonWriter);
 }
 
-/// Types that decode themselves from a JSON [`Value`].
+/// Types that decode themselves from JSON text, pulled token by token from a
+/// [`JsonReader`].
 pub trait FromJson: Sized {
-    /// Decodes from a parsed value.
-    fn from_json_value(value: &Value) -> Result<Self, JsonError>;
+    /// Reads exactly one value at the reader's cursor and decodes it.
+    ///
+    /// # Errors
+    /// A syntax or limit error stops the read where it is found. A decode
+    /// error ([`JsonErrorKind::Decode`]) should come once the whole value
+    /// has been read (the reader's helpers and [`Field`] see to that); the
+    /// reader skips the rest of the value when an impl stops early.
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError>;
 }
 
 /// Serializes any [`ToJson`] type to pretty-printed JSON text: two-space
@@ -196,52 +198,38 @@ pub fn encode<T: ToJson + ?Sized>(value: &T) -> String {
     w.out
 }
 
-/// Parses JSON text and decodes it into any [`FromJson`] type.
+/// Decodes JSON text straight into any [`FromJson`] type, under the default
+/// [`ParseLimits`].
+///
+/// # Errors
+/// As [`decode_with`].
 pub fn decode<T: FromJson>(text: &str) -> Result<T, JsonError> {
-    T::from_json_value(&parse(text)?)
+    decode_with(text, &ParseLimits::default(), T::read_json)
 }
 
-// ---------------------------------------------------------------------------
-// Decoding helpers shared by the hand-written FromJson impls.
-// ---------------------------------------------------------------------------
-
-/// Fetches a required object field.
-pub fn required<'v>(value: &'v Value, key: &str) -> Result<&'v Value, JsonError> {
-    match value {
-        Value::Object(_) => value
-            .field(key)
-            .ok_or_else(|| JsonError::new(format!("missing field `{key}`"))),
-        other => Err(JsonError::new(format!(
-            "expected object with field `{key}`, found {}",
-            other.kind()
-        ))),
+/// Decodes the JSON document `text` with `read` under `limits`: the entry
+/// point for untrusted input. Oversized input is rejected *before* any
+/// parsing work ([`JsonErrorKind::TooLarge`]), and nesting beyond the depth
+/// bound aborts with [`JsonErrorKind::TooDeep`] instead of deep recursion.
+///
+/// # Errors
+/// A decode error is returned only once the whole text is known to be one
+/// well-formed JSON value within `limits`: a syntax or limit error anywhere
+/// in it, trailing characters included, comes first.
+pub fn decode_with<'a, T>(
+    text: &'a str,
+    limits: &ParseLimits,
+    read: impl FnOnce(&mut JsonReader<'a>) -> Result<T, JsonError>,
+) -> Result<T, JsonError> {
+    let mut r = JsonReader::new(text, limits)?;
+    let result = r.guarded(read);
+    if matches!(&result, Err(e) if e.kind != JsonErrorKind::Decode) {
+        return result;
     }
-}
-
-/// Decodes an exact integer field into any integer type.
-pub fn int_from<T: TryFrom<i128>>(value: &Value, what: &str) -> Result<T, JsonError> {
-    let raw = value.as_i128().ok_or_else(|| {
-        JsonError::new(format!(
-            "expected integer for {what}, found {}",
-            value.kind()
-        ))
-    })?;
-    T::try_from(raw).map_err(|_| JsonError::new(format!("{what} out of range: {raw}")))
-}
-
-/// Decodes an array field elementwise.
-pub fn vec_from<T, F>(value: &Value, what: &str, decode_item: F) -> Result<Vec<T>, JsonError>
-where
-    F: Fn(&Value) -> Result<T, JsonError>,
-{
-    value
-        .as_array()
-        .ok_or_else(|| {
-            JsonError::new(format!("expected array for {what}, found {}", value.kind()))
-        })?
-        .iter()
-        .map(decode_item)
-        .collect()
+    if r.pos != r.bytes.len() {
+        return Err(r.error("trailing characters after JSON value"));
+    }
+    result
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
@@ -255,8 +243,13 @@ impl<T: ToJson> ToJson for Vec<T> {
 }
 
 impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-        vec_from(value, "array", T::from_json_value)
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let mut items = Vec::new();
+        r.array("array", |r| {
+            items.push(T::read_json(r)?);
+            Ok(())
+        })?;
+        Ok(items)
     }
 }
 
@@ -526,15 +519,15 @@ fn push_string(out: &mut String, s: &str) {
 }
 
 // ---------------------------------------------------------------------------
-// Parser
+// Reader
 // ---------------------------------------------------------------------------
 
-/// Bounds on what [`parse_with_limits`] will accept — the guard rails for
-/// parsing untrusted network input.
+/// Bounds on what [`parse_with_limits`] and [`decode_with`] will accept —
+/// the guard rails for reading untrusted network input.
 ///
-/// The default (used by the plain [`parse`]) keeps the historical behavior:
-/// no byte limit (trusted local files) and a 128-level depth bound that
-/// protects the recursive parser's stack.
+/// The default (used by the plain [`parse`] and [`decode`]) keeps the
+/// historical behavior: no byte limit (trusted local files) and a 128-level
+/// depth bound that protects the recursive reader's stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParseLimits {
     /// Largest accepted input, in bytes ([`usize::MAX`] = unlimited).
@@ -557,46 +550,367 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
     parse_with_limits(text, &ParseLimits::default())
 }
 
-/// [`parse`] with explicit [`ParseLimits`]; the entry point for untrusted
-/// input. Oversized input is rejected *before* any parsing work
-/// ([`JsonErrorKind::TooLarge`]); nesting beyond the depth bound aborts with
-/// [`JsonErrorKind::TooDeep`] instead of deep recursion.
+/// [`parse`] with explicit [`ParseLimits`]: [`decode_with`] of a [`Value`].
 pub fn parse_with_limits(text: &str, limits: &ParseLimits) -> Result<Value, JsonError> {
-    if text.len() > limits.max_bytes {
-        return Err(JsonError::with_kind(
-            format!(
-                "JSON payload of {} bytes exceeds the {}-byte limit",
-                text.len(),
-                limits.max_bytes
-            ),
-            JsonErrorKind::TooLarge,
-        ));
-    }
-    let mut p = Parser {
-        text,
-        bytes: text.as_bytes(),
-        pos: 0,
-        max_depth: limits.max_depth,
-    };
-    p.skip_ws();
-    let value = p.parse_value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.error("trailing characters after JSON value"));
-    }
-    Ok(value)
+    decode_with(text, limits, Value::read_json)
 }
 
 const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
+/// The longest integer literal (in digits, leading zeros included) that
+/// [`JsonReader`] accumulates in a `u64`: below 10^18 < 2^63, neither the sum
+/// nor the negation can overflow. Longer ones take the exact `i128` parse
+/// with its range check.
+const FAST_DIGITS: usize = 18;
+
+/// The pull decoder every [`FromJson`] impl reads from: a cursor over JSON
+/// text that runs the strict parser one token at a time, so a type decodes
+/// straight from the text with no tree in between.
+///
+/// A value is read by exactly one call: [`JsonReader::scalar`],
+/// [`JsonReader::int`], [`JsonReader::object`], [`JsonReader::array`] (or
+/// [`JsonReader::ints`] and [`JsonReader::scalars`] for arrays of scalars),
+/// [`JsonReader::skip`] or a nested [`FromJson::read_json`]. Every byte is
+/// checked the same way wherever it stands, skipped values included, and the
+/// depth bound holds at every container.
+///
+/// ```
+/// use bss_json::{Field, FromJson, JsonError, JsonReader};
+///
+/// struct Point(i64, i64);
+///
+/// impl FromJson for Point {
+///     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+///         let (mut x, mut y) = (Field::default(), Field::default());
+///         r.object("x", |key, r| match key {
+///             "x" => x.read_with(r, |r| r.int("x")),
+///             "y" => y.read_with(r, |r| r.int("y")),
+///             _ => r.skip(),
+///         })?;
+///         Ok(Point(x.required("x")?, y.required("y")?))
+///     }
+/// }
+///
+/// let p: Point = bss_json::decode(r#"{"y": -4, "tags": [], "x": 3}"#).unwrap();
+/// assert_eq!((p.0, p.1), (3, -4));
+/// let err = bss_json::decode::<Point>(r#"{"y": 1}"#).err().unwrap();
+/// assert_eq!(err.to_string(), "missing field `x`");
+/// ```
+#[derive(Debug)]
+pub struct JsonReader<'a> {
     text: &'a str,
     bytes: &'a [u8],
+    /// The cursor. Between values it sits on the next non-whitespace byte.
     pos: usize,
+    /// Containers open around the cursor.
+    depth: usize,
     max_depth: usize,
 }
 
-impl Parser<'_> {
+/// One value as [`JsonReader::scalar`] reads it: a scalar with its contents,
+/// or the kind of a container, which it skipped.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Scalar<'a> {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// A number with no fractional part, kept exact.
+    Int(i128),
+    /// A number with a fraction or exponent.
+    Float(f64),
+    /// A string, borrowed from the text when it holds no escape.
+    Str(Cow<'a, str>),
+    /// An array (skipped).
+    Array,
+    /// An object (skipped).
+    Object,
+}
+
+impl Scalar<'_> {
+    /// A short name for the value's kind, used in decode errors.
+    #[must_use]
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Scalar::Null => "null",
+            Scalar::Bool(_) => "bool",
+            Scalar::Int(_) => "integer",
+            Scalar::Float(_) => "float",
+            Scalar::Str(_) => "string",
+            Scalar::Array => "array",
+            Scalar::Object => "object",
+        }
+    }
+
+    /// The exact integer as a `T`; `what` names it in the decode error for
+    /// any other value or an integer out of `T`'s range.
+    ///
+    /// # Errors
+    /// `expected integer for {what}, found {kind}` or
+    /// `{what} out of range: {value}`.
+    pub fn int<T: TryFrom<i128>>(&self, what: &str) -> Result<T, JsonError> {
+        match *self {
+            Scalar::Int(raw) => {
+                T::try_from(raw).map_err(|_| JsonError::new(format!("{what} out of range: {raw}")))
+            }
+            _ => Err(JsonError::new(format!(
+                "expected integer for {what}, found {}",
+                self.kind()
+            ))),
+        }
+    }
+}
+
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `text`, which must fit in `limits.max_bytes`.
+    fn new(text: &'a str, limits: &ParseLimits) -> Result<Self, JsonError> {
+        if text.len() > limits.max_bytes {
+            return Err(JsonError::with_kind(
+                format!(
+                    "JSON payload of {} bytes exceeds the {}-byte limit",
+                    text.len(),
+                    limits.max_bytes
+                ),
+                JsonErrorKind::TooLarge,
+            ));
+        }
+        let mut r = JsonReader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            max_depth: limits.max_depth,
+        };
+        r.skip_ws();
+        Ok(r)
+    }
+
+    /// Reads one value of any kind: a scalar with its contents, or a
+    /// container, which is skipped (its syntax and depth still checked).
+    ///
+    /// # Errors
+    /// Syntax and limit errors only.
+    #[inline]
+    pub fn scalar(&mut self) -> Result<Scalar<'a>, JsonError> {
+        let scalar = match self.peek() {
+            Some(b'{') => {
+                self.skip()?;
+                return Ok(Scalar::Object);
+            }
+            Some(b'[') => {
+                self.skip()?;
+                return Ok(Scalar::Array);
+            }
+            Some(b'"') => Scalar::Str(self.string()?),
+            Some(b't') => {
+                self.keyword("true")?;
+                Scalar::Bool(true)
+            }
+            Some(b'f') => {
+                self.keyword("false")?;
+                Scalar::Bool(false)
+            }
+            Some(b'n') => {
+                self.keyword("null")?;
+                Scalar::Null
+            }
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number()?,
+            Some(_) => return Err(self.error("unexpected character")),
+            None => return Err(self.error("unexpected end of input")),
+        };
+        self.skip_ws();
+        Ok(scalar)
+    }
+
+    /// Reads an exact integer as a `T` (see [`Scalar::int`]).
+    ///
+    /// # Errors
+    /// A syntax or limit error, or the decode error of [`Scalar::int`].
+    pub fn int<T: TryFrom<i128>>(&mut self, what: &str) -> Result<T, JsonError> {
+        self.scalar()?.int(what)
+    }
+
+    /// Reads an array of integers; `what` names the array and `item` each
+    /// element in decode errors.
+    ///
+    /// # Errors
+    /// As [`JsonReader::array`] and [`JsonReader::int`].
+    pub fn ints<T: TryFrom<i128>>(&mut self, what: &str, item: &str) -> Result<Vec<T>, JsonError> {
+        let mut out = Vec::new();
+        self.array(what, |r| {
+            out.push(r.int(item)?);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// Skips one value, checking its syntax and depth.
+    ///
+    /// # Errors
+    /// Syntax and limit errors.
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'{') => self.object("", |_, r| r.skip()),
+            Some(b'[') => self.scalars("", drop),
+            _ => self.scalar().map(drop),
+        }
+    }
+
+    /// `true` when the value at the cursor is an object.
+    #[must_use]
+    pub fn at_object(&self) -> bool {
+        self.peek() == Some(b'{')
+    }
+
+    /// Reads the value at the cursor if it is `null`; reads nothing and
+    /// returns `false` for any other value.
+    ///
+    /// # Errors
+    /// A syntax error for a malformed `null`.
+    pub fn read_null(&mut self) -> Result<bool, JsonError> {
+        if self.peek() == Some(b'n') {
+            self.scalar()?;
+            return Ok(true);
+        }
+        Ok(false)
+    }
+
+    /// Reads an object, calling `field(key, reader)` once per member in text
+    /// order; the call must read the member's value. Keys the caller does not
+    /// know are read with [`JsonReader::skip`], so they are still checked.
+    /// Store each field in a [`Field`] and decode the struct after the
+    /// object closes: the fields may come in any order, a repeated key keeps
+    /// its first value, and the decoder reports its errors in its own order.
+    ///
+    /// # Errors
+    /// For any other value, once it is skipped, `expected object with field
+    /// `{first_key}`, found {kind}` (the error the first required field
+    /// would give). A decode error `field` returns is reported after the
+    /// object closes; syntax and limit errors stop the read at once.
+    pub fn object(
+        &mut self,
+        first_key: &str,
+        mut field: impl FnMut(&str, &mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if !self.at_object() {
+            let found = self.scalar()?;
+            return Err(JsonError::new(format!(
+                "expected object with field `{first_key}`, found {}",
+                found.kind()
+            )));
+        }
+        self.open()?;
+        let mut first_error = None;
+        let mut more = self.peek() != Some(b'}');
+        while more {
+            let key = self.key()?;
+            self.keep_first(&mut first_error, |r| field(&key, r))?;
+            more = self.next_field()?;
+        }
+        self.close();
+        first_error.map_or(Ok(()), Err)
+    }
+
+    /// Reads an array, calling `item(reader)` once per element; the call
+    /// must read the element.
+    ///
+    /// # Errors
+    /// For any other value, once it is skipped, `expected array for {what},
+    /// found {kind}`. After the first decode error `item` returns, the
+    /// remaining elements are only skipped, and the error is reported after
+    /// the array closes; syntax and limit errors stop the read at once.
+    pub fn array(
+        &mut self,
+        what: &str,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if self.peek() != Some(b'[') {
+            let found = self.scalar()?;
+            return Err(JsonError::new(format!(
+                "expected array for {what}, found {}",
+                found.kind()
+            )));
+        }
+        self.open()?;
+        let mut first_error = None;
+        let mut more = self.peek() != Some(b']');
+        while more {
+            if first_error.is_none() {
+                self.keep_first(&mut first_error, &mut item)?;
+            } else {
+                self.skip()?;
+            }
+            more = self.next_item()?;
+        }
+        self.close();
+        first_error.map_or(Ok(()), Err)
+    }
+
+    /// Reads an array of scalars, handing each element to `cell` in order
+    /// (a container element is skipped and handed over as its kind): the
+    /// loop for flat tables of numbers, which decode no element on its own.
+    ///
+    /// # Errors
+    /// For any other value, once it is skipped, `expected array for {what},
+    /// found {kind}`; otherwise syntax and limit errors only.
+    pub fn scalars(
+        &mut self,
+        what: &str,
+        mut cell: impl FnMut(Scalar<'a>),
+    ) -> Result<(), JsonError> {
+        if self.peek() != Some(b'[') {
+            let found = self.scalar()?;
+            return Err(JsonError::new(format!(
+                "expected array for {what}, found {}",
+                found.kind()
+            )));
+        }
+        self.open()?;
+        let mut more = self.peek() != Some(b']');
+        while more {
+            cell(self.scalar()?);
+            more = self.next_item()?;
+        }
+        self.close();
+        Ok(())
+    }
+
+    /// Runs `read` on the value at the cursor, keeping a decode error in
+    /// `first` (unless it already holds one) and returning any other error.
+    fn keep_first(
+        &mut self,
+        first: &mut Option<JsonError>,
+        read: impl FnOnce(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        match self.guarded(read) {
+            Err(e) if e.kind == JsonErrorKind::Decode => {
+                first.get_or_insert(e);
+                Ok(())
+            }
+            other => other,
+        }
+    }
+
+    /// Runs `read` on the value at the cursor. When it fails with a decode
+    /// error before it has read the whole value, the reader goes back to the
+    /// value's start and skips it, so the cursor always ends after the value
+    /// and a later syntax error is still found.
+    fn guarded<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        let (start, depth) = (self.pos, self.depth);
+        let result = read(self);
+        if matches!(&result, Err(e) if e.kind == JsonErrorKind::Decode)
+            && (self.pos == start || self.depth != depth)
+        {
+            self.pos = start;
+            self.depth = depth;
+            self.skip()?;
+        }
+        result
+    }
+
     fn error(&self, message: &str) -> JsonError {
         JsonError::with_kind(
             format!("{message} at byte {}", self.pos),
@@ -604,6 +918,7 @@ impl Parser<'_> {
         )
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
@@ -615,7 +930,12 @@ impl Parser<'_> {
         self.pos += rest.iter().position(|&b| !keep(b)).unwrap_or(rest.len());
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
+        // Compact frames hold no whitespace: one look settles that case.
+        if self.peek().is_some_and(|b| b > b' ') {
+            return;
+        }
         self.skip_while(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
     }
 
@@ -628,11 +948,12 @@ impl Parser<'_> {
         }
     }
 
-    /// `depth` counts the containers enclosing the value about to start, so
-    /// a document whose deepest nesting is `max_depth` containers is
-    /// accepted and one level more is rejected.
-    fn check_depth(&self, depth: usize) -> Result<(), JsonError> {
-        if depth >= self.max_depth {
+    /// Enters the container at the cursor. The depth counts the containers
+    /// around the one about to open, so a document whose deepest nesting is
+    /// `max_depth` containers is accepted and one level more is rejected.
+    #[inline]
+    fn open(&mut self) -> Result<(), JsonError> {
+        if self.depth >= self.max_depth {
             return Err(JsonError::with_kind(
                 format!(
                     "nesting deeper than {} levels at byte {}",
@@ -641,137 +962,118 @@ impl Parser<'_> {
                 JsonErrorKind::TooDeep,
             ));
         }
+        self.depth += 1;
+        self.pos += 1;
+        self.skip_ws();
         Ok(())
     }
 
-    fn parse_value(&mut self, depth: usize) -> Result<Value, JsonError> {
+    /// Leaves the container whose closing bracket is at the cursor.
+    #[inline]
+    fn close(&mut self) {
+        self.depth -= 1;
+        self.pos += 1;
+        self.skip_ws();
+    }
+
+    /// Reads a member's key and its `:`.
+    fn key(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        let key = self.string()?;
+        self.skip_ws();
+        self.eat(b':')?;
+        self.skip_ws();
+        Ok(key)
+    }
+
+    /// After an object member: `true` past a `,`, `false` at the `}`.
+    #[inline]
+    fn next_field(&mut self) -> Result<bool, JsonError> {
         match self.peek() {
-            Some(b'{') => {
-                self.check_depth(depth)?;
-                self.parse_object(depth)
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
             }
-            Some(b'[') => {
-                self.check_depth(depth)?;
-                self.parse_array(depth)
-            }
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            Some(_) => Err(self.error("unexpected character")),
-            None => Err(self.error("unexpected end of input")),
+            Some(b'}') => Ok(false),
+            _ => Err(self.error("expected `,` or `}` in object")),
         }
     }
 
-    fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, JsonError> {
+    /// After an array element: `true` past a `,`, `false` at the `]`.
+    #[inline]
+    fn next_item(&mut self) -> Result<bool, JsonError> {
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
+            }
+            Some(b']') => Ok(false),
+            _ => Err(self.error("expected `,` or `]` in array")),
+        }
+    }
+
+    fn keyword(&mut self, word: &str) -> Result<(), JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.error(&format!("expected `{word}`")))
         }
     }
 
-    fn parse_object(&mut self, depth: usize) -> Result<Value, JsonError> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.parse_value(depth + 1)?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(self.error("expected `,` or `}` in object")),
-            }
-        }
-    }
-
-    fn parse_array(&mut self, depth: usize) -> Result<Value, JsonError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.error("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, JsonError> {
+    /// Reads a string literal: borrowed when it holds no escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        // Runs of characters up to the next quote, backslash or control
+        // character are taken whole. A run ends at an ASCII byte, so it ends
+        // on a character boundary of the input.
+        let start = self.pos;
+        self.skip_while(|c| c >= 0x20 && c != b'"' && c != b'\\');
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
         loop {
-            // Copy the run of characters up to the next quote, backslash or
-            // control character whole. The run ends at an ASCII byte, so it
-            // ends on a character boundary of the input.
-            let run = self.pos;
-            self.skip_while(|c| c >= 0x20 && c != b'"' && c != b'\\');
-            out.push_str(&self.text[run..self.pos]);
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let code = self.parse_hex4()?;
-                            // Surrogate pairs: only BMP scalars are produced
-                            // by our printer; reject lone surrogates.
-                            match char::from_u32(code) {
-                                Some(c) => out.push(c),
-                                None => return Err(self.error("invalid \\u escape")),
-                            }
-                            continue;
-                        }
+                    let simple = match self.peek() {
+                        Some(b'"') => Some('"'),
+                        Some(b'\\') => Some('\\'),
+                        Some(b'/') => Some('/'),
+                        Some(b'b') => Some('\u{8}'),
+                        Some(b'f') => Some('\u{c}'),
+                        Some(b'n') => Some('\n'),
+                        Some(b'r') => Some('\r'),
+                        Some(b't') => Some('\t'),
+                        Some(b'u') => None,
                         _ => return Err(self.error("invalid escape")),
-                    }
+                    };
                     self.pos += 1;
+                    out.push(match simple {
+                        Some(c) => c,
+                        // Surrogate pairs: only BMP scalars are produced by
+                        // our printer; reject lone surrogates.
+                        None => char::from_u32(self.hex4()?)
+                            .ok_or_else(|| self.error("invalid \\u escape"))?,
+                    });
                 }
                 Some(_) => return Err(self.error("control character in string")),
             }
+            let run = self.pos;
+            self.skip_while(|c| c >= 0x20 && c != b'"' && c != b'\\');
+            out.push_str(&self.text[run..self.pos]);
         }
     }
 
-    fn parse_hex4(&mut self) -> Result<u32, JsonError> {
+    fn hex4(&mut self) -> Result<u32, JsonError> {
         let mut code: u32 = 0;
         for _ in 0..4 {
             let digit = match self.peek() {
@@ -786,19 +1088,49 @@ impl Parser<'_> {
         Ok(code)
     }
 
-    fn parse_number(&mut self) -> Result<Value, JsonError> {
+    /// Reads a number: an exact integer, or a float when it has a fraction
+    /// or an exponent. The first [`FAST_DIGITS`] digits accumulate in a
+    /// `u64` as they are scanned.
+    #[inline]
+    fn number(&mut self) -> Result<Scalar<'a>, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        let negative = self.bytes[start] == b'-';
+        let digits_start = start + usize::from(negative);
+        let mut end = digits_start;
+        let mut magnitude = 0u64;
+        while let Some(&d) = self.bytes.get(end) {
+            if !d.is_ascii_digit() {
+                break;
+            }
+            if end - digits_start < FAST_DIGITS {
+                magnitude = magnitude * 10 + u64::from(d - b'0');
+            }
+            end += 1;
         }
-        let digits_start = self.pos;
-        self.skip_while(|c| c.is_ascii_digit());
-        if self.pos == digits_start {
+        self.pos = end;
+        if end == digits_start {
             return Err(self.error("expected digits"));
         }
-        let mut is_float = false;
+        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            return self.float(start);
+        }
+        if end - digits_start > FAST_DIGITS {
+            return self.text[start..end]
+                .parse::<i128>()
+                .map(Scalar::Int)
+                .map_err(|_| self.error("integer out of range"));
+        }
+        // At most 18 digits: below 10^18 < 2^63, so neither the sum nor the
+        // negation can overflow.
+        let value = i128::from(magnitude);
+        Ok(Scalar::Int(if negative { -value } else { value }))
+    }
+
+    /// Reads the fraction and exponent of the number that started at
+    /// `start`; the cursor is past its integer digits.
+    #[cold]
+    fn float(&mut self, start: usize) -> Result<Scalar<'a>, JsonError> {
         if self.peek() == Some(b'.') {
-            is_float = true;
             self.pos += 1;
             let frac_start = self.pos;
             self.skip_while(|c| c.is_ascii_digit());
@@ -807,7 +1139,6 @@ impl Parser<'_> {
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
@@ -818,38 +1149,118 @@ impl Parser<'_> {
                 return Err(self.error("expected digits in exponent"));
             }
         }
-        let text = &self.text[start..self.pos];
-        if is_float {
-            return text
-                .parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| self.error("invalid number"));
-        }
-        let digits = &self.bytes[digits_start..self.pos];
-        if digits.len() > FAST_DIGITS {
-            return text
-                .parse::<i128>()
-                .map(Value::Int)
-                .map_err(|_| self.error("integer out of range"));
-        }
-        // At most 18 digits: below 10^18 < 2^63, so neither the sum nor the
-        // negation can overflow.
-        let magnitude = digits
-            .iter()
-            .fold(0u64, |acc, &d| acc * 10 + u64::from(d - b'0'));
-        let value = i128::from(magnitude);
-        Ok(Value::Int(if start == digits_start {
-            value
-        } else {
-            -value
-        }))
+        self.text[start..self.pos]
+            .parse::<f64>()
+            .map(Scalar::Float)
+            .map_err(|_| self.error("invalid number"))
     }
 }
 
-/// The longest integer literal (in digits, leading zeros included) that
-/// [`Parser::parse_number`] accumulates in a `u64`; longer ones take the
-/// exact `i128` parse with its range check.
-const FAST_DIGITS: usize = 18;
+/// One field of an object being read: absent until its key comes, then its
+/// decoded value or its decode error. A key that comes again keeps its first
+/// value; the repeat is only skipped.
+///
+/// [`JsonReader::object`] callers keep one per field they know, fill it with
+/// [`Field::read`] or [`Field::read_with`] as the key comes, and take the
+/// values out once the object has closed, in the order their errors should
+/// be reported.
+#[derive(Debug)]
+pub struct Field<T>(Option<Result<T, JsonError>>);
+
+impl<T> Default for Field<T> {
+    fn default() -> Self {
+        Field(None)
+    }
+}
+
+impl<T> Field<T> {
+    /// Reads the field's value with `read`, keeping a decode error for later.
+    ///
+    /// # Errors
+    /// Syntax and limit errors only.
+    pub fn read_with<'a>(
+        &mut self,
+        r: &mut JsonReader<'a>,
+        read: impl FnOnce(&mut JsonReader<'a>) -> Result<T, JsonError>,
+    ) -> Result<(), JsonError> {
+        if self.0.is_some() {
+            return r.skip();
+        }
+        match r.guarded(read) {
+            Err(e) if e.kind != JsonErrorKind::Decode => Err(e),
+            result => {
+                self.0 = Some(result);
+                Ok(())
+            }
+        }
+    }
+
+    /// Reads the field's value as its [`FromJson`] type.
+    ///
+    /// # Errors
+    /// Syntax and limit errors only.
+    pub fn read(&mut self, r: &mut JsonReader<'_>) -> Result<(), JsonError>
+    where
+        T: FromJson,
+    {
+        self.read_with(r, T::read_json)
+    }
+
+    /// The field's value, or its decode error.
+    ///
+    /// # Errors
+    /// The field's decode error, or `missing field `{key}`` when it never
+    /// came.
+    pub fn required(self, key: &str) -> Result<T, JsonError> {
+        self.0
+            .unwrap_or_else(|| Err(JsonError::new(format!("missing field `{key}`"))))
+    }
+
+    /// The field's value, `None` when it never came.
+    ///
+    /// # Errors
+    /// The field's decode error.
+    pub fn optional(self) -> Result<Option<T>, JsonError> {
+        self.0.transpose()
+    }
+
+    /// The field's value, if it came and decoded.
+    #[must_use]
+    pub fn ok(&self) -> Option<&T> {
+        self.0.as_ref().and_then(|r| r.as_ref().ok())
+    }
+}
+
+impl FromJson for Value {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        Ok(match r.peek() {
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                r.object("", |key, r| {
+                    fields.push((key.to_owned(), Value::read_json(r)?));
+                    Ok(())
+                })?;
+                Value::Object(fields)
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                r.array("", |r| {
+                    items.push(Value::read_json(r)?);
+                    Ok(())
+                })?;
+                Value::Array(items)
+            }
+            _ => match r.scalar()? {
+                Scalar::Null => Value::Null,
+                Scalar::Bool(b) => Value::Bool(b),
+                Scalar::Int(v) => Value::Int(v),
+                Scalar::Float(v) => Value::Float(v),
+                Scalar::Str(s) => Value::Str(s.into_owned()),
+                Scalar::Array | Scalar::Object => unreachable!("containers are read above"),
+            },
+        })
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Length-prefixed framing
@@ -863,7 +1274,7 @@ const FAST_DIGITS: usize = 18;
 /// allocating, so a hostile peer cannot trigger an unbounded allocation by
 /// declaring a huge length.
 pub mod frame {
-    use std::io::{self, Read, Write};
+    use std::io::{self, IoSlice, Read, Write};
 
     /// Size of the length prefix in bytes.
     pub const HEADER_LEN: usize = 4;
@@ -912,6 +1323,11 @@ pub mod frame {
 
     /// Writes one frame: 4-byte big-endian length, then the payload bytes.
     ///
+    /// The header and the payload go out together, in one vectored write
+    /// where the stream takes all of it (a socket does): with Nagle's
+    /// algorithm off, a separate 4-byte header write would leave as a
+    /// segment of its own and wake the peer twice per frame.
+    ///
     /// # Errors
     /// [`FrameError::TooLarge`] when the payload exceeds `max_len` (also the
     /// hard `u32` prefix range), otherwise any underlying I/O error.
@@ -927,8 +1343,17 @@ pub mod frame {
                 max: max_len.min(u32::MAX as usize),
             });
         }
-        w.write_all(&(len as u32).to_be_bytes())?;
-        w.write_all(payload.as_bytes())?;
+        let header = (len as u32).to_be_bytes();
+        let mut bufs = [IoSlice::new(&header), IoSlice::new(payload.as_bytes())];
+        let mut rest = &mut bufs[..];
+        while !rest.is_empty() {
+            match w.write_vectored(rest) {
+                Ok(0) => return Err(FrameError::Io(io::ErrorKind::WriteZero.into())),
+                Ok(n) => IoSlice::advance_slices(&mut rest, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(FrameError::Io(e)),
+            }
+        }
         w.flush()?;
         Ok(())
     }

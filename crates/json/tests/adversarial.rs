@@ -8,7 +8,7 @@
 use std::io::Cursor;
 
 use bss_json::frame::{read_frame, write_frame, FrameError, HEADER_LEN};
-use bss_json::{parse, parse_with_limits, JsonErrorKind, ParseLimits, Value};
+use bss_json::{parse, parse_with_limits, JsonErrorKind, ParseLimits};
 
 const NET: ParseLimits = ParseLimits {
     max_bytes: 4096,
@@ -75,8 +75,9 @@ fn syntax_errors_are_typed_syntax() {
 
 #[test]
 fn decode_errors_are_typed_decode() {
-    let err = bss_json::int_from::<u64>(&Value::Str("no".into()), "field").unwrap_err();
+    let err = bss_json::decode_with(r#""no""#, &NET, |r| r.int::<u64>("field")).unwrap_err();
     assert_eq!(err.kind(), JsonErrorKind::Decode);
+    assert_eq!(err.to_string(), "expected integer for field, found string");
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ use core::fmt;
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use core::str::FromStr;
 
-use bss_json::{FromJson, JsonError, JsonWriter, ToJson, Value};
+use bss_json::{Field, FromJson, JsonError, JsonReader, JsonWriter, ToJson};
 
 use crate::gcd;
 
@@ -74,10 +74,14 @@ impl Rational {
 }
 
 impl FromJson for Rational {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-        let num: i128 = bss_json::int_from(bss_json::required(value, "num")?, "Rational.num")?;
-        let den: i128 = bss_json::int_from(bss_json::required(value, "den")?, "Rational.den")?;
-        Rational::from_wire(num, den)
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let (mut num, mut den) = (Field::default(), Field::default());
+        r.object("num", |key, r| match key {
+            "num" => num.read_with(r, |r| r.int("Rational.num")),
+            "den" => den.read_with(r, |r| r.int("Rational.den")),
+            _ => r.skip(),
+        })?;
+        Rational::from_wire(num.required("num")?, den.required("den")?)
     }
 }
 

@@ -15,7 +15,7 @@
 //! copy.
 
 use bss_instance::JobId;
-use bss_json::{FromJson, JsonError, JsonWriter, ToJson, Value};
+use bss_json::{Field, FromJson, JsonError, JsonReader, JsonWriter, ToJson};
 use bss_rational::Rational;
 
 use crate::{ItemKind, Placement, PlacementSink, Schedule, Violation};
@@ -42,11 +42,18 @@ impl ToJson for ConfigItem {
 }
 
 impl FromJson for ConfigItem {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let (mut start, mut len, mut kind) = (Field::default(), Field::default(), Field::default());
+        r.object("start", |key, r| match key {
+            "start" => start.read(r),
+            "len" => len.read(r),
+            "kind" => kind.read(r),
+            _ => r.skip(),
+        })?;
         Ok(ConfigItem {
-            start: Rational::from_json_value(bss_json::required(value, "start")?)?,
-            len: Rational::from_json_value(bss_json::required(value, "len")?)?,
-            kind: ItemKind::from_json_value(bss_json::required(value, "kind")?)?,
+            start: start.required("start")?,
+            len: len.required("len")?,
+            kind: kind.required("kind")?,
         })
     }
 }
@@ -86,9 +93,14 @@ impl ToJson for MachineConfig {
 }
 
 impl FromJson for MachineConfig {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let mut items = Field::default();
+        r.object("items", |key, r| match key {
+            "items" => items.read(r),
+            _ => r.skip(),
+        })?;
         Ok(MachineConfig {
-            items: Vec::from_json_value(bss_json::required(value, "items")?)?,
+            items: items.required("items")?,
         })
     }
 }
@@ -116,14 +128,19 @@ impl ToJson for ConfigGroup {
 }
 
 impl FromJson for ConfigGroup {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let (mut first_machine, mut count, mut config) =
+            (Field::default(), Field::default(), Field::default());
+        r.object("first_machine", |key, r| match key {
+            "first_machine" => first_machine.read_with(r, |r| r.int("first_machine")),
+            "count" => count.read_with(r, |r| r.int("count")),
+            "config" => config.read(r),
+            _ => r.skip(),
+        })?;
         Ok(ConfigGroup {
-            first_machine: bss_json::int_from(
-                bss_json::required(value, "first_machine")?,
-                "first_machine",
-            )?,
-            count: bss_json::int_from(bss_json::required(value, "count")?, "count")?,
-            config: MachineConfig::from_json_value(bss_json::required(value, "config")?)?,
+            first_machine: first_machine.required("first_machine")?,
+            count: count.required("count")?,
+            config: config.required("config")?,
         })
     }
 }
@@ -149,10 +166,16 @@ impl ToJson for CompactSchedule {
 }
 
 impl FromJson for CompactSchedule {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let (mut machines, mut groups) = (Field::default(), Field::default());
+        r.object("machines", |key, r| match key {
+            "machines" => machines.read_with(r, |r| r.int("machines")),
+            "groups" => groups.read(r),
+            _ => r.skip(),
+        })?;
         Ok(CompactSchedule {
-            machines: bss_json::int_from(bss_json::required(value, "machines")?, "machines")?,
-            groups: Vec::from_json_value(bss_json::required(value, "groups")?)?,
+            machines: machines.required("machines")?,
+            groups: groups.required("groups")?,
         })
     }
 }

@@ -1,7 +1,7 @@
 //! Placements: the atoms of a schedule.
 
 use bss_instance::{ClassId, JobId};
-use bss_json::{FromJson, JsonError, JsonWriter, ToJson, Value};
+use bss_json::{Field, FromJson, JsonError, JsonReader, JsonWriter, ToJson};
 use bss_rational::Rational;
 
 /// What occupies a stretch of machine time.
@@ -51,21 +51,42 @@ impl ToJson for ItemKind {
 }
 
 impl FromJson for ItemKind {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-        if let Some(class) = value.field("Setup") {
-            return Ok(ItemKind::Setup(bss_json::int_from(class, "Setup class")?));
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        if !r.at_object() {
+            let found = r.scalar()?;
+            return Err(JsonError::new(format!(
+                "expected `Setup` or `Piece` item, found {}",
+                found.kind()
+            )));
         }
-        if let Some(piece) = value.field("Piece") {
-            return Ok(ItemKind::Piece {
-                job: bss_json::int_from(bss_json::required(piece, "job")?, "Piece.job")?,
-                class: bss_json::int_from(bss_json::required(piece, "class")?, "Piece.class")?,
-            });
+        let (mut setup, mut piece) = (Field::default(), Field::default());
+        r.object("Setup", |key, r| match key {
+            "Setup" => setup.read_with(r, |r| r.int("Setup class").map(ItemKind::Setup)),
+            "Piece" => piece.read_with(r, read_piece),
+            _ => r.skip(),
+        })?;
+        // A `Setup` key wins over a `Piece` key, wherever each stands.
+        if let Some(setup) = setup.optional()? {
+            return Ok(setup);
         }
-        Err(JsonError::new(format!(
-            "expected `Setup` or `Piece` item, found {}",
-            value.kind()
-        )))
+        piece
+            .optional()?
+            .ok_or_else(|| JsonError::new("expected `Setup` or `Piece` item, found object"))
     }
+}
+
+/// Reads the `{"job", "class"}` body of a `Piece` item.
+fn read_piece(r: &mut JsonReader<'_>) -> Result<ItemKind, JsonError> {
+    let (mut job, mut class) = (Field::default(), Field::default());
+    r.object("job", |key, r| match key {
+        "job" => job.read_with(r, |r| r.int("Piece.job")),
+        "class" => class.read_with(r, |r| r.int("Piece.class")),
+        _ => r.skip(),
+    })?;
+    Ok(ItemKind::Piece {
+        job: job.required("job")?,
+        class: class.required("class")?,
+    })
 }
 
 /// A contiguous block of time on one machine.
@@ -112,12 +133,25 @@ impl ToJson for Placement {
 }
 
 impl FromJson for Placement {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let (mut machine, mut start, mut len, mut kind) = (
+            Field::default(),
+            Field::default(),
+            Field::default(),
+            Field::default(),
+        );
+        r.object("machine", |key, r| match key {
+            "machine" => machine.read_with(r, |r| r.int("machine")),
+            "start" => start.read(r),
+            "len" => len.read(r),
+            "kind" => kind.read(r),
+            _ => r.skip(),
+        })?;
         Ok(Placement {
-            machine: bss_json::int_from(bss_json::required(value, "machine")?, "machine")?,
-            start: Rational::from_json_value(bss_json::required(value, "start")?)?,
-            len: Rational::from_json_value(bss_json::required(value, "len")?)?,
-            kind: ItemKind::from_json_value(bss_json::required(value, "kind")?)?,
+            machine: machine.required("machine")?,
+            start: start.required("start")?,
+            len: len.required("len")?,
+            kind: kind.required("kind")?,
         })
     }
 }

@@ -1,6 +1,6 @@
 //! The explicit [`Schedule`] representation.
 
-use bss_json::{FromJson, JsonError, JsonWriter, ToJson, Value};
+use bss_json::{Field, FromJson, JsonError, JsonReader, JsonWriter, ToJson};
 use bss_rational::Rational;
 
 use crate::{ItemKind, Placement};
@@ -26,10 +26,16 @@ impl ToJson for Schedule {
 }
 
 impl FromJson for Schedule {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let (mut machines, mut placements) = (Field::default(), Field::default());
+        r.object("machines", |key, r| match key {
+            "machines" => machines.read_with(r, |r| r.int("machines")),
+            "placements" => placements.read(r),
+            _ => r.skip(),
+        })?;
         Ok(Schedule {
-            machines: bss_json::int_from(bss_json::required(value, "machines")?, "machines")?,
-            placements: Vec::from_json_value(bss_json::required(value, "placements")?)?,
+            machines: machines.required("machines")?,
+            placements: placements.required("placements")?,
         })
     }
 }

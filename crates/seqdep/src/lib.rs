@@ -27,7 +27,7 @@
 
 use core::fmt;
 
-use bss_json::{FromJson, JsonError, JsonWriter, ToJson, Value};
+use bss_json::{Field, FromJson, JsonError, JsonReader, JsonWriter, ToJson};
 use bss_rational::Rational;
 
 pub mod reduce;
@@ -529,17 +529,34 @@ impl ToJson for SeqDepInstance {
 }
 
 impl FromJson for SeqDepInstance {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-        let ints =
-            |v: &Value, what: &str| bss_json::vec_from(v, what, |x| bss_json::int_from(x, "entry"));
-        let machines = bss_json::int_from(bss_json::required(value, "machines")?, "machines")?;
-        let initial = ints(bss_json::required(value, "initial")?, "initial")?;
-        let switch = bss_json::vec_from(bss_json::required(value, "switch")?, "switch", |row| {
-            ints(row, "switch row")
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let (mut machines, mut initial, mut switch, mut class_proc) = (
+            Field::default(),
+            Field::default(),
+            Field::default(),
+            Field::default(),
+        );
+        r.object("machines", |key, r| match key {
+            "machines" => machines.read_with(r, |r| r.int("machines")),
+            "initial" => initial.read_with(r, |r| r.ints("initial", "entry")),
+            "switch" => switch.read_with(r, |r| {
+                let mut rows = Vec::new();
+                r.array("switch", |r| {
+                    rows.push(r.ints("switch row", "entry")?);
+                    Ok(())
+                })?;
+                Ok(rows)
+            }),
+            "class_proc" => class_proc.read_with(r, |r| r.ints("class_proc", "entry")),
+            _ => r.skip(),
         })?;
-        let class_proc = ints(bss_json::required(value, "class_proc")?, "class_proc")?;
-        SeqDepInstance::new(machines, initial, switch, class_proc)
-            .map_err(|e| JsonError::new(format!("invalid seqdep instance data: {e}")))
+        SeqDepInstance::new(
+            machines.required("machines")?,
+            initial.required("initial")?,
+            switch.required("switch")?,
+            class_proc.required("class_proc")?,
+        )
+        .map_err(|e| JsonError::new(format!("invalid seqdep instance data: {e}")))
     }
 }
 
@@ -569,8 +586,7 @@ impl SeqDepInstance {
 
     /// Parses and validates an instance from JSON.
     pub fn from_json(json: &str) -> Result<Self, SeqDepIoError> {
-        let value = bss_json::parse(json).map_err(SeqDepIoError::Json)?;
-        Self::from_json_value(&value).map_err(SeqDepIoError::Json)
+        bss_json::decode(json).map_err(SeqDepIoError::Json)
     }
 }
 

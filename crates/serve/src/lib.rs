@@ -8,7 +8,8 @@
 //! the delivery path a first-class, measured artifact:
 //!
 //! * [`server`] — the daemon. Length-prefixed compact JSON frames over TCP
-//!   ([`bss_json::frame`]), parsed under hardened size/depth limits. Each
+//!   ([`bss_json::frame`]), each written in one write and decoded straight
+//!   from its text under hardened size/depth limits. Each
 //!   connection thread answers cache hits itself and solves misses through
 //!   one admission gate: at most `workers` solves run at once, on warm
 //!   pooled workspaces; waiting requests are admitted in arrival order,

@@ -42,8 +42,9 @@
 //! # Bulk tables
 //!
 //! The two payloads that grow with the instance travel as flat integer
-//! arrays, so decoding one builds a single array of numbers rather than an
-//! object per job or placement. The `instance` of a `solve` or `session`
+//! arrays, which decode row by row straight from the frame text into the job
+//! or placement list, with no object per job or placement and no tree in
+//! between. The `instance` of a `solve` or `session`
 //! request lists its jobs in job-id order as `(class, time)` pairs:
 //!
 //! ```text
@@ -58,16 +59,25 @@
 //! {"machines":2, "placements":[0,0,1,3,1,0,null, 0,3,1,9,2,0,1, ...]}
 //! ```
 //!
-//! A table whose length is not a whole number of rows, or a value that is
-//! not an in-range integer, is a decode error (`bad-request` in a request);
+//! Object fields may come in any order; unknown ones are skipped. Errors
+//! keep one precedence whatever the order: a syntax or limit error anywhere
+//! in the frame first, then the version, the id, the kind, its parameters,
+//! and last the instance or tables. A table whose length is not a whole
+//! number of rows is rejected before any of its rows, and a value that is
+//! not an in-range integer is a decode error (`bad-request` in a request);
 //! a well-formed instance that violates the model is `invalid-instance`.
 //! Rationals are bounded by [`Rational::from_wire`]. The file formats
 //! ([`Instance::to_json`], [`Schedule::to_json`]) are unaffected: files are
 //! read by people and keep the pretty, self-describing shape.
 
+use std::borrow::Cow;
+
 use bss_core::{Algorithm, Completion, Solution};
 use bss_instance::{Delta, Instance, Job, Variant};
-use bss_json::{FromJson, JsonError, JsonErrorKind, JsonWriter, ObjectWriter, ToJson, Value};
+use bss_json::{
+    Field, FromJson, JsonError, JsonErrorKind, JsonReader, JsonWriter, ObjectWriter, ParseLimits,
+    Scalar, ToJson, Value,
+};
 use bss_rational::Rational;
 use bss_schedule::{ItemKind, Placement, Schedule};
 
@@ -228,19 +238,13 @@ impl core::fmt::Display for ErrorCode {
 /// validation, envelope shape), never by inspecting error message text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestError {
+    /// The request id to echo: the envelope's, when it holds a valid one,
+    /// and 0 otherwise.
+    pub id: u64,
     /// The protocol error class to answer with.
     pub code: ErrorCode,
     /// Human-readable detail.
     pub message: String,
-}
-
-impl RequestError {
-    fn bad(err: &JsonError) -> Self {
-        RequestError {
-            code: ErrorCode::BadRequest,
-            message: err.to_string(),
-        }
-    }
 }
 
 impl core::fmt::Display for RequestError {
@@ -473,30 +477,6 @@ fn write_delta(o: &mut ObjectWriter<'_>, delta: Delta) {
     }
 }
 
-/// Parses the `"op"` + operand fields of a delta request.
-fn delta_from_value(value: &Value) -> Result<Delta, JsonError> {
-    let op = bss_json::required(value, "op")?
-        .as_str()
-        .ok_or_else(|| JsonError::new("delta `op` must be a string"))?;
-    let int = |k: &str| -> Result<u64, JsonError> {
-        bss_json::int_from(bss_json::required(value, k)?, k)
-    };
-    match op {
-        "add-job" => Ok(Delta::AddJob {
-            class: int("class")? as usize,
-            time: int("time")?,
-        }),
-        "remove-job" => Ok(Delta::RemoveJob {
-            job: int("job")? as usize,
-        }),
-        "retime" => Ok(Delta::Retime {
-            job: int("job")? as usize,
-            time: int("time")?,
-        }),
-        other => Err(JsonError::new(format!("unknown delta op `{other}`"))),
-    }
-}
-
 fn completion_to_wire(c: Completion) -> &'static str {
     use bss_core::Interrupt;
     match c {
@@ -609,178 +589,12 @@ impl ToJson for InstanceFrame<'_> {
     }
 }
 
-fn check_version(value: &Value) -> Result<(), JsonError> {
-    let v = bss_json::int_from::<i128>(bss_json::required(value, "v")?, "protocol version")?;
-    if v != PROTOCOL_VERSION {
-        return Err(JsonError::new(format!(
-            "unsupported protocol version {v} (this build speaks {PROTOCOL_VERSION})"
-        )));
-    }
-    Ok(())
-}
-
-fn envelope_id(value: &Value) -> Result<u64, JsonError> {
-    bss_json::int_from(bss_json::required(value, "id")?, "request id")
-}
-
-/// The id of a message, when the envelope is intact enough to carry one —
-/// used to echo ids even on otherwise-broken requests.
-#[must_use]
-pub fn peek_id(value: &Value) -> u64 {
-    envelope_id(value).unwrap_or(0)
-}
-
-impl Request {
-    /// Decodes a request envelope with a typed protocol error class:
-    /// version mismatches get [`ErrorCode::UnsupportedVersion`],
-    /// model-violating instances get [`ErrorCode::InvalidInstance`], and
-    /// every other shape problem gets [`ErrorCode::BadRequest`]. The server
-    /// answers straight from the returned code; no message inspection.
-    ///
-    /// # Errors
-    /// [`RequestError`] carrying the class and detail.
-    pub fn decode(value: &Value) -> Result<Self, RequestError> {
-        let v = bss_json::int_from::<i128>(
-            bss_json::required(value, "v").map_err(|e| RequestError::bad(&e))?,
-            "protocol version",
-        )
-        .map_err(|e| RequestError::bad(&e))?;
-        if v != PROTOCOL_VERSION {
-            return Err(RequestError {
-                code: ErrorCode::UnsupportedVersion,
-                message: format!(
-                    "unsupported protocol version {v} (this build speaks {PROTOCOL_VERSION})"
-                ),
-            });
-        }
-        let id = envelope_id(value).map_err(|e| RequestError::bad(&e))?;
-        let bad = |err: JsonError| RequestError::bad(&err);
-        let kind = bss_json::required(value, "kind")
-            .map_err(bad)?
-            .as_str()
-            .ok_or_else(|| bad(JsonError::new("request `kind` must be a string")))?;
-        match kind {
-            "ping" => Ok(Request::Ping { id }),
-            "stats" => Ok(Request::Stats { id }),
-            "shutdown" => Ok(Request::Shutdown { id }),
-            "sleep" => Ok(Request::Sleep {
-                id,
-                ms: bss_json::int_from(bss_json::required(value, "ms").map_err(bad)?, "sleep ms")
-                    .map_err(bad)?,
-            }),
-            "solve" => {
-                let (variant, algo) = decode_params(value)?;
-                let deadline_ms = match value.field("deadline_ms") {
-                    None | Some(Value::Null) => None,
-                    Some(v) => Some(bss_json::int_from(v, "deadline_ms").map_err(bad)?),
-                };
-                let work_budget = match value.field("work_budget") {
-                    None | Some(Value::Null) => None,
-                    Some(v) => Some(bss_json::int_from(v, "work_budget").map_err(bad)?),
-                };
-                let want_schedule = decode_want_schedule(value)?;
-                let instance = decode_instance(value)?;
-                Ok(Request::Solve(Box::new(SolveRequest {
-                    id,
-                    instance,
-                    variant,
-                    algo,
-                    deadline_ms,
-                    work_budget,
-                    want_schedule,
-                })))
-            }
-            "session" => {
-                let (variant, algo) = decode_params(value)?;
-                let instance = decode_instance(value)?;
-                Ok(Request::Session(Box::new(SessionRequest {
-                    id,
-                    instance,
-                    variant,
-                    algo,
-                })))
-            }
-            "delta" => Ok(Request::Delta {
-                id,
-                delta: delta_from_value(value).map_err(bad)?,
-            }),
-            "resolve" => Ok(Request::Resolve {
-                id,
-                want_schedule: decode_want_schedule(value)?,
-            }),
-            other => Err(bad(JsonError::new(format!(
-                "unknown request kind `{other}`"
-            )))),
-        }
-    }
-}
-
-/// Decodes the shared `"variant"` + `"algorithm"` fields of solve-shaped
-/// requests.
-fn decode_params(value: &Value) -> Result<(Variant, Algorithm), RequestError> {
-    let bad = |err: JsonError| RequestError::bad(&err);
-    let variant = Variant::from_json_value(bss_json::required(value, "variant").map_err(bad)?)
-        .map_err(bad)?;
-    let algo = algorithm_from_wire(
-        bss_json::required(value, "algorithm")
-            .map_err(bad)?
-            .as_str()
-            .ok_or_else(|| bad(JsonError::new("`algorithm` must be a string")))?,
-    )
-    .map_err(bad)?;
-    Ok((variant, algo))
-}
-
-/// Decodes the optional `"schedule"` bool (absent means `false`).
-fn decode_want_schedule(value: &Value) -> Result<bool, RequestError> {
-    match value.field("schedule") {
-        None => Ok(false),
-        Some(Value::Bool(b)) => Ok(*b),
-        Some(other) => Err(RequestError::bad(&JsonError::new(format!(
-            "`schedule` must be a bool, found {}",
-            other.kind()
-        )))),
-    }
-}
-
-/// Decodes the `"instance"` object with the typed error-class split:
-/// malformed JSON shape is [`ErrorCode::BadRequest`], well-formed data
-/// violating the paper's model is [`ErrorCode::InvalidInstance`] — decided
-/// by the error's *type*, not its text.
-fn decode_instance(value: &Value) -> Result<Instance, RequestError> {
-    let (machines, setups, jobs) = bss_json::required(value, "instance")
-        .and_then(instance_parts)
-        .map_err(|e| RequestError::bad(&e))?;
-    Instance::from_parts(machines, setups, jobs).map_err(|err| RequestError {
-        code: ErrorCode::InvalidInstance,
-        message: format!("invalid instance data: {err}"),
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Bulk tables
 // ---------------------------------------------------------------------------
 
 /// Integers per row of a schedule's `placements` table.
 const PLACEMENT_ROW: usize = 7;
-
-/// The rows of a flat table of `width`-value rows.
-fn table<'v>(
-    value: &'v Value,
-    width: usize,
-    what: &str,
-) -> Result<core::slice::ChunksExact<'v, Value>, JsonError> {
-    let items = value.as_array().ok_or_else(|| {
-        JsonError::new(format!("expected array for {what}, found {}", value.kind()))
-    })?;
-    if items.len() % width != 0 {
-        return Err(JsonError::new(format!(
-            "{what} table of {} values is not a whole number of {width}-value rows",
-            items.len()
-        )));
-    }
-    Ok(items.chunks_exact(width))
-}
 
 /// Writes the wire form of an instance: its jobs as one `[class, time, ...]`
 /// table, row by row.
@@ -799,23 +613,6 @@ fn write_instance(w: &mut JsonWriter, instance: &Instance) {
             }
         });
     });
-}
-
-/// The unvalidated `(machines, setups, jobs)` of a wire instance.
-fn instance_parts(value: &Value) -> Result<(usize, Vec<u64>, Vec<Job>), JsonError> {
-    let machines = bss_json::int_from(bss_json::required(value, "machines")?, "machines")?;
-    let setups = bss_json::vec_from(bss_json::required(value, "setups")?, "setups", |v| {
-        bss_json::int_from(v, "setup time")
-    })?;
-    let jobs = table(bss_json::required(value, "jobs")?, 2, "jobs")?
-        .map(|row| {
-            Ok(Job {
-                class: bss_json::int_from(&row[0], "job class")?,
-                time: bss_json::int_from(&row[1], "job time")?,
-            })
-        })
-        .collect::<Result<_, JsonError>>()?;
-    Ok((machines, setups, jobs))
 }
 
 /// Writes the wire form of a schedule: its placements as one table of
@@ -838,46 +635,6 @@ fn write_schedule(w: &mut JsonWriter, schedule: &Schedule) {
             }
         });
     });
-}
-
-/// Decodes a wire schedule row by row. Rows go straight into the placement
-/// list, not through [`Schedule::push`], so a zero-length placement is kept
-/// and the result equals the sender's schedule field for field.
-fn schedule_from_wire(value: &Value) -> Result<Schedule, JsonError> {
-    let mut schedule = Schedule::new(bss_json::int_from(
-        bss_json::required(value, "machines")?,
-        "machines",
-    )?);
-    let rows = table(
-        bss_json::required(value, "placements")?,
-        PLACEMENT_ROW,
-        "placements",
-    )?;
-    let placements = schedule.placements_mut();
-    placements.reserve_exact(rows.len());
-    for row in rows {
-        let int = |i: usize, what: &str| bss_json::int_from::<i128>(&row[i], what);
-        let class = bss_json::int_from(&row[5], "placement class")?;
-        placements.push(Placement::new(
-            bss_json::int_from(&row[0], "placement machine")?,
-            Rational::from_wire(int(1, "start.num")?, int(2, "start.den")?)?,
-            Rational::from_wire(int(3, "len.num")?, int(4, "len.den")?)?,
-            match &row[6] {
-                Value::Null => ItemKind::Setup(class),
-                job => ItemKind::Piece {
-                    job: bss_json::int_from(job, "placement job")?,
-                    class,
-                },
-            },
-        ));
-    }
-    Ok(schedule)
-}
-
-impl FromJson for Request {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-        Request::decode(value).map_err(|e| JsonError::new(e.message))
-    }
 }
 
 impl ToJson for WireSolution {
@@ -912,61 +669,37 @@ pub(crate) fn write_solved(w: &mut JsonWriter, id: u64, cached: bool, solution: 
     });
 }
 
-impl FromJson for WireSolution {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-        Ok(WireSolution {
-            makespan: Rational::from_json_value(bss_json::required(value, "makespan")?)?,
-            accepted: Rational::from_json_value(bss_json::required(value, "accepted")?)?,
-            ratio_bound: Rational::from_json_value(bss_json::required(value, "ratio_bound")?)?,
-            certificate: Rational::from_json_value(bss_json::required(value, "certificate")?)?,
-            probes: bss_json::int_from(bss_json::required(value, "probes")?, "probes")?,
-            completion: completion_from_wire(
-                bss_json::required(value, "completion")?
-                    .as_str()
-                    .ok_or_else(|| JsonError::new("`completion` must be a string"))?,
-            )?,
-            schedule: match value.field("schedule") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(schedule_from_wire(v)?),
-            },
-        })
-    }
-}
+/// The keys of a [`ServerStats`] object, in the order it is written.
+const STATS_KEYS: [&str; 9] = [
+    "solved",
+    "shed",
+    "errors",
+    "cache_hits",
+    "cache_misses",
+    "cache_evictions",
+    "cache_collisions",
+    "cache_len",
+    "workers",
+];
 
 impl ToJson for ServerStats {
     fn write_json(&self, w: &mut JsonWriter) {
+        let values = [
+            self.solved,
+            self.shed,
+            self.errors,
+            self.cache.hits,
+            self.cache.misses,
+            self.cache.evictions,
+            self.cache.collisions,
+            self.cache.len,
+            self.workers,
+        ];
         w.object(|o| {
-            o.key("solved").int(self.solved.into());
-            o.key("shed").int(self.shed.into());
-            o.key("errors").int(self.errors.into());
-            o.key("cache_hits").int(self.cache.hits.into());
-            o.key("cache_misses").int(self.cache.misses.into());
-            o.key("cache_evictions").int(self.cache.evictions.into());
-            o.key("cache_collisions").int(self.cache.collisions.into());
-            o.key("cache_len").int(self.cache.len.into());
-            o.key("workers").int(self.workers.into());
+            for (key, value) in STATS_KEYS.into_iter().zip(values) {
+                o.key(key).int(value.into());
+            }
         });
-    }
-}
-
-impl FromJson for ServerStats {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-        let int = |k: &str| -> Result<u64, JsonError> {
-            bss_json::int_from(bss_json::required(value, k)?, k)
-        };
-        Ok(ServerStats {
-            solved: int("solved")?,
-            shed: int("shed")?,
-            errors: int("errors")?,
-            cache: CacheStats {
-                hits: int("cache_hits")?,
-                misses: int("cache_misses")?,
-                evictions: int("cache_evictions")?,
-                collisions: int("cache_collisions")?,
-                len: int("cache_len")?,
-            },
-            workers: int("workers")?,
-        })
     }
 }
 
@@ -1011,47 +744,475 @@ impl ToJson for Response {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Decoding
+// ---------------------------------------------------------------------------
+
+/// The decode error of a wrong `"v"`.
+fn unsupported_version(v: i128) -> String {
+    format!("unsupported protocol version {v} (this build speaks {PROTOCOL_VERSION})")
+}
+
+/// Reads a string; any other value is the decode error `message`.
+fn string<'a>(r: &mut JsonReader<'a>, message: &str) -> Result<Cow<'a, str>, JsonError> {
+    match r.scalar()? {
+        Scalar::Str(s) => Ok(s),
+        _ => Err(JsonError::new(message)),
+    }
+}
+
+/// Reads an optional integer: `null` is `None`.
+fn nullable_int(r: &mut JsonReader<'_>, what: &str) -> Result<Option<u64>, JsonError> {
+    match r.scalar()? {
+        Scalar::Null => Ok(None),
+        other => other.int(what).map(Some),
+    }
+}
+
+/// Reads a flat table of `W`-value rows into `out`, decoding each whole row
+/// with `row` in order. A table that is not a whole number of rows is
+/// rejected before any row is; after the first row `row` rejects, the rest
+/// of the table is only counted and checked. The list keeps no growth slack:
+/// the decoded instance or schedule outlives the frame.
+fn read_table<'a, T, const W: usize>(
+    r: &mut JsonReader<'a>,
+    what: &str,
+    row: impl Fn(&[Scalar<'a>; W]) -> Result<T, JsonError>,
+) -> Result<Vec<T>, JsonError> {
+    let mut out = Vec::new();
+    let mut cells: [Scalar<'a>; W] = core::array::from_fn(|_| Scalar::Null);
+    let (mut len, mut first_error) = (0usize, None);
+    r.scalars(what, |cell| {
+        if first_error.is_none() {
+            cells[len % W] = cell;
+            if len % W == W - 1 {
+                match row(&cells) {
+                    Ok(item) => out.push(item),
+                    Err(e) => first_error = Some(e),
+                }
+            }
+        }
+        len += 1;
+    })?;
+    if len % W != 0 {
+        return Err(JsonError::new(format!(
+            "{what} table of {len} values is not a whole number of {W}-value rows"
+        )));
+    }
+    if let Some(e) = first_error {
+        return Err(e);
+    }
+    out.shrink_to_fit();
+    Ok(out)
+}
+
+/// The unvalidated `(machines, setups, jobs)` of a wire instance; its jobs
+/// come straight from the `[class, time, ...]` table.
+struct WireInstance {
+    machines: usize,
+    setups: Vec<u64>,
+    jobs: Vec<Job>,
+}
+
+impl FromJson for WireInstance {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let (mut machines, mut setups, mut jobs) =
+            (Field::default(), Field::default(), Field::default());
+        r.object("machines", |key, r| match key {
+            "machines" => machines.read_with(r, |r| r.int("machines")),
+            "setups" => setups.read_with(r, |r| r.ints("setups", "setup time")),
+            "jobs" => jobs.read_with(r, |r| {
+                read_table(r, "jobs", |[class, time]| {
+                    Ok(Job {
+                        class: class.int("job class")?,
+                        time: time.int("job time")?,
+                    })
+                })
+            }),
+            _ => r.skip(),
+        })?;
+        Ok(WireInstance {
+            machines: machines.required("machines")?,
+            setups: setups.required("setups")?,
+            jobs: jobs.required("jobs")?,
+        })
+    }
+}
+
+/// Reads a wire schedule row by row. Rows go straight into the placement
+/// list, not through [`Schedule::push`], so a zero-length placement is kept
+/// and the result equals the sender's schedule field for field.
+fn read_schedule(r: &mut JsonReader<'_>) -> Result<Schedule, JsonError> {
+    let (mut machines, mut placements) = (Field::default(), Field::default());
+    r.object("machines", |key, r| match key {
+        "machines" => machines.read_with(r, |r| r.int("machines")),
+        "placements" => placements.read_with(r, |r| {
+            read_table(r, "placements", |row: &[Scalar<'_>; PLACEMENT_ROW]| {
+                let class = row[5].int("placement class")?;
+                Ok(Placement::new(
+                    row[0].int("placement machine")?,
+                    Rational::from_wire(row[1].int("start.num")?, row[2].int("start.den")?)?,
+                    Rational::from_wire(row[3].int("len.num")?, row[4].int("len.den")?)?,
+                    match &row[6] {
+                        Scalar::Null => ItemKind::Setup(class),
+                        job => ItemKind::Piece {
+                            job: job.int("placement job")?,
+                            class,
+                        },
+                    },
+                ))
+            })
+        }),
+        _ => r.skip(),
+    })?;
+    let mut schedule = Schedule::new(machines.required("machines")?);
+    *schedule.placements_mut() = placements.required("placements")?;
+    Ok(schedule)
+}
+
+/// The fields of a request envelope, each read as its key comes. A field
+/// the request's kind does not use is read but never looked at.
+#[derive(Default)]
+struct RequestFields<'a> {
+    v: Field<i128>,
+    id: Field<u64>,
+    kind: Field<Cow<'a, str>>,
+    variant: Field<Variant>,
+    algorithm: Field<Algorithm>,
+    deadline_ms: Field<Option<u64>>,
+    work_budget: Field<Option<u64>>,
+    schedule: Field<bool>,
+    instance: Field<WireInstance>,
+    ms: Field<u64>,
+    op: Field<Cow<'a, str>>,
+    class: Field<u64>,
+    time: Field<u64>,
+    job: Field<u64>,
+}
+
+impl<'a> RequestFields<'a> {
+    fn read(r: &mut JsonReader<'a>) -> Result<Self, JsonError> {
+        let mut f = RequestFields::default();
+        r.object("v", |key, r| match key {
+            "v" => f.v.read_with(r, |r| r.int("protocol version")),
+            "id" => f.id.read_with(r, |r| r.int("request id")),
+            "kind" => f
+                .kind
+                .read_with(r, |r| string(r, "request `kind` must be a string")),
+            "variant" => f.variant.read(r),
+            "algorithm" => f.algorithm.read_with(r, |r| {
+                algorithm_from_wire(&string(r, "`algorithm` must be a string")?)
+            }),
+            "deadline_ms" => f
+                .deadline_ms
+                .read_with(r, |r| nullable_int(r, "deadline_ms")),
+            "work_budget" => f
+                .work_budget
+                .read_with(r, |r| nullable_int(r, "work_budget")),
+            "schedule" => f.schedule.read_with(r, |r| match r.scalar()? {
+                Scalar::Bool(b) => Ok(b),
+                other => Err(JsonError::new(format!(
+                    "`schedule` must be a bool, found {}",
+                    other.kind()
+                ))),
+            }),
+            "instance" => f.instance.read(r),
+            "ms" => f.ms.read_with(r, |r| r.int("sleep ms")),
+            "op" => {
+                f.op.read_with(r, |r| string(r, "delta `op` must be a string"))
+            }
+            "class" => f.class.read_with(r, |r| r.int("class")),
+            "time" => f.time.read_with(r, |r| r.int("time")),
+            "job" => f.job.read_with(r, |r| r.int("job")),
+            _ => r.skip(),
+        })?;
+        Ok(f)
+    }
+
+    /// The request, or its typed error: the fields are checked in one fixed
+    /// order (version, id, kind, then the kind's own fields, the instance
+    /// last) whatever order their keys came in. Every error echoes the
+    /// envelope's id when it holds a valid one.
+    fn into_request(self) -> Result<Request, RequestError> {
+        let echo = self.id.ok().copied().unwrap_or(0);
+        let bad = |err: JsonError| RequestError {
+            id: echo,
+            code: ErrorCode::BadRequest,
+            message: err.to_string(),
+        };
+        let v = self.v.required("v").map_err(bad)?;
+        if v != PROTOCOL_VERSION {
+            return Err(RequestError {
+                id: echo,
+                code: ErrorCode::UnsupportedVersion,
+                message: unsupported_version(v),
+            });
+        }
+        let id = self.id.required("id").map_err(bad)?;
+        let kind = self.kind.required("kind").map_err(bad)?;
+        // Malformed JSON shape is `bad-request`; well-formed data violating
+        // the paper's model is `invalid-instance`.
+        let instance = |field: Field<WireInstance>| {
+            let wire = field.required("instance").map_err(bad)?;
+            Instance::from_parts(wire.machines, wire.setups, wire.jobs).map_err(|err| {
+                RequestError {
+                    id,
+                    code: ErrorCode::InvalidInstance,
+                    message: format!("invalid instance data: {err}"),
+                }
+            })
+        };
+        let want_schedule =
+            |field: Field<bool>| Ok(field.optional().map_err(bad)?.unwrap_or(false));
+        match &*kind {
+            "ping" => Ok(Request::Ping { id }),
+            "stats" => Ok(Request::Stats { id }),
+            "shutdown" => Ok(Request::Shutdown { id }),
+            "sleep" => Ok(Request::Sleep {
+                id,
+                ms: self.ms.required("ms").map_err(bad)?,
+            }),
+            "solve" => {
+                let variant = self.variant.required("variant").map_err(bad)?;
+                let algo = self.algorithm.required("algorithm").map_err(bad)?;
+                let deadline_ms = self.deadline_ms.optional().map_err(bad)?.flatten();
+                let work_budget = self.work_budget.optional().map_err(bad)?.flatten();
+                let want_schedule = want_schedule(self.schedule)?;
+                Ok(Request::Solve(Box::new(SolveRequest {
+                    id,
+                    instance: instance(self.instance)?,
+                    variant,
+                    algo,
+                    deadline_ms,
+                    work_budget,
+                    want_schedule,
+                })))
+            }
+            "session" => {
+                let variant = self.variant.required("variant").map_err(bad)?;
+                let algo = self.algorithm.required("algorithm").map_err(bad)?;
+                Ok(Request::Session(Box::new(SessionRequest {
+                    id,
+                    instance: instance(self.instance)?,
+                    variant,
+                    algo,
+                })))
+            }
+            "delta" => {
+                let op = self.op.required("op").map_err(bad)?;
+                let int = |field: Field<u64>, key: &str| field.required(key).map_err(bad);
+                let delta = match &*op {
+                    "add-job" => Delta::AddJob {
+                        class: int(self.class, "class")? as usize,
+                        time: int(self.time, "time")?,
+                    },
+                    "remove-job" => Delta::RemoveJob {
+                        job: int(self.job, "job")? as usize,
+                    },
+                    "retime" => Delta::Retime {
+                        job: int(self.job, "job")? as usize,
+                        time: int(self.time, "time")?,
+                    },
+                    other => {
+                        return Err(bad(JsonError::new(format!("unknown delta op `{other}`"))))
+                    }
+                };
+                Ok(Request::Delta { id, delta })
+            }
+            "resolve" => Ok(Request::Resolve {
+                id,
+                want_schedule: want_schedule(self.schedule)?,
+            }),
+            other => Err(bad(JsonError::new(format!(
+                "unknown request kind `{other}`"
+            )))),
+        }
+    }
+}
+
+impl Request {
+    /// Decodes a request frame straight from its text under `limits`, with
+    /// a typed protocol error class: a syntax or limit error anywhere in the
+    /// frame gets [`ErrorCode::of_json`] of its kind and id 0; a version
+    /// mismatch gets [`ErrorCode::UnsupportedVersion`]; a model-violating
+    /// instance gets [`ErrorCode::InvalidInstance`]; every other shape
+    /// problem gets [`ErrorCode::BadRequest`]. The server answers straight
+    /// from the returned error; no message inspection.
+    ///
+    /// # Errors
+    /// [`RequestError`] carrying the class, the id to echo and the detail.
+    pub fn from_frame(text: &str, limits: &ParseLimits) -> Result<Self, RequestError> {
+        bss_json::decode_with(text, limits, RequestFields::read)
+            .map_err(|err| RequestError {
+                id: 0,
+                code: ErrorCode::of_json(err.kind()),
+                message: err.to_string(),
+            })?
+            .into_request()
+    }
+
+    /// [`Request::from_frame`] for a caller that already holds a parsed
+    /// tree: it re-reads the tree's compact encoding.
+    ///
+    /// # Errors
+    /// As [`Request::from_frame`].
+    pub fn decode(value: &Value) -> Result<Self, RequestError> {
+        Request::from_frame(&bss_json::encode(value), &ParseLimits::default())
+    }
+}
+
+impl FromJson for Request {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        RequestFields::read(r)?
+            .into_request()
+            .map_err(|e| JsonError::new(e.message))
+    }
+}
+
+impl FromJson for WireSolution {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let mut rationals: [Field<Rational>; 4] = Default::default();
+        let (mut probes, mut completion, mut schedule) =
+            (Field::default(), Field::default(), Field::default());
+        r.object("makespan", |key, r| match key {
+            "makespan" => rationals[0].read(r),
+            "accepted" => rationals[1].read(r),
+            "ratio_bound" => rationals[2].read(r),
+            "certificate" => rationals[3].read(r),
+            "probes" => probes.read_with(r, |r| r.int("probes")),
+            "completion" => completion.read_with(r, |r| {
+                completion_from_wire(&string(r, "`completion` must be a string")?)
+            }),
+            "schedule" => schedule.read_with(r, |r| {
+                if r.read_null()? {
+                    Ok(None)
+                } else {
+                    read_schedule(r).map(Some)
+                }
+            }),
+            _ => r.skip(),
+        })?;
+        let [makespan, accepted, ratio_bound, certificate] = rationals;
+        Ok(WireSolution {
+            makespan: makespan.required("makespan")?,
+            accepted: accepted.required("accepted")?,
+            ratio_bound: ratio_bound.required("ratio_bound")?,
+            certificate: certificate.required("certificate")?,
+            probes: probes.required("probes")?,
+            completion: completion.required("completion")?,
+            schedule: schedule.optional()?.flatten(),
+        })
+    }
+}
+
+impl FromJson for ServerStats {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let mut fields: [Field<u64>; 9] = Default::default();
+        r.object(STATS_KEYS[0], |key, r| {
+            match STATS_KEYS.iter().position(|&k| k == key) {
+                Some(i) => fields[i].read_with(r, |r| r.int(key)),
+                None => r.skip(),
+            }
+        })?;
+        let mut values = [0; 9];
+        for ((value, field), key) in values.iter_mut().zip(fields).zip(STATS_KEYS) {
+            *value = field.required(key)?;
+        }
+        let [solved, shed, errors, hits, misses, evictions, collisions, len, workers] = values;
+        Ok(ServerStats {
+            solved,
+            shed,
+            errors,
+            cache: CacheStats {
+                hits,
+                misses,
+                evictions,
+                collisions,
+                len,
+            },
+            workers,
+        })
+    }
+}
+
+/// The fields of a response envelope, each read as its key comes.
+#[derive(Default)]
+struct ResponseFields<'a> {
+    v: Field<i128>,
+    id: Field<u64>,
+    status: Field<Cow<'a, str>>,
+    cached: Field<bool>,
+    solution: Field<WireSolution>,
+    queued: Field<u64>,
+    capacity: Field<u64>,
+    code: Field<ErrorCode>,
+    message: Field<String>,
+    stats: Field<ServerStats>,
+    jobs: Field<u64>,
+    content_hash: Field<u64>,
+}
+
 impl FromJson for Response {
-    fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-        check_version(value)?;
-        let id = envelope_id(value)?;
-        let status = bss_json::required(value, "status")?
-            .as_str()
-            .ok_or_else(|| JsonError::new("response `status` must be a string"))?;
-        match status {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, JsonError> {
+        let mut f = ResponseFields::default();
+        r.object("v", |key, r| match key {
+            "v" => f.v.read_with(r, |r| r.int("protocol version")),
+            "id" => f.id.read_with(r, |r| r.int("request id")),
+            "status" => f
+                .status
+                .read_with(r, |r| string(r, "response `status` must be a string")),
+            "cached" => f
+                .cached
+                .read_with(r, |r| Ok(r.scalar()? == Scalar::Bool(true))),
+            "solution" => f.solution.read(r),
+            "queued" => f.queued.read_with(r, |r| r.int("queued")),
+            "capacity" => f.capacity.read_with(r, |r| r.int("capacity")),
+            "code" => f.code.read_with(r, |r| {
+                match r.scalar()? {
+                    Scalar::Str(code) => ErrorCode::from_wire(&code),
+                    _ => None,
+                }
+                .ok_or_else(|| JsonError::new("unknown error code"))
+            }),
+            "message" => f.message.read_with(r, |r| match r.scalar()? {
+                Scalar::Str(message) => Ok(message.into_owned()),
+                _ => Ok(String::new()),
+            }),
+            "stats" => f.stats.read(r),
+            "jobs" => f.jobs.read_with(r, |r| r.int("jobs")),
+            "content_hash" => f.content_hash.read_with(r, |r| r.int("content_hash")),
+            _ => r.skip(),
+        })?;
+        let v = f.v.required("v")?;
+        if v != PROTOCOL_VERSION {
+            return Err(JsonError::new(unsupported_version(v)));
+        }
+        let id = f.id.required("id")?;
+        match &*f.status.required("status")? {
             "ok" => Ok(Response::Solved {
                 id,
-                cached: matches!(bss_json::required(value, "cached")?, Value::Bool(true)),
-                solution: WireSolution::from_json_value(bss_json::required(value, "solution")?)?,
+                cached: f.cached.required("cached")?,
+                solution: f.solution.required("solution")?,
             }),
             "shed" => Ok(Response::Shed {
                 id,
-                queued: bss_json::int_from(bss_json::required(value, "queued")?, "queued")?,
-                capacity: bss_json::int_from(bss_json::required(value, "capacity")?, "capacity")?,
+                queued: f.queued.required("queued")?,
+                capacity: f.capacity.required("capacity")?,
             }),
-            "error" => {
-                let code = bss_json::required(value, "code")?
-                    .as_str()
-                    .and_then(ErrorCode::from_wire)
-                    .ok_or_else(|| JsonError::new("unknown error code"))?;
-                let message = bss_json::required(value, "message")?
-                    .as_str()
-                    .unwrap_or_default()
-                    .to_string();
-                Ok(Response::Error { id, code, message })
-            }
+            "error" => Ok(Response::Error {
+                id,
+                code: f.code.required("code")?,
+                message: f.message.required("message")?,
+            }),
             "pong" => Ok(Response::Pong { id }),
             "stats" => Ok(Response::Stats {
                 id,
-                stats: ServerStats::from_json_value(bss_json::required(value, "stats")?)?,
+                stats: f.stats.required("stats")?,
             }),
             "session" => Ok(Response::Session {
                 id,
-                jobs: bss_json::int_from(bss_json::required(value, "jobs")?, "jobs")?,
-                content_hash: bss_json::int_from(
-                    bss_json::required(value, "content_hash")?,
-                    "content_hash",
-                )?,
+                jobs: f.jobs.required("jobs")?,
+                content_hash: f.content_hash.required("content_hash")?,
             }),
             "bye" => Ok(Response::Bye { id }),
             other => Err(JsonError::new(format!("unknown response status `{other}`"))),

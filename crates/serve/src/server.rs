@@ -5,12 +5,13 @@
 //!
 //! ```text
 //! accept loop ──► connection threads ──► cache ──► admission gate ──► solve_problem
-//!                  (frame, parse,         (hits     (≤ workers solve,   (pooled warm
+//!                  (frame, decode,        (hits     (≤ workers solve,   (pooled warm
 //!                   session state)         reply)    FIFO, shed at cap)   workspace)
 //! ```
 //!
 //! One detached thread per connection owns the socket: it reads frames,
-//! parses under the hardened [`bss_json`] limits and answers control
+//! decodes each straight from its text under the hardened [`bss_json`]
+//! limits ([`Request::from_frame`]) and answers control
 //! requests inline. Stateless solves and session resolves take the same
 //! path on that thread. The solve cache comes first, so a hit touches
 //! nothing else. A miss takes a slot from the admission gate: at most
@@ -44,7 +45,7 @@ use bss_json::{JsonWriter, ParseLimits, ToJson};
 
 use crate::cache::SolveCache;
 use crate::protocol::{
-    peek_id, write_solved, ErrorCode, Request, Response, ServerStats, SessionRequest, SolutionView,
+    write_solved, ErrorCode, Request, Response, ServerStats, SessionRequest, SolutionView,
     SolveRequest,
 };
 
@@ -379,20 +380,13 @@ fn connection_loop(stream: TcpStream, shared: &Shared) {
             Err(_) => break,
         };
 
-        let reply = match bss_json::parse_with_limits(&payload, &limits) {
+        let reply = match Request::from_frame(&payload, &limits) {
             Err(err) => Reply::Response(Response::Error {
-                id: 0,
-                code: ErrorCode::of_json(err.kind()),
-                message: err.to_string(),
+                id: err.id,
+                code: err.code,
+                message: err.message,
             }),
-            Ok(value) => match Request::decode(&value) {
-                Err(err) => Reply::Response(Response::Error {
-                    id: peek_id(&value),
-                    code: err.code,
-                    message: err.message,
-                }),
-                Ok(request) => handle_request(request, &mut session, shared),
-            },
+            Ok(request) => handle_request(request, &mut session, shared),
         };
         let sent = send(&mut writer, &reply, shared.config.max_frame_bytes);
         if matches!(reply, Reply::Response(Response::Bye { .. })) {
