@@ -145,13 +145,6 @@ impl SolveBudget {
         self
     }
 
-    /// Adds an absolute wall-clock deadline.
-    #[must_use]
-    pub fn with_deadline_at(mut self, at: Instant) -> Self {
-        self.deadline = Some(at);
-        self
-    }
-
     /// Caps the total work: dual-test probes and exact search nodes each
     /// cost one unit from this shared pool.
     #[must_use]

@@ -314,12 +314,6 @@ pub fn sweep_indices(total: u64) -> Vec<u64> {
     picks
 }
 
-/// A fresh workspace (re-exported constructor, for test ergonomics).
-#[must_use]
-pub fn fresh_workspace() -> DualWorkspace {
-    DualWorkspace::new()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -48,6 +48,38 @@ pub enum Algorithm {
     Portfolio,
 }
 
+/// The spelling the CLI's `--algorithm` and the wire protocol share:
+/// `two-approx`, `eps:<n>`, `three-halves` or `portfolio`.
+impl fmt::Display for Algorithm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Algorithm::TwoApprox => f.write_str("two-approx"),
+            Algorithm::EpsilonSearch { eps_log2 } => write!(f, "eps:{eps_log2}"),
+            Algorithm::ThreeHalves => f.write_str("three-halves"),
+            Algorithm::Portfolio => f.write_str("portfolio"),
+        }
+    }
+}
+
+/// Parses the [`Display`](fmt::Display) spelling; anything else is
+/// ``unknown algorithm `…` ``.
+impl core::str::FromStr for Algorithm {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "two-approx" => Ok(Algorithm::TwoApprox),
+            "three-halves" => Ok(Algorithm::ThreeHalves),
+            "portfolio" => Ok(Algorithm::Portfolio),
+            _ => s
+                .strip_prefix("eps:")
+                .and_then(|e| e.parse().ok())
+                .map(|eps_log2| Algorithm::EpsilonSearch { eps_log2 })
+                .ok_or_else(|| format!("unknown algorithm `{s}`")),
+        }
+    }
+}
+
 /// How far a solve got before returning — the anytime contract's status,
 /// mirroring the exact crate's `ExactStatus` sandwich.
 ///
@@ -452,6 +484,23 @@ mod tests {
         Algorithm::EpsilonSearch { eps_log2: 7 },
         Algorithm::ThreeHalves,
     ];
+
+    #[test]
+    fn algorithm_spelling_round_trips() {
+        for algo in [
+            Algorithm::TwoApprox,
+            Algorithm::ThreeHalves,
+            Algorithm::Portfolio,
+            Algorithm::EpsilonSearch { eps_log2: 12 },
+        ] {
+            assert_eq!(algo.to_string().parse::<Algorithm>(), Ok(algo));
+        }
+        assert_eq!(
+            "eps:bogus".parse::<Algorithm>(),
+            Err("unknown algorithm `eps:bogus`".to_string())
+        );
+        assert!("simplex".parse::<Algorithm>().is_err());
+    }
 
     #[test]
     fn full_matrix_validates_and_meets_bounds() {

@@ -455,11 +455,7 @@ impl<'a> BssProblem<'a> {
 
 impl Problem for BssProblem<'_> {
     fn name(&self) -> &'static str {
-        match self.variant {
-            Variant::Splittable => "splittable",
-            Variant::Preemptive => "preemptive",
-            Variant::NonPreemptive => "non-preemptive",
-        }
+        self.variant.name()
     }
 
     fn t_min(&self) -> Rational {

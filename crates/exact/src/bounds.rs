@@ -4,8 +4,8 @@
 //! literature uses for setup scheduling (per-machine load plus setup
 //! relaxation), specialized to the batch-setup model and kept in exact
 //! rationals so the oracle's `lower`/`upper` sandwich never suffers
-//! rounding. Each function is `pub` and documented so the unit suite can
-//! pin it against hand-computed values on 3–5 job instances.
+//! rounding. The unit suite pins each function against hand-computed values
+//! on 3–5 job instances.
 
 use bss_instance::Instance;
 use bss_rational::Rational;

@@ -7,7 +7,7 @@
 //!
 //! * the three batch-setup variants ([`solve_bss`]): splittable optima via
 //!   coverage enumeration over the Gale–Hoffman transportation bound
-//!   ([`bounds::coverage_gale_bound`]), non-preemptive optima via a
+//!   (`bounds::coverage_gale_bound`), non-preemptive optima via a
 //!   dominance-pruned assignment search, preemptive optima via the
 //!   `OPT_split ≤ OPT_pmtn ≤ OPT_nonp` sandwich plus an exact wrap-around
 //!   realization of the lower end;
@@ -31,7 +31,7 @@ use bss_rational::Rational;
 use bss_schedule::Schedule;
 use bss_seqdep::SeqDepInstance;
 
-pub mod bounds;
+mod bounds;
 mod flow;
 mod nonpreemptive;
 mod preemptive;

@@ -3,38 +3,49 @@
 //! oracle suite and the optgap study both stand on.
 
 use bss_exact::{solve_bss, solve_seqdep, ExactConfig, ExactStatus};
-use bss_instance::Variant;
+use bss_instance::{Instance, InstanceBuilder, Variant};
 use bss_rational::Rational;
 
 const SEEDS: u64 = 200;
 
+/// A hand-built oracle-gate cell: 12 jobs over 4 classes on 3 machines.
+fn gate_cell() -> Instance {
+    let mut b = InstanceBuilder::new(3);
+    b.add_batch(7, &[3, 11, 5]);
+    b.add_batch(4, &[8, 2, 6]);
+    b.add_batch(9, &[1, 13, 4]);
+    b.add_batch(2, &[10, 7, 5]);
+    b.build().expect("valid by construction")
+}
+
 #[test]
 fn bss_variants_close_on_tiny_seeds() {
     let cfg = ExactConfig::default();
+    let inputs = || {
+        (0..SEEDS)
+            .map(|seed| (format!("seed {seed}"), bss_gen::tiny(seed)))
+            .chain([("gate cell".to_string(), gate_cell())])
+    };
     for variant in [
         Variant::Splittable,
         Variant::Preemptive,
         Variant::NonPreemptive,
     ] {
-        for seed in 0..SEEDS {
-            let inst = bss_gen::tiny(seed);
+        for (input, inst) in inputs() {
             let ex = solve_bss(&inst, variant, &cfg).expect("tiny fits the size limits");
             assert_eq!(
                 ex.status,
                 ExactStatus::Closed,
-                "seed {seed} {variant:?} did not close: lower={:?} upper={:?} nodes={}",
+                "{input} {variant:?} did not close: lower={:?} upper={:?} nodes={}",
                 ex.lower,
                 ex.upper,
                 ex.nodes
             );
             assert_eq!(ex.guarantee(), Rational::ONE);
             let opt = ex.opt().expect("closed searches report OPT");
-            assert_eq!(ex.schedule().makespan(), opt, "seed {seed} {variant:?}");
+            assert_eq!(ex.schedule().makespan(), opt, "{input} {variant:?}");
             let violations = bss_schedule::validate(ex.schedule(), &inst, variant);
-            assert!(
-                violations.is_empty(),
-                "seed {seed} {variant:?}: {violations:?}"
-            );
+            assert!(violations.is_empty(), "{input} {variant:?}: {violations:?}");
         }
     }
 }

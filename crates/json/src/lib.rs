@@ -25,9 +25,11 @@
 //!
 //! Numbers are kept exact: every JSON number without fraction or exponent is
 //! an `i128` (covering `u64` times and `i128` rational components); anything
-//! else parses as `f64`. Integers of up to 18 digits accumulate in a `u64` as
-//! they are scanned, and those that fit in a `u64` print with a digit loop;
-//! only wider ones go through `core::fmt` and `str::parse`.
+//! else parses as a finite `f64`, and one out of its range (`1e999`) is a
+//! syntax error, so every [`Value`] encodes back to text that parses to it.
+//! Integers of up to 18 digits accumulate in a `u64` as they are scanned, and
+//! those that fit in a `u64` print with a digit loop; only wider ones go
+//! through `core::fmt` and `str::parse`.
 //!
 //! For *network* input (the `bss-serve` wire protocol) reading can be
 //! bounded: [`decode_with`] and [`parse_with_limits`] enforce a maximum
@@ -140,7 +142,7 @@ impl JsonError {
 
     /// Creates an error with an explicit kind.
     #[must_use]
-    pub fn with_kind(message: impl Into<String>, kind: JsonErrorKind) -> Self {
+    pub(crate) fn with_kind(message: impl Into<String>, kind: JsonErrorKind) -> Self {
         JsonError {
             message: message.into(),
             kind,
@@ -1127,7 +1129,8 @@ impl<'a> JsonReader<'a> {
     }
 
     /// Reads the fraction and exponent of the number that started at
-    /// `start`; the cursor is past its integer digits.
+    /// `start`; the cursor is past its integer digits. A literal whose value
+    /// is not a finite `f64` (`1e999`) is out of range.
     #[cold]
     fn float(&mut self, start: usize) -> Result<Scalar<'a>, JsonError> {
         if self.peek() == Some(b'.') {
@@ -1149,10 +1152,12 @@ impl<'a> JsonReader<'a> {
                 return Err(self.error("expected digits in exponent"));
             }
         }
-        self.text[start..self.pos]
-            .parse::<f64>()
-            .map(Scalar::Float)
-            .map_err(|_| self.error("invalid number"))
+        match self.text[start..self.pos].parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Scalar::Float(v)),
+            // An infinity would encode as `null`.
+            Ok(_) => Err(self.error("number out of range")),
+            Err(_) => Err(self.error("invalid number")),
+        }
     }
 }
 

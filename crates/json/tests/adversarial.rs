@@ -80,6 +80,20 @@ fn decode_errors_are_typed_decode() {
     assert_eq!(err.to_string(), "expected integer for field, found string");
 }
 
+#[test]
+fn non_finite_numbers_are_syntax_errors_at_the_end_of_the_literal() {
+    for (text, at) in [("1e999", 5), ("-1e999", 6), ("[0.5, 12e400]", 12)] {
+        let err = parse(text).unwrap_err();
+        assert_eq!(err.kind(), JsonErrorKind::Syntax, "input `{text}`");
+        assert_eq!(err.to_string(), format!("number out of range at byte {at}"));
+    }
+    // Every tree the parser returns encodes back to text that parses to it.
+    for text in ["1e308", "-1.7976931348623157e308", "1e-999", "[2.5e-3]"] {
+        let v = parse(text).unwrap();
+        assert_eq!(parse(&bss_json::encode(&v)).unwrap(), v, "input `{text}`");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Framing
 // ---------------------------------------------------------------------------

@@ -11,78 +11,15 @@ pub struct CkItem {
     pub weight: Rational,
 }
 
-/// An optimal solution of the continuous knapsack.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CkSolution {
-    /// `x_i ∈ [0, 1]` per item; at most one entry is fractional.
-    pub x: Vec<Rational>,
-    /// Index of the split item (`0 < x_e < 1`), if any.
-    pub split: Option<usize>,
-    /// Total profit `Σ p_i x_i`.
-    pub value: Rational,
-    /// Total weight `Σ w_i x_i` (`= min(capacity, Σ w_i)` unless capacity < 0).
-    pub used: Rational,
-}
-
-impl CkSolution {
-    /// Indices with `x_i == 1`.
-    #[must_use]
-    pub fn selected(&self) -> Vec<usize> {
-        self.x
-            .iter()
-            .enumerate()
-            .filter(|(_, x)| **x == Rational::ONE)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Indices with `x_i == 0` (the paper's "unselected" classes that pay an
-    /// extra setup).
-    #[must_use]
-    pub fn zero_set(&self) -> Vec<usize> {
-        self.x
-            .iter()
-            .enumerate()
-            .filter(|(_, x)| x.is_zero())
-            .map(|(i, _)| i)
-            .collect()
-    }
-}
-
-/// Solves the continuous knapsack exactly by the greedy ratio rule.
+/// Solves the continuous knapsack exactly by the greedy ratio rule, into
+/// caller-owned buffers (`order` is scratch, `x` receives `x_i ∈ [0, 1]` per
+/// item, at most one of them fractional), and returns the split item
+/// (`0 < x_e < 1`), if any, and the total profit `Σ p_i x_i`.
 ///
 /// Items are taken in order of decreasing `p_i / w_i` (zero-weight items
 /// first — they are free profit); the first item that does not fit becomes the
 /// split item. Runs in `O(k log k)` for `k` items. A non-positive capacity
-/// yields the all-zero solution.
-#[must_use]
-pub fn continuous_knapsack(items: &[CkItem], capacity: Rational) -> CkSolution {
-    let mut x = Vec::new();
-    let mut order = Vec::new();
-    let (split, value) = continuous_knapsack_in(items, capacity, &mut order, &mut x);
-    // The all-zero solution uses no weight; `capacity.min(...)` would report
-    // a negative `used` for non-positive capacities.
-    let used = if capacity.is_positive() {
-        capacity.min(
-            items
-                .iter()
-                .map(|i| i.weight)
-                .fold(Rational::ZERO, |a, b| a + b),
-        )
-    } else {
-        Rational::ZERO
-    };
-    CkSolution {
-        x,
-        split,
-        value,
-        used,
-    }
-}
-
-/// Allocation-free core of [`continuous_knapsack`]: solves into caller-owned
-/// buffers (`order` is scratch, `x` receives one entry per item) and returns
-/// `(split item, total profit)`. Once the buffers have grown to the item
+/// yields the all-zero solution. Once the buffers have grown to the item
 /// count, repeated calls perform no heap allocation — this is what the dual
 /// probes of the preemptive algorithm run on every guess.
 pub fn continuous_knapsack_in(
@@ -146,68 +83,67 @@ mod tests {
         }
     }
 
+    /// Runs the solver on fresh buffers: `(x, split, value)`.
+    fn solve(items: &[CkItem], capacity: Rational) -> (Vec<Rational>, Option<usize>, Rational) {
+        let mut x = Vec::new();
+        let (split, value) = continuous_knapsack_in(items, capacity, &mut Vec::new(), &mut x);
+        (x, split, value)
+    }
+
     #[test]
     fn takes_best_ratio_first() {
         // ratios: 10/2=5, 9/3=3, 4/4=1
         let items = [item(10, 2), item(9, 3), item(4, 4)];
-        let sol = continuous_knapsack(&items, r(5));
-        assert_eq!(sol.x[0], Rational::ONE);
-        assert_eq!(sol.x[1], Rational::ONE);
-        assert_eq!(sol.x[2], Rational::ZERO);
-        assert_eq!(sol.value, r(19));
-        assert_eq!(sol.split, None);
+        let (x, split, value) = solve(&items, r(5));
+        assert_eq!(x, vec![Rational::ONE, Rational::ONE, Rational::ZERO]);
+        assert_eq!(value, r(19));
+        assert_eq!(split, None);
     }
 
     #[test]
     fn split_item_fraction() {
         let items = [item(10, 2), item(9, 3)];
-        let sol = continuous_knapsack(&items, r(4));
-        assert_eq!(sol.x[0], Rational::ONE);
-        assert_eq!(sol.x[1], Rational::new(2, 3));
-        assert_eq!(sol.split, Some(1));
-        assert_eq!(sol.value, r(10) + r(6));
-        assert_eq!(sol.zero_set(), Vec::<usize>::new());
-        assert_eq!(sol.selected(), vec![0]);
+        let (x, split, value) = solve(&items, r(4));
+        assert_eq!(x, vec![Rational::ONE, Rational::new(2, 3)]);
+        assert_eq!(split, Some(1));
+        assert_eq!(value, r(10) + r(6));
     }
 
     #[test]
     fn zero_weight_items_always_selected() {
         let items = [item(5, 0), item(1, 10)];
-        let sol = continuous_knapsack(&items, r(1));
-        assert_eq!(sol.x[0], Rational::ONE);
-        assert_eq!(sol.x[1], Rational::new(1, 10));
+        let (x, _, _) = solve(&items, r(1));
+        assert_eq!(x, vec![Rational::ONE, Rational::new(1, 10)]);
     }
 
     #[test]
     fn non_positive_capacity() {
         let items = [item(5, 1)];
-        let sol = continuous_knapsack(&items, r(0));
-        assert_eq!(sol.x, vec![Rational::ZERO]);
-        assert_eq!(sol.value, r(0));
-        assert_eq!(sol.used, r(0));
-        let sol = continuous_knapsack(&items, r(-3));
-        assert_eq!(sol.value, r(0));
-        assert_eq!(sol.used, r(0), "the all-zero solution uses no weight");
+        for cap in [r(0), r(-3)] {
+            let (x, split, value) = solve(&items, cap);
+            assert_eq!(x, vec![Rational::ZERO]);
+            assert_eq!(split, None);
+            assert_eq!(value, r(0));
+        }
     }
 
     #[test]
     fn capacity_exceeding_total_weight_selects_all() {
         let items = [item(3, 2), item(4, 5)];
-        let sol = continuous_knapsack(&items, r(100));
-        assert!(sol.x.iter().all(|x| *x == Rational::ONE));
-        assert_eq!(sol.value, r(7));
-        assert_eq!(sol.used, r(7));
-        assert_eq!(sol.split, None);
+        let (x, split, value) = solve(&items, r(100));
+        assert!(x.iter().all(|x| *x == Rational::ONE));
+        assert_eq!(value, r(7));
+        assert_eq!(split, None);
     }
 
     #[test]
     fn weight_conservation() {
         let items = [item(7, 4), item(3, 3), item(9, 5)];
         let cap = r(6);
-        let sol = continuous_knapsack(&items, cap);
+        let (x, _, _) = solve(&items, cap);
         let used: Rational = items
             .iter()
-            .zip(&sol.x)
+            .zip(&x)
             .map(|(i, x)| i.weight * *x)
             .fold(Rational::ZERO, |a, b| a + b);
         assert_eq!(used, cap);
@@ -215,8 +151,20 @@ mod tests {
 
     #[test]
     fn empty_items() {
-        let sol = continuous_knapsack(&[], r(5));
-        assert!(sol.x.is_empty());
-        assert_eq!(sol.value, r(0));
+        let (x, split, value) = solve(&[], r(5));
+        assert!(x.is_empty());
+        assert_eq!(split, None);
+        assert_eq!(value, r(0));
+    }
+
+    #[test]
+    fn reused_buffers_give_the_same_answer() {
+        let (mut order, mut x) = (Vec::new(), Vec::new());
+        let big = [item(10, 2), item(9, 3), item(4, 4)];
+        continuous_knapsack_in(&big, r(5), &mut order, &mut x);
+        let small = [item(10, 2), item(9, 3)];
+        let got = continuous_knapsack_in(&small, r(4), &mut order, &mut x);
+        assert_eq!(got, (Some(1), r(16)));
+        assert_eq!(x, vec![Rational::ONE, Rational::new(2, 3)]);
     }
 }

@@ -1,6 +1,6 @@
 //! 0/1 knapsack by dynamic programming — a test oracle.
 //!
-//! Used only in tests and benches to certify the continuous solver: for
+//! Used only in tests to certify the continuous solver: for
 //! integral weights, `continuous optimum >= 0/1 optimum >= continuous optimum
 //! - max profit`, and the two coincide when the greedy solution is integral.
 
@@ -47,7 +47,7 @@ mod tests {
     use bss_rational::Rational;
     use proptest::prelude::*;
 
-    use crate::{continuous_knapsack, CkItem};
+    use crate::{continuous_knapsack_in, CkItem};
 
     use super::*;
 
@@ -98,15 +98,20 @@ mod tests {
                 .iter()
                 .map(|d| CkItem { profit: d.0, weight: Rational::from(d.1) })
                 .collect();
-            let sol = continuous_knapsack(&items, Rational::from(capacity));
-            prop_assert!(sol.value >= Rational::from(dp_value));
+            let (split, value) = continuous_knapsack_in(
+                &items,
+                Rational::from(capacity),
+                &mut Vec::new(),
+                &mut Vec::new(),
+            );
+            prop_assert!(value >= Rational::from(dp_value));
             let pmax = profits.iter().copied().max().unwrap_or(0);
-            prop_assert!(sol.value <= Rational::from(dp_value + pmax));
+            prop_assert!(value <= Rational::from(dp_value + pmax));
             // Integral greedy solutions are optimal for the relaxation, hence
             // match the DP.
-            if sol.split.is_none() {
-                prop_assert!(sol.value.is_integer());
-                prop_assert!(sol.value <= Rational::from(dp_value));
+            if split.is_none() {
+                prop_assert!(value.is_integer());
+                prop_assert!(value <= Rational::from(dp_value));
             }
         }
     }

@@ -14,5 +14,5 @@
 mod continuous;
 mod dp;
 
-pub use continuous::{continuous_knapsack, continuous_knapsack_in, CkItem, CkSolution};
+pub use continuous::{continuous_knapsack_in, CkItem};
 pub use dp::knapsack_01;

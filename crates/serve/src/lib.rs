@@ -28,8 +28,8 @@
 //!   straight from the cached [`bss_core::Solution`].
 //! * [`client`] — a blocking client speaking the protocol.
 //! * [`loadgen`] — seeded open- and closed-loop load generation with a
-//!   latency histogram; the `throughput` bench and the CLI `loadgen`
-//!   subcommand are thin wrappers over it.
+//!   latency histogram; the CLI `loadgen` subcommand is a thin wrapper
+//!   over it.
 //!
 //! Per-request [`bss_core::SolveBudget`] deadlines are measured from
 //! arrival at the server, so time spent waiting for a solve slot counts

@@ -429,33 +429,8 @@ impl Response {
 }
 
 // ---------------------------------------------------------------------------
-// Algorithm / completion wire spellings
+// Delta / completion wire spellings
 // ---------------------------------------------------------------------------
-
-/// Wire spelling of an [`Algorithm`] (matches the CLI's `--algorithm`).
-#[must_use]
-pub fn algorithm_to_wire(algo: Algorithm) -> String {
-    match algo {
-        Algorithm::TwoApprox => "two-approx".into(),
-        Algorithm::ThreeHalves => "three-halves".into(),
-        Algorithm::Portfolio => "portfolio".into(),
-        Algorithm::EpsilonSearch { eps_log2 } => format!("eps:{eps_log2}"),
-    }
-}
-
-/// Parses the wire spelling of an [`Algorithm`].
-pub fn algorithm_from_wire(s: &str) -> Result<Algorithm, JsonError> {
-    match s {
-        "two-approx" => Ok(Algorithm::TwoApprox),
-        "three-halves" => Ok(Algorithm::ThreeHalves),
-        "portfolio" => Ok(Algorithm::Portfolio),
-        _ => s
-            .strip_prefix("eps:")
-            .and_then(|e| e.parse().ok())
-            .map(|eps_log2| Algorithm::EpsilonSearch { eps_log2 })
-            .ok_or_else(|| JsonError::new(format!("unknown algorithm `{s}`"))),
-    }
-}
 
 /// Writes the wire fields of a [`Delta`] (`"op"` plus its operands).
 fn write_delta(o: &mut ObjectWriter<'_>, delta: Delta) {
@@ -574,7 +549,7 @@ impl ToJson for InstanceFrame<'_> {
                 "session"
             });
             o.key("variant").value(&self.variant);
-            o.key("algorithm").str(&algorithm_to_wire(self.algo));
+            o.key("algorithm").str(&self.algo.to_string());
             if let Some(opts) = self.solve {
                 if let Some(ms) = opts.deadline_ms {
                     o.key("deadline_ms").int(ms.into());
@@ -901,7 +876,9 @@ impl<'a> RequestFields<'a> {
                 .read_with(r, |r| string(r, "request `kind` must be a string")),
             "variant" => f.variant.read(r),
             "algorithm" => f.algorithm.read_with(r, |r| {
-                algorithm_from_wire(&string(r, "`algorithm` must be a string")?)
+                string(r, "`algorithm` must be a string")?
+                    .parse()
+                    .map_err(JsonError::new)
             }),
             "deadline_ms" => f
                 .deadline_ms
@@ -1579,19 +1556,5 @@ mod tests {
     fn wrong_version_is_rejected() {
         let text = r#"{"v": 99, "id": 1, "kind": "ping"}"#;
         assert!(bss_json::decode::<Request>(text).is_err());
-    }
-
-    #[test]
-    fn algorithm_wire_covers_all_variants() {
-        for algo in [
-            Algorithm::TwoApprox,
-            Algorithm::ThreeHalves,
-            Algorithm::Portfolio,
-            Algorithm::EpsilonSearch { eps_log2: 12 },
-        ] {
-            assert_eq!(algorithm_from_wire(&algorithm_to_wire(algo)).unwrap(), algo);
-        }
-        assert!(algorithm_from_wire("eps:bogus").is_err());
-        assert!(algorithm_from_wire("simplex").is_err());
     }
 }

@@ -717,6 +717,25 @@ fn malformed_and_unsupported_requests_get_typed_errors() {
         "broken JSON: {resp:?}"
     );
 
+    // A number too large for an `f64` is a syntax error, whether the frame
+    // decodes from its text or through a parsed tree.
+    let frame = r#"{"v":1e999,"id":4,"kind":"ping"}"#;
+    let resp = raw_call(addr, frame);
+    let expected = "number out of range at byte 10";
+    assert!(
+        matches!(
+            &resp,
+            Response::Error {
+                code: ErrorCode::BadRequest,
+                message,
+                ..
+            } if message.ends_with(expected)
+        ),
+        "non-finite number: {resp:?}"
+    );
+    let tree = bss_json::parse(frame).unwrap_err();
+    assert_eq!(tree.to_string(), expected);
+
     // Wrong protocol version.
     let resp = raw_call(addr, r#"{"v": 99, "id": 5, "kind": "ping"}"#);
     assert!(
@@ -1065,5 +1084,26 @@ fn request_pool_mix_produces_expected_cache_hit_rate() {
     assert_eq!(report.latency.len() as u64, report.solved);
     assert!(report.solves_per_sec() > 0.0);
     assert!(report.render().contains("throughput"));
+
+    // The same pool in the open loop: each connection paces its sends, so
+    // the connection with the most requests (at least ⌈12 / 2⌉) sleeps until
+    // its last scheduled send, five gaps after it started.
+    let rate_per_conn = 50;
+    let open = bss_serve::loadgen::run(&bss_serve::LoadgenConfig {
+        requests: 12,
+        mode: bss_serve::LoadMode::Open { rate_per_conn },
+        ..config
+    })
+    .unwrap();
+    assert_eq!(open.solved, 12);
+    assert_eq!(open.errors, 0);
+    assert_eq!(open.shed, 0);
+    assert_eq!(open.latency.len() as u64, open.solved);
+    let gap = std::time::Duration::from_secs(1) / rate_per_conn;
+    assert!(
+        open.elapsed >= gap * 5,
+        "the open loop ended at {:?}, before its last scheduled send",
+        open.elapsed
+    );
     server.shutdown();
 }

@@ -26,18 +26,13 @@
 //! exactly the implementation trick the paper uses to reach `O(n)` for the
 //! splittable dual algorithm (proof of Theorem 7) and `O(n)` for the simple
 //! 2-approximation (Lemma 8); without it, wrapping costs `Θ(n + m)`.
-//!
-//! McNaughton's classic wrap-around rule for `P|pmtn|Cmax` — the ancestor of
-//! Batch Wrapping — is provided as [`mcnaughton`].
 
-mod mcnaughton;
 #[cfg(test)]
 mod proptests;
 mod sequence;
 mod template;
 mod wrapper;
 
-pub use mcnaughton::{mcnaughton, McNaughtonSchedule};
 pub use sequence::{SeqItem, SeqKind, WrapSequence};
 pub use template::{GapRun, Template};
 pub use wrapper::{batch_items, wrap, wrap_into, wrap_iter_append, WrapError};

@@ -208,11 +208,13 @@ enum Target {
 
 fn parse_target(args: &[String]) -> Result<Target, String> {
     match flag(args, "--variant").as_deref() {
-        None | Some("non-preemptive") => Ok(Target::Bss(Variant::NonPreemptive)),
-        Some("preemptive") => Ok(Target::Bss(Variant::Preemptive)),
-        Some("splittable") => Ok(Target::Bss(Variant::Splittable)),
+        None => Ok(Target::Bss(Variant::NonPreemptive)),
         Some("seqdep") => Ok(Target::SeqDep),
-        Some(v) => Err(format!("unknown variant `{v}`")),
+        Some(v) => Variant::ALL
+            .into_iter()
+            .find(|variant| variant.name() == v)
+            .map(Target::Bss)
+            .ok_or_else(|| format!("unknown variant `{v}`")),
     }
 }
 
@@ -228,16 +230,7 @@ fn parse_variant(args: &[String]) -> Result<Variant, String> {
 }
 
 fn parse_algorithm(args: &[String]) -> Result<Algorithm, String> {
-    match flag(args, "--algorithm").as_deref() {
-        None | Some("three-halves") => Ok(Algorithm::ThreeHalves),
-        Some("two-approx") => Ok(Algorithm::TwoApprox),
-        Some("portfolio") => Ok(Algorithm::Portfolio),
-        Some(a) if a.starts_with("eps:") => a[4..]
-            .parse()
-            .map(|eps_log2| Algorithm::EpsilonSearch { eps_log2 })
-            .map_err(|_| format!("bad epsilon exponent in `{a}`")),
-        Some(a) => Err(format!("unknown algorithm `{a}`")),
-    }
+    flag(args, "--algorithm").map_or(Ok(Algorithm::ThreeHalves), |a| a.parse())
 }
 
 /// Parses the anytime-budget flags. `None` when neither flag is given —
